@@ -9,8 +9,8 @@ contingency table with the unsplit counts as a margin column.
 from pathlib import Path
 
 from labelsplit import (CsvSchema, Label, OrderingRelation, PartitionKeySpec,
-                        Projection, build_tables, count, extract_split_set,
-                        parse_csv, partition)
+                        Projection, build_tables, extract_split_set, parse_csv,
+                        partition, relation_counts)
 
 DATA = Path(__file__).parent / "data" / "smart_home.csv"
 
@@ -23,10 +23,12 @@ sensor_log = Projection("Sensor").apply(log)       # coarse labels
 activity_log = Projection("Activity").apply(log)   # refined labels
 
 # raw counts: how often does "Getting up" directly precede living-room motion?
+# One pass over the log counts the relation for every (b, c) label pair.
 gu, tt = Label("Getting up"), Label("Tossing & turning")
 lrm = Label("Living room motion")
+counts = relation_counts(activity_log, OrderingRelation.DIRECTLY_PRECEDES)
 for b in (gu, tt):
-    oc = count(activity_log, OrderingRelation.DIRECTLY_PRECEDES, b, lrm)
+    oc = counts[(b, lrm)]
     print(f"{b} directly precedes {lrm}: pos={oc.pos} neg={oc.neg}")
 
 # the split observed between the two logs: Bedroom motion -> two activities

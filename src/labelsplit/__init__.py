@@ -16,11 +16,12 @@ from .ingest import (CsvFormatError, CsvSchema, PartitionKeySpec, XesFormatError
                      write_xes_minimal)
 from .model import (Event, EventLog, Label, MissingAttributeError, Trace,
                     label_of, log_alphabet)
-from .ordering import (ContingencyTable, DEFAULT_RELATIONS, OrderingCounts,
-                       OrderingRelation, build_tables, count, relation_counts)
+from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OrderingCounts,
+                       OrderingRelation, RefinementCounts, build_tables,
+                       relation_counts)
 from .relabel import (NotARefinementError, Projection, RefinementCheck,
                       RefinementError, RelabelingFn, RuleBased, RuleError,
-                      ShapeMismatchError, SplitPair, TimeThreshold, apply,
+                      ShapeMismatchError, SplitPair, TimeThreshold,
                       check_refinement, extract_split_set, parse_time_of_day)
 from .stats import (CorrectionPolicy, TestResult, bonferroni_threshold,
                     fisher_exact_two_sided, fisher_test)
@@ -39,12 +40,14 @@ __all__ = [
     "Event",
     "EventLog",
     "Label",
+    "LogCounts",
     "MissingAttributeError",
     "NotARefinementError",
     "OrderingCounts",
     "OrderingRelation",
     "PartitionKeySpec",
     "Projection",
+    "RefinementCounts",
     "RefinementCheck",
     "RefinementError",
     "RelabelingFn",
@@ -57,12 +60,10 @@ __all__ = [
     "TimeThreshold",
     "Trace",
     "XesFormatError",
-    "apply",
     "binary_entropy",
     "bonferroni_threshold",
     "build_tables",
     "check_refinement",
-    "count",
     "evaluate",
     "extract_split_set",
     "fisher_exact_two_sided",

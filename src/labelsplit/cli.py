@@ -22,8 +22,8 @@ from typing import Any
 from .evaluate import (EvaluationConfig, EvaluationReport, evaluate,
                        generate_median_time_candidates, rank_candidates)
 from .ingest import (CsvFormatError, CsvSchema, PartitionKeySpec, XesFormatError,
-                     parse_csv, parse_xes_minimal, partition, write_csv,
-                     write_xes_minimal)
+                     csv_header, parse_csv, parse_xes_minimal, partition,
+                     write_csv, write_xes_minimal)
 from .model import EventLog, Label, MissingAttributeError, Trace
 from .ordering import DEFAULT_RELATIONS, OrderingRelation, relation_counts
 from .relabel import (Projection, RefinementError, RuleBased, RuleError,
@@ -175,7 +175,7 @@ def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
-def _resolve_schema(header: list[str], args) -> CsvSchema:
+def _resolve_schema(text: str, args) -> CsvSchema:
     if args.csv_schema:
         kv = _read_kv_file(args.csv_schema)
         unknown = set(kv) - {"id_column", "timestamp_column", "timestamp_format",
@@ -193,8 +193,9 @@ def _resolve_schema(header: list[str], args) -> CsvSchema:
             )
         except ValueError as exc:
             raise UsageError(f"bad schema: {exc}") from exc
-    # default schema sniffed from the header: id/timestamp columns by name,
-    # everything else an attribute
+    # default schema sniffed from the header, read with the default schema's
+    # delimiter: id/timestamp columns by name, everything else an attribute
+    header = [h.strip() for h in csv_header(text, CsvSchema.delimiter)]
     id_column = "id" if "id" in header else "synthesize"
     if "timestamp" not in header:
         raise CsvFormatError("no 'timestamp' column; provide --csv-schema")
@@ -214,8 +215,7 @@ def _load_base_log(args) -> EventLog:
             text = Path(args.csv).read_text(encoding="utf-8")
         except OSError as exc:
             raise CsvFormatError(f"cannot read {args.csv}: {exc}") from exc
-        header = text.splitlines()[0].split(",") if text else []
-        schema = _resolve_schema([h.strip() for h in header], args)
+        schema = _resolve_schema(text, args)
         events = parse_csv(text, schema)
         if args.case_key or args.calendar_key != "none":
             spec = PartitionKeySpec(

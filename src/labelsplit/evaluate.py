@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Container, Iterable
 from zoneinfo import ZoneInfo
 
 from .gain import EntropyBreakdown, relative_information_gain
 from .model import EventLog, Label
-from .ordering import ContingencyTable, DEFAULT_RELATIONS, OrderingRelation, build_tables
+from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OrderingRelation,
+                       RefinementCounts, build_tables)
 from .relabel import (NotARefinementError, RelabelingFn, SplitPair, TimeThreshold,
                       check_refinement, extract_split_set)
 from .stats import CorrectionPolicy, TestResult, fisher_test
@@ -105,7 +106,12 @@ class _Collected:
 
 
 def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
-             description: str) -> _Collected:
+             description: str, base: LogCounts | None = None) -> _Collected:
+    """Check the refinement and build every table of every split pair.
+
+    Each log is counted once per relation; ``base``, when given, holds the
+    base log's counts shared by a whole candidate scan.
+    """
     check = check_refinement(l1_log, l2_log)
     if not check.is_equal_length_refinement:
         first = check.violations[0]
@@ -122,11 +128,14 @@ def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
 
     pair_tables: list[tuple[tuple[Label, Label], list[ContingencyTable]]] = []
     skipped = 0
+    counts = (RefinementCounts.of(l1_log, l2_log, config.relations, base)
+              if split_pairs else None)
     for split in split_pairs:
         for a1, a2 in itertools.combinations(split.children, 2):
             tables = build_tables(l1_log, l2_log, split, a1, a2,
                                   relations=config.relations,
-                                  context_labels=config.context_labels)
+                                  context_labels=config.context_labels,
+                                  counts=counts)
             usable = [t for t in tables if t.parent_col.total > 0]
             skipped += len(tables) - len(usable)
             pair_tables.append(((a1, a2), usable))
@@ -192,9 +201,11 @@ def generate_median_time_candidates(
 
     The threshold is the median of the label's occurrence times (lower of
     the two middle values for even counts); occurrences strictly below it go
-    to the "_1" child, the rest to "_2".  Labels with fewer than two
-    occurrences or a single distinct time of day are skipped and listed in
-    ``skipped``.
+    to the "_1" child, the rest to "_2".  If either child name already labels
+    events in the log, the separator is doubled ("__1"/"__2", then "___1"
+    ...) until both names are fresh, so a split never merges other events
+    into a child.  Labels with fewer than two occurrences or a single
+    distinct time of day are skipped and listed in ``skipped``.
     """
     tz = ZoneInfo(timezone)
     times_by_label: dict[Label, list] = {}
@@ -217,14 +228,27 @@ def generate_median_time_candidates(
         if below < 2 or len(times) - below < 2:
             logger.warning("median split of %s leaves a child with <2 occurrences; "
                            "the tests will have little power", label)
+        low, high = _fresh_children(label, times_by_label)
         candidates.append(TimeThreshold(
             base_label=label,
             threshold=threshold,
-            low_label=Label(f"{label}_1"),
-            high_label=Label(f"{label}_2"),
+            low_label=low,
+            high_label=high,
             timezone=timezone,
         ))
     return candidates
+
+
+def _fresh_children(label: Label, alphabet: Container[Label]) -> tuple[Label, Label]:
+    """Child names "<label>_1"/"<label>_2", with the separator repeated until
+    neither is in the alphabet."""
+    separator = "_"
+    while True:
+        low = Label(f"{label}{separator}1")
+        high = Label(f"{label}{separator}2")
+        if low not in alphabet and high not in alphabet:
+            return low, high
+        separator += "_"
 
 
 def _note_skip(skipped: list[str] | None, message: str) -> None:
@@ -239,11 +263,12 @@ def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
 
     Sorting is score-descending with ties broken by candidate description.
     Under per_candidate_set correction the Bonferroni family spans all
-    candidates' tests.
+    candidates' tests.  The base log is counted once for all candidates.
     """
     config = config or EvaluationConfig()
+    base = LogCounts.of(l1_log, config.relations)
     collected = [
-        _collect(l1_log, fn.apply(l1_log), config, fn.description)
+        _collect(l1_log, fn.apply(l1_log), config, fn.description, base)
         for fn in candidates
     ]
     family_m = None

@@ -116,6 +116,12 @@ def _decode(data: bytes | str) -> str:
         raise CsvFormatError(f"input is not valid UTF-8: {exc}") from exc
 
 
+def csv_header(data: bytes | str, delimiter: str) -> list[str]:
+    """Column names of the header row, unquoted as RFC-4180 says; [] when
+    the input is empty."""
+    return next(csv.reader(io.StringIO(_decode(data)), delimiter=delimiter), [])
+
+
 def parse_csv(data: bytes | str, schema: CsvSchema) -> list[Event]:
     """Parse CSV text into one Event per data row.
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import EventLog, Label
 from .relabel import SplitPair, observed_parents
@@ -63,97 +63,116 @@ class OrderingCounts:
         return OrderingCounts(self.pos + other.pos, self.neg + other.neg)
 
 
-def _satisfies(labels: Sequence[Label], i: int, relation: OrderingRelation,
-               c: Label, c_after: Sequence[bool], c_before: Sequence[bool]) -> bool:
-    if relation is OrderingRelation.DIRECTLY_PRECEDES:
-        return i + 1 < len(labels) and labels[i + 1] == c
-    if relation is OrderingRelation.DIRECTLY_FOLLOWS:
-        return i > 0 and labels[i - 1] == c
-    if relation is OrderingRelation.EVENTUALLY_PRECEDES:
-        return c_after[i]
-    if relation is OrderingRelation.EVENTUALLY_FOLLOWS:
-        return c_before[i]
-    if relation is OrderingRelation.LENGTH_TWO_LOOP:
-        return (labels[i] != c and i + 2 < len(labels)
-                and labels[i + 1] == c and labels[i + 2] == labels[i])
-    raise ValueError(f"unknown relation {relation!r}")
+def _interned(log: EventLog) -> tuple[list[Label], list[list[int]]]:
+    """The log's labels as small ints: the code -> Label table, one code row
+    per trace.
 
-
-def count(log: EventLog, relation: OrderingRelation, b: Label, c: Label) -> OrderingCounts:
-    """Classify every occurrence of b in the log against c under the relation.
-
-    Labels absent from the log yield (0, 0).  A trace-final occurrence is neg
-    for directly_precedes, a trace-initial one is neg for directly_follows.
+    Codes are keyed by ``Label.parts``, which is what label equality
+    compares, so interning calls no Label method.
     """
-    pos = 0
-    neg = 0
-    for trace in log:
-        labels = trace.labels()
-        n = len(labels)
-        c_after = [False] * n
-        c_before = [False] * n
-        seen = False
-        for i in range(n - 1, -1, -1):
-            c_after[i] = seen
-            seen = seen or labels[i] == c
-        seen = False
-        for i in range(n):
-            c_before[i] = seen
-            seen = seen or labels[i] == c
-        for i in range(n):
-            if labels[i] != b:
-                continue
-            if _satisfies(labels, i, relation, c, c_after, c_before):
-                pos += 1
-            else:
-                neg += 1
-    return OrderingCounts(pos, neg)
+    codes: dict[tuple, int] = {}
+    rows = [[codes.setdefault(e.label.parts, len(codes)) for e in trace.events]
+            for trace in log]
+    return [Label(parts) for parts in codes], rows
+
+
+def _hits(rows: list[list[int]], size: int, relation: OrderingRelation) -> list[Counter]:
+    """hits[b][c]: occurrences of code b that satisfy the relation against c."""
+    hits: list[Counter] = [Counter() for _ in range(size)]
+    if relation is OrderingRelation.EVENTUALLY_PRECEDES:
+        for row in rows:
+            after: set[int] = set()
+            for b in reversed(row):
+                hits[b].update(after)
+                after.add(b)
+        return hits
+    if relation is OrderingRelation.EVENTUALLY_FOLLOWS:
+        for row in rows:
+            before: set[int] = set()
+            for b in row:
+                hits[b].update(before)
+                before.add(b)
+        return hits
+    pairs: Counter[tuple[int, int]] = Counter()
+    for row in rows:
+        if relation is OrderingRelation.DIRECTLY_PRECEDES:
+            pairs.update(zip(row, row[1:]))
+        elif relation is OrderingRelation.DIRECTLY_FOLLOWS:
+            pairs.update(zip(row[1:], row))
+        elif relation is OrderingRelation.LENGTH_TWO_LOOP:
+            pairs.update((b, c) for b, c, again in zip(row, row[1:], row[2:])
+                         if b == again and c != b)
+        else:
+            raise ValueError(f"unknown relation {relation!r}")
+    for (b, c), k in pairs.items():
+        hits[b][c] = k
+    return hits
 
 
 def relation_counts(log: EventLog, relation: OrderingRelation) -> dict[tuple[Label, Label], OrderingCounts]:
-    """OrderingCounts for every ordered label pair (b, c) in one bulk pass.
+    """OrderingCounts for every ordered pair (b, c) of the log's alphabet.
 
-    One pass per trace for the direct relations; the eventual ones use
-    per-position label-presence sets, O(|trace| * |alphabet|) per trace.
+    The one counting kernel: labels are interned to ints once, then one pass
+    per trace counts every pair.  The eventual relations add the running
+    set of labels seen after (before) each position to that position's row,
+    O(|trace| * |alphabet|) per trace.  A trace-final occurrence is neg for
+    directly_precedes, a trace-initial one is neg for directly_follows.
     """
-    pos: Counter[tuple[Label, Label]] = Counter()
-    occurrences: Counter[Label] = Counter()
-    alphabet = set()
-    for trace in log:
-        labels = trace.labels()
-        n = len(labels)
-        occurrences.update(labels)
-        alphabet.update(labels)
-        if relation is OrderingRelation.DIRECTLY_PRECEDES:
-            for i in range(n - 1):
-                pos[(labels[i], labels[i + 1])] += 1
-        elif relation is OrderingRelation.DIRECTLY_FOLLOWS:
-            for i in range(1, n):
-                pos[(labels[i], labels[i - 1])] += 1
-        elif relation is OrderingRelation.EVENTUALLY_PRECEDES:
-            after: set[Label] = set()
-            for i in range(n - 1, -1, -1):
-                for c in after:
-                    pos[(labels[i], c)] += 1
-                after.add(labels[i])
-        elif relation is OrderingRelation.EVENTUALLY_FOLLOWS:
-            before: set[Label] = set()
-            for i in range(n):
-                for c in before:
-                    pos[(labels[i], c)] += 1
-                before.add(labels[i])
-        elif relation is OrderingRelation.LENGTH_TWO_LOOP:
-            for i in range(n - 2):
-                if labels[i] == labels[i + 2] and labels[i + 1] != labels[i]:
-                    pos[(labels[i], labels[i + 1])] += 1
-        else:
-            raise ValueError(f"unknown relation {relation!r}")
+    labels, rows = _interned(log)
+    occurrences: Counter[int] = Counter()
+    for row in rows:
+        occurrences.update(row)
+    hits = _hits(rows, len(labels), relation)
     out = {}
-    for b in alphabet:
-        for c in alphabet:
-            p = pos.get((b, c), 0)
-            out[(b, c)] = OrderingCounts(p, occurrences[b] - p)
+    for b, b_label in enumerate(labels):
+        row, n = hits[b], occurrences[b]
+        none = OrderingCounts(0, n)  # immutable, so shared by every miss of b
+        for c, c_label in enumerate(labels):
+            p = row.get(c)
+            out[(b_label, c_label)] = OrderingCounts(p, n - p) if p else none
     return out
+
+
+@dataclass(frozen=True)
+class LogCounts:
+    """One log's relation_counts for each relation, plus label occurrences."""
+
+    occurrences: Counter
+    by_relation: dict[OrderingRelation, dict[tuple[Label, Label], OrderingCounts]]
+
+    @classmethod
+    def of(cls, log: EventLog, relations: Iterable[OrderingRelation]) -> "LogCounts":
+        return cls(Counter(e.label for trace in log for e in trace),
+                   {relation: relation_counts(log, relation) for relation in relations})
+
+    def column(self, relation: OrderingRelation, b: Label, c: Label) -> OrderingCounts:
+        """Counts of source b against context c.
+
+        A source absent from the log counts (0, 0); a context absent from it
+        satisfies the relation nowhere, so b counts (0, occurrences of b).
+        """
+        return self.by_relation[relation].get((b, c), OrderingCounts(0, self.occurrences[b]))
+
+
+@dataclass(frozen=True)
+class RefinementCounts:
+    """Everything the tables of one refinement are built from, counted once:
+    both logs' counts and the coarse labels seen under each refined label."""
+
+    base: LogCounts
+    refined: LogCounts
+    parents: dict[Label, dict[Label, int]]
+
+    @classmethod
+    def of(cls, l1_log: EventLog, l2_log: EventLog,
+           relations: Iterable[OrderingRelation],
+           base: LogCounts | None = None) -> "RefinementCounts":
+        """Count both logs; ``base``, when given, must be LogCounts.of(l1_log)
+        over at least these relations (a scan shares it across candidates)."""
+        relations = tuple(relations)
+        if base is None:
+            base = LogCounts.of(l1_log, relations)
+        return cls(base, LogCounts.of(l2_log, relations), observed_parents(l1_log, l2_log))
 
 
 @dataclass(frozen=True)
@@ -190,42 +209,40 @@ def build_tables(
     a2: Label,
     relations: Iterable[OrderingRelation] = DEFAULT_RELATIONS,
     context_labels: Iterable[Label] | None = None,
+    *,
+    counts: RefinementCounts | None = None,
 ) -> list[ContingencyTable]:
     """One table per (relation, context label) for the child pair (a1, a2).
 
     Context labels default to the refined alphabet minus every child of the
     pair's parent, so siblings are never used as context.  An explicit
     ``context_labels`` list overrides that default (children still excluded).
+    ``counts`` are the refinement's counts when the caller already has them
+    (an evaluation shares them across its pairs); otherwise both logs are
+    counted here.
     """
-    parents = observed_parents(l1_log, l2_log)
+    relations = tuple(relations)
+    if counts is None:
+        counts = RefinementCounts.of(l1_log, l2_log, relations)
+    parents = counts.parents
     siblings = set(pair.children)
     if context_labels is None:
         contexts = [b for b in sorted(parents) if b not in siblings]
     else:
         contexts = [b for b in context_labels if b not in siblings]
-
-    occ1: Counter[Label] = Counter(e.label for t in l1_log for e in t)
-    occ2: Counter[Label] = Counter(e.label for t in l2_log for e in t)
+    parent_of = {b: _parent_context(parents, b) if b in parents else b for b in contexts}
 
     tables = []
     for relation in relations:
-        counts2 = relation_counts(l2_log, relation)
-        counts1 = relation_counts(l1_log, relation)
-
-        def col(counts, occ, src: Label, ctx: Label) -> OrderingCounts:
-            # a context absent from the log satisfies the relation nowhere
-            return counts.get((src, ctx), OrderingCounts(0, occ[src]))
-
         for b in contexts:
-            parent_b = _parent_context(parents, b) if b in parents else b
             tables.append(ContingencyTable(
                 relation=relation,
                 context_label=b,
                 a1=a1,
                 a2=a2,
-                col_a1=col(counts2, occ2, a1, b),
-                col_a2=col(counts2, occ2, a2, b),
+                col_a1=counts.refined.column(relation, a1, b),
+                col_a2=counts.refined.column(relation, a2, b),
                 parent_label=pair.parent,
-                parent_col=col(counts1, occ1, pair.parent, parent_b),
+                parent_col=counts.base.column(relation, pair.parent, parent_of[b]),
             ))
     return tables

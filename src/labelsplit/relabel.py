@@ -61,10 +61,6 @@ class RelabelingFn(ABC):
         return EventLog(traces)
 
 
-def apply(fn: RelabelingFn, log: EventLog) -> EventLog:
-    return fn.apply(log)
-
-
 @dataclass(frozen=True)
 class Projection(RelabelingFn):
     """Label each event by the values of the named attributes."""

@@ -110,6 +110,20 @@ def test_evaluate_parse_error_exits_two(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_quoted_csv_header_is_sniffed(tmp_path, capsys):
+    # RFC-4180 allows every header name to be quoted
+    csv = tmp_path / "quoted.csv"
+    csv.write_text('"id","timestamp","case","act"\n'
+                   "1,2020-01-01 01:00:00,c,a\n"
+                   "2,2020-01-01 02:00:00,c,b\n")
+    code, out, err = run(capsys, "stats", "--csv", str(csv), "--base-label", "act")
+    assert code == 0, err
+    cell = {(r["relation"], r["b"][0], r["c"][0]): (r["pos"], r["neg"])
+            for r in json.loads(out)["rows"]}
+    assert cell[("directly_precedes", "a", "b")] == (1, 0)
+    assert cell[("directly_follows", "b", "a")] == (1, 0)
+
+
 def test_evaluate_unknown_column_is_config_error(capsys):
     code, _, err = run(capsys, "evaluate", "--csv", SMART_HOME,
                        "--base-label", "NoSuch", "--refined-label", "Activity")

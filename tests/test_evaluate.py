@@ -1,10 +1,11 @@
 import math
 import random
+from dataclasses import replace
 from datetime import time
 
 import pytest
 
-from labelsplit import (CorrectionPolicy, EvaluationConfig, Label,
+from labelsplit import (DEFAULT_RELATIONS, CorrectionPolicy, EvaluationConfig, Label,
                         OrderingRelation, TimeThreshold, evaluate,
                         generate_median_time_candidates, rank_candidates)
 
@@ -153,6 +154,67 @@ def test_median_candidates_skip_degenerate_labels():
     assert len(skipped) == 2
     assert any("once" in s for s in skipped)
     assert any("same" in s for s in skipped)
+
+
+def test_median_children_avoid_existing_labels():
+    # "a_1" already labels events; splitting "a" must not merge them into a child
+    rows = [["a", "a_1", "a"], ["a_1", "a", "b", "a"], ["b", "a__2", "a", "a"]]
+    log = log_from_rows(rows)
+    by_base = {str(fn.base_label): fn for fn in generate_median_time_candidates(log)}
+    fn = by_base["a"]
+    assert (fn.low_label, fn.high_label) == (Label("a___1"), Label("a___2"))
+    assert by_base["b"].low_label == Label("b_1")
+    refined = fn.apply(log)
+    assert sum(e.label == Label("a_1") for t in refined for e in t) == 2
+    (report,) = rank_candidates(log, [fn])
+    (split,) = report.split_pairs
+    assert split.parent == Label("a")
+    assert split.children == (Label("a___1"), Label("a___2"))
+
+
+def _assert_ranked_equals_evaluated(base_log, config):
+    """Each report of a scan, which shares the base log's counts across
+    candidates, equals evaluating that candidate on its own."""
+    candidates = generate_median_time_candidates(base_log)
+    reports = rank_candidates(base_log, candidates, config)
+    by_description = {r.candidate_description: r for r in reports}
+    assert len(by_description) == len(candidates)
+    family_m = sum(r.m_tests for r in reports)
+    for fn in candidates:
+        ranked = by_description[fn.description]
+        refined = fn.apply(base_log)
+        if config.correction.family_scope == "per_candidate":
+            assert ranked == evaluate(base_log, refined, config, fn.description)
+            continue
+        # the family-wide threshold, handed to evaluate as an uncorrected alpha
+        assert ranked.corrected_alpha == (config.alpha / family_m if family_m
+                                          else config.alpha)
+        alone = evaluate(base_log, refined,
+                         replace(config, alpha=ranked.corrected_alpha,
+                                 correction=CorrectionPolicy("none")),
+                         fn.description)
+        assert ranked == replace(alone, alpha=config.alpha)
+
+
+def test_rank_candidates_matches_evaluate(sensor_log, activity_log):
+    rng = random.Random(7)
+    logs = [sensor_log, activity_log]
+    for _ in range(12):
+        alphabet = [f"L{i}" for i in range(rng.randint(2, 5))]
+        logs.append(log_from_rows([[rng.choice(alphabet) for _ in range(rng.randint(1, 9))]
+                                   for _ in range(rng.randint(2, 9))]))
+    loop = OrderingRelation.LENGTH_TWO_LOOP
+    relation_sets = (DEFAULT_RELATIONS, (loop, OrderingRelation.DIRECTLY_PRECEDES),
+                     (OrderingRelation.EVENTUALLY_FOLLOWS,), (*DEFAULT_RELATIONS, loop))
+    checked = 0
+    for base_log in logs:
+        for relations in relation_sets:
+            for scope in ("per_candidate", "per_candidate_set"):
+                config = EvaluationConfig(alpha=0.05, relations=relations,
+                                          correction=CorrectionPolicy("bonferroni", scope))
+                _assert_ranked_equals_evaluated(base_log, config)
+                checked += 1
+    assert checked == len(logs) * len(relation_sets) * 2
 
 
 def test_rank_orders_useful_first(sensor_log):

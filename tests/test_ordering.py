@@ -2,8 +2,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from labelsplit import (Label, OrderingCounts, OrderingRelation, build_tables,
-                        count, extract_split_set, relation_counts)
+from labelsplit import (Label, LogCounts, OrderingCounts, OrderingRelation,
+                        build_tables, extract_split_set, relation_counts)
 
 from conftest import label_rows, log_from_rows
 from oracles import naive_count
@@ -19,43 +19,50 @@ TT = Label("Tossing & turning")
 LRM = Label("Living room motion")
 
 
+def column(log, relation, b, c):
+    """The lookup build_tables uses, which also answers for absent labels."""
+    return LogCounts.of(log, (relation,)).column(relation, b, c)
+
+
 def test_getting_up_directly_precedes_living_room(activity_log):
-    assert count(activity_log, DP, GU, LRM) == OrderingCounts(5, 0)
+    assert relation_counts(activity_log, DP)[(GU, LRM)] == OrderingCounts(5, 0)
 
 
 def test_tossing_never_directly_precedes_living_room(activity_log):
-    assert count(activity_log, DP, TT, LRM) == OrderingCounts(0, 16)
+    assert relation_counts(activity_log, DP)[(TT, LRM)] == OrderingCounts(0, 16)
 
 
 def test_tossing_eventually_precedes_living_room(activity_log):
-    assert count(activity_log, EP, TT, LRM) == OrderingCounts(16, 0)
+    assert relation_counts(activity_log, EP)[(TT, LRM)] == OrderingCounts(16, 0)
 
 
 def test_single_event_trace_is_negative():
+    # c is absent from the log: every occurrence of b counts as neg
     log = log_from_rows([["b"]])
     for relation in (DP, DF, EP, EF, LOOP):
-        assert count(log, relation, Label("b"), Label("c")) == OrderingCounts(0, 1)
+        assert column(log, relation, Label("b"), Label("c")) == OrderingCounts(0, 1)
 
 
 def test_length_two_loop_bcb():
     log = log_from_rows([["b", "c", "b"]])
-    assert count(log, LOOP, Label("b"), Label("c")) == OrderingCounts(1, 1)
+    assert relation_counts(log, LOOP)[(Label("b"), Label("c"))] == OrderingCounts(1, 1)
 
 
 def test_absent_labels_count_zero(activity_log):
-    assert count(activity_log, DP, Label("nope"), LRM) == OrderingCounts(0, 0)
+    assert column(activity_log, DP, Label("nope"), LRM) == OrderingCounts(0, 0)
 
 
 def test_pos_plus_neg_equals_occurrences(activity_log):
     occurrences = sum(1 for t in activity_log for e in t if e.label == TT)
     for relation in (DP, DF, EP, EF, LOOP):
-        oc = count(activity_log, relation, TT, LRM)
+        oc = relation_counts(activity_log, relation)[(TT, LRM)]
         assert oc.total == occurrences
 
 
 def test_directly_precedes_sums_to_non_final_occurrences(activity_log):
     # summing pos over all context labels counts every non-final occurrence once
-    total_pos = sum(count(activity_log, DP, TT, c).pos for c in activity_log.alphabet)
+    counts = relation_counts(activity_log, DP)
+    total_pos = sum(counts[(TT, c)].pos for c in activity_log.alphabet)
     occurrences = sum(1 for t in activity_log for e in t if e.label == TT)
     finals = sum(1 for t in activity_log if t.events[-1].label == TT)
     assert total_pos == occurrences - finals
@@ -65,15 +72,43 @@ def test_count_invariant_under_trace_reorder(activity_log):
     from labelsplit import EventLog
     reordered = EventLog(tuple(reversed(activity_log.traces)))
     for relation in (DP, DF, EP, EF):
-        assert count(reordered, relation, TT, LRM) == count(activity_log, relation, TT, LRM)
+        assert (relation_counts(reordered, relation)[(TT, LRM)]
+                == relation_counts(activity_log, relation)[(TT, LRM)])
 
 
 def test_relation_counts_matches_single_counts(activity_log):
+    rows = label_rows(activity_log)
+    alphabet = activity_log.alphabet
     for relation in (DP, DF, EP, EF, LOOP):
         bulk = relation_counts(activity_log, relation)
-        for b in activity_log.alphabet:
-            for c in activity_log.alphabet:
-                assert bulk[(b, c)] == count(activity_log, relation, b, c)
+        assert set(bulk) == {(b, c) for b in alphabet for c in alphabet}
+        for b in alphabet:
+            for c in alphabet:
+                oc = bulk[(b, c)]
+                assert (oc.pos, oc.neg) == naive_count(rows, relation.value, str(b), str(c))
+
+
+def test_relation_counts_hashes_labels_only_for_its_result(activity_log, monkeypatch):
+    # the counting loops run on interned ints: labels are hashed only to key
+    # the |alphabet|^2 result pairs, and never compared
+    calls = {"hash": 0, "eq": 0}
+    orig_hash, orig_eq = Label.__hash__, Label.__eq__
+
+    def counted_hash(label):
+        calls["hash"] += 1
+        return orig_hash(label)
+
+    def counted_eq(label, other):
+        calls["eq"] += 1
+        return orig_eq(label, other)
+
+    size = len(activity_log.alphabet)
+    monkeypatch.setattr(Label, "__hash__", counted_hash)
+    monkeypatch.setattr(Label, "__eq__", counted_eq)
+    for relation in (DP, DF, EP, EF, LOOP):
+        calls.update(hash=0, eq=0)
+        relation_counts(activity_log, relation)
+        assert calls == {"hash": 2 * size * size, "eq": 0}
 
 
 def test_build_tables_reproduces_the_four_sample_tables(sensor_log, activity_log):
@@ -152,5 +187,5 @@ def test_count_matches_naive_scan(rows, relation):
     for b in ("a", "b"):
         for c in ("a", "c"):
             expected = naive_count(rows, relation.value, b, c)
-            actual = count(log, relation, Label(b), Label(c))
+            actual = column(log, relation, Label(b), Label(c))
             assert (actual.pos, actual.neg) == expected
