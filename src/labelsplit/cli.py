@@ -195,7 +195,7 @@ def _resolve_schema(text: str, args) -> CsvSchema:
             raise UsageError(f"bad schema: {exc}") from exc
     # default schema sniffed from the header, read with the default schema's
     # delimiter: id/timestamp columns by name, everything else an attribute
-    header = [h.strip() for h in csv_header(text, CsvSchema.delimiter)]
+    header = csv_header(text, CsvSchema.delimiter)
     id_column = "id" if "id" in header else "synthesize"
     if "timestamp" not in header:
         raise CsvFormatError("no 'timestamp' column; provide --csv-schema")

@@ -21,7 +21,7 @@ from .model import EventLog, Label
 from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OrderingRelation,
                        RefinementCounts, build_tables)
 from .relabel import (NotARefinementError, RelabelingFn, SplitPair, TimeThreshold,
-                      check_refinement, extract_split_set)
+                      _Pairing, check_refinement)
 from .stats import CorrectionPolicy, TestResult, fisher_test
 
 logger = logging.getLogger(__name__)
@@ -109,10 +109,15 @@ def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
              description: str, base: LogCounts | None = None) -> _Collected:
     """Check the refinement and build every table of every split pair.
 
+    The logs are paired once; the refinement check, the split set and the
+    coarse labels seen under each refined label all come from that pairing.
     Each log is counted once per relation; ``base``, when given, holds the
-    base log's counts shared by a whole candidate scan.
+    base log's counts shared by a whole candidate scan.  A refined label
+    seen under two or more coarse labels merges them, so its tables would
+    not add up to the parent's: that raises NotARefinementError too.
     """
-    check = check_refinement(l1_log, l2_log)
+    pairing = _Pairing.of(l1_log, l2_log)
+    check = check_refinement(l1_log, l2_log, _pairing=pairing)
     if not check.is_equal_length_refinement:
         first = check.violations[0]
         raise NotARefinementError(
@@ -121,14 +126,20 @@ def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
             f"but differ at position {first.position}",
             check.violations,
         )
-    split_pairs = tuple(extract_split_set(l1_log, l2_log))
+    merged = sorted(child for child, coarse in pairing.parents.items() if len(coarse) > 1)
+    if merged:
+        coarse = ", ".join(str(label) for label in sorted(pairing.parents[merged[0]]))
+        raise NotARefinementError(
+            f"refined labeling does not refine the base one: refined label "
+            f"{merged[0]} is observed under several coarse labels ({coarse})")
+    split_pairs = pairing.split_pairs
     notes: list[str] = []
     if not split_pairs:
         notes.append("refinement is not strict")
 
     pair_tables: list[tuple[tuple[Label, Label], list[ContingencyTable]]] = []
     skipped = 0
-    counts = (RefinementCounts.of(l1_log, l2_log, config.relations, base)
+    counts = (RefinementCounts.of(l1_log, l2_log, config.relations, base, pairing.parents)
               if split_pairs else None)
     for split in split_pairs:
         for a1, a2 in itertools.combinations(split.children, 2):

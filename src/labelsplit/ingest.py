@@ -8,11 +8,12 @@ and string attributes; everything else is skipped and counted as a warning.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from datetime import datetime, timezone, tzinfo
 from typing import Any, Iterable
 from zoneinfo import ZoneInfo
 
@@ -34,10 +35,12 @@ class XesFormatError(ValueError):
     """Malformed or unsupported XES input."""
 
 
-def parse_timestamp(text: str, fmt: str | None, tz: ZoneInfo) -> datetime:
+def parse_timestamp(text: str, fmt: str | None, tz: tzinfo) -> datetime:
     """Parse a timestamp string; naive results are localized to ``tz``.
 
-    ``fmt`` is a strptime format, or None/"iso8601" for ISO-8601.
+    ``fmt`` is a strptime format, or None/"iso8601" for ISO-8601.  The
+    result is in ``timezone.utc``; when it already is, or when ``tz`` is
+    UTC, no zone conversion runs.
     """
     text = text.strip()
     try:
@@ -49,8 +52,24 @@ def parse_timestamp(text: str, fmt: str | None, tz: ZoneInfo) -> datetime:
     except ValueError as exc:
         raise ValueError(f"unparseable timestamp {text!r}") from exc
     if parsed.tzinfo is None:
+        if _is_utc(tz):
+            # combine is several times cheaper than replace(tzinfo=...)
+            return datetime.combine(parsed.date(), parsed.time(), timezone.utc)
         parsed = parsed.replace(tzinfo=tz)
+    if parsed.tzinfo is timezone.utc:
+        return parsed
     return parsed.astimezone(timezone.utc)
+
+
+def _is_utc(tz: tzinfo) -> bool:
+    return tz is timezone.utc or getattr(tz, "key", None) == "UTC"
+
+
+def _time_zone(name: str) -> tzinfo:
+    """The time zone called ``name``: ``timezone.utc`` for "UTC", which
+    needs no conversion of UTC instants, else a ZoneInfo (which raises for
+    unknown names)."""
+    return timezone.utc if name == "UTC" else ZoneInfo(name)
 
 
 @dataclass(frozen=True)
@@ -99,10 +118,16 @@ class PartitionKeySpec:
         if not self.attribute_keys and self.calendar_key == "none":
             raise ValueError("at least one of attribute_keys or calendar_key required")
 
+    @functools.cached_property
+    def _tz(self) -> tzinfo:
+        return _time_zone(self.timezone)
+
     def key_of(self, event: Event) -> tuple:
         parts = [event.attribute(name) for name in self.attribute_keys]
         if self.calendar_key == "day":
-            local = event.timestamp.astimezone(ZoneInfo(self.timezone))
+            # event timestamps are UTC already
+            tz = self._tz
+            local = event.timestamp if tz is timezone.utc else event.timestamp.astimezone(tz)
             parts.append(local.date())
         return tuple(parts)
 
@@ -116,18 +141,25 @@ def _decode(data: bytes | str) -> str:
         raise CsvFormatError(f"input is not valid UTF-8: {exc}") from exc
 
 
+def _column_names(header_row: list[str]) -> list[str]:
+    """Header cells as column names: surrounding whitespace is not part of
+    a name."""
+    return [cell.strip() for cell in header_row]
+
+
 def csv_header(data: bytes | str, delimiter: str) -> list[str]:
-    """Column names of the header row, unquoted as RFC-4180 says; [] when
-    the input is empty."""
-    return next(csv.reader(io.StringIO(_decode(data)), delimiter=delimiter), [])
+    """Column names of the header row, unquoted as RFC-4180 says and
+    stripped of surrounding whitespace; [] when the input is empty."""
+    return _column_names(next(csv.reader(io.StringIO(_decode(data)), delimiter=delimiter), []))
 
 
 def parse_csv(data: bytes | str, schema: CsvSchema) -> list[Event]:
     """Parse CSV text into one Event per data row.
 
-    Synthesized ids are the 1-based data-row index.  Raises CsvFormatError on
-    ragged rows, unparseable timestamps, or duplicate explicit ids, naming
-    the line.
+    Header names are stripped of surrounding whitespace, as ``csv_header``
+    does, before the schema's columns are looked up.  Synthesized ids are
+    the 1-based data-row index.  Raises CsvFormatError on ragged rows,
+    unparseable timestamps, or duplicate explicit ids, naming the line.
     """
     text = _decode(data)
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
@@ -136,7 +168,7 @@ def parse_csv(data: bytes | str, schema: CsvSchema) -> list[Event]:
     except StopIteration:
         raise CsvFormatError("empty input: missing header row")
 
-    columns = {name: i for i, name in enumerate(header)}
+    columns = {name: i for i, name in enumerate(_column_names(header))}
     needed = [schema.timestamp_column, *schema.attribute_columns]
     if schema.id_column != SYNTHESIZE:
         needed.append(schema.id_column)
@@ -144,31 +176,33 @@ def parse_csv(data: bytes | str, schema: CsvSchema) -> list[Event]:
         if name not in columns:
             raise CsvFormatError(f"header is missing column {name!r}")
 
-    tz = ZoneInfo(schema.timezone)
+    width = len(header)
+    id_at = None if schema.id_column == SYNTHESIZE else columns[schema.id_column]
+    timestamp_at = columns[schema.timestamp_column]
+    attributes_at = [(name, columns[name]) for name in schema.attribute_columns]
+    fmt = schema.timestamp_format
+    tz = _time_zone(schema.timezone)
     events: list[Event] = []
     seen_ids: set = set()
     for row_index, row in enumerate(reader, start=1):
-        line = reader.line_num
         if not row:
             continue
-        if len(row) != len(header):
+        if len(row) != width:
             raise CsvFormatError(
-                f"line {line}: expected {len(header)} fields, got {len(row)}"
+                f"line {reader.line_num}: expected {width} fields, got {len(row)}"
             )
-        if schema.id_column == SYNTHESIZE:
+        if id_at is None:
             event_id: Any = row_index
         else:
-            event_id = row[columns[schema.id_column]]
+            event_id = row[id_at]
             if event_id in seen_ids:
-                raise CsvFormatError(f"line {line}: duplicate event id {event_id!r}")
+                raise CsvFormatError(f"line {reader.line_num}: duplicate event id {event_id!r}")
             seen_ids.add(event_id)
         try:
-            ts = parse_timestamp(row[columns[schema.timestamp_column]],
-                                 schema.timestamp_format, tz)
+            ts = parse_timestamp(row[timestamp_at], fmt, tz)
         except ValueError as exc:
-            raise CsvFormatError(f"line {line}: {exc}") from exc
-        attrs = [(name, row[columns[name]]) for name in schema.attribute_columns]
-        events.append(Event(event_id, ts, attrs))
+            raise CsvFormatError(f"line {reader.line_num}: {exc}") from exc
+        events.append(Event(event_id, ts, tuple([(name, row[i]) for name, i in attributes_at])))
     return events
 
 
@@ -227,7 +261,7 @@ def parse_xes_minimal(data: bytes | str, warnings: list[str] | None = None) -> E
                         name = value
                 elif attr_el.tag == "date" and key == XES_TIME_KEY:
                     try:
-                        ts = parse_timestamp(value or "", None, ZoneInfo("UTC"))
+                        ts = parse_timestamp(value or "", None, timezone.utc)
                     except ValueError as exc:
                         raise XesFormatError(f"event {next_id}: {exc}") from exc
                 else:

@@ -4,15 +4,24 @@ An event is a timestamped record of named attribute values; traces group
 events that share a case key, ordered by time; an event log is a multiset
 of traces.  Every event carries a label (a tuple of attribute values,
 defaulting to all of them) and the log's alphabet is the set of labels
-occurring in it, always recomputed from the traces.
+occurring in it, recomputed from the traces on every access.
+
+All three types are immutable.  ``Event(...)`` and ``Trace(...)`` normalise
+and check whatever they are given, so each event is validated once, when it
+is built; relabeling (``Trace.with_labels``) swaps labels on events that are
+already valid, without re-sorting or re-checking them.  The one thing cached
+is a log's interning (``EventLog.interned``): its labels as small ints,
+computed on first use and shared by every count taken over the log.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timezone
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, NamedTuple
 
 
 class MissingAttributeError(KeyError):
@@ -72,7 +81,7 @@ class Label:
     def __init__(self, *parts: Any):
         if len(parts) == 1 and isinstance(parts[0], tuple):
             parts = parts[0]
-        object.__setattr__(self, "parts", tuple(parts))
+        _set_parts(self, tuple(parts))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Label is immutable")
@@ -108,7 +117,12 @@ class Label:
         return out
 
 
-@dataclass(frozen=True)
+# An immutable class's own slots are set through their member descriptors,
+# which skip its __setattr__ at about half the cost of object.__setattr__.
+_set_parts = Label.parts.__set__
+
+
+@dataclass(frozen=True, slots=True)
 class Event:
     """A single timestamped observation.
 
@@ -116,6 +130,8 @@ class Event:
     numbers, or instants).  Timestamps are normalized to UTC on
     construction; naive inputs are taken as UTC.  The label defaults to the
     tuple of all attribute values and is replaced by relabeling functions.
+    A tuple of attributes and a timestamp already in ``timezone.utc`` are
+    kept as they are.
     """
 
     id: Any
@@ -130,20 +146,22 @@ class Event:
         attributes: Mapping[str, Any] | Iterable[tuple[str, Any]] = (),
         label: Label | None = None,
     ):
-        object.__setattr__(self, "id", id)
+        _set_id(self, id)
         if not isinstance(timestamp, datetime):
             raise TypeError(f"event {id!r}: timestamp must be a datetime")
-        if timestamp.tzinfo is None:
-            timestamp = timestamp.replace(tzinfo=timezone.utc)
-        object.__setattr__(self, "timestamp", timestamp.astimezone(timezone.utc))
-        if isinstance(attributes, Mapping):
+        if timestamp.tzinfo is not timezone.utc:
+            if timestamp.tzinfo is None:
+                timestamp = timestamp.replace(tzinfo=timezone.utc)
+            timestamp = timestamp.astimezone(timezone.utc)
+        _set_timestamp(self, timestamp)
+        if type(attributes) is tuple:
+            attrs = attributes
+        elif isinstance(attributes, Mapping):
             attrs = tuple(attributes.items())
         else:
             attrs = tuple(attributes)
-        object.__setattr__(self, "attributes", attrs)
-        if label is None:
-            label = Label(tuple(v for _, v in attrs))
-        object.__setattr__(self, "label", label)
+        _set_attributes(self, attrs)
+        _set_label(self, Label(tuple([v for _, v in attrs])) if label is None else label)
 
     def attribute(self, name: str) -> Any:
         for key, value in self.attributes:
@@ -155,10 +173,23 @@ class Event:
         return any(key == name for key, _ in self.attributes)
 
     def with_label(self, label: Label) -> "Event":
-        return Event(self.id, self.timestamp, self.attributes, label)
+        """This event carrying ``label``.  Every other field is already
+        normalised, so the copy skips ``__init__``."""
+        event = object.__new__(Event)
+        _set_id(event, self.id)
+        _set_timestamp(event, self.timestamp)
+        _set_attributes(event, self.attributes)
+        _set_label(event, label)
+        return event
 
     def sort_key(self) -> tuple:
         return (self.timestamp, _id_key(self.id))
+
+
+_set_id = Event.id.__set__
+_set_timestamp = Event.timestamp.__set__
+_set_attributes = Event.attributes.__set__
+_set_label = Event.label.__set__
 
 
 def label_of(event: Event, projection: list[str] | tuple[str, ...]) -> Label:
@@ -170,7 +201,7 @@ def label_of(event: Event, projection: list[str] | tuple[str, ...]) -> Label:
     return Label(tuple(event.attribute(name) for name in projection))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trace:
     """A time-ordered sequence of events sharing one case key.
 
@@ -201,13 +232,54 @@ class Trace:
     def labels(self) -> tuple[Label, ...]:
         return tuple(e.label for e in self.events)
 
+    def with_labels(self, labels: Sequence[Label]) -> "Trace":
+        """The same events, in the same order and with the same ids, carrying
+        ``labels[i]`` at position i.
+
+        Order and id uniqueness hold already, so nothing is re-sorted or
+        re-checked.  Raises ValueError unless there is one label per event.
+        """
+        if len(labels) != len(self.events):
+            raise ValueError(f"trace {self.case_id!r}: {len(labels)} labels "
+                             f"for {len(self.events)} events")
+        trace = object.__new__(Trace)
+        object.__setattr__(trace, "case_id", self.case_id)
+        object.__setattr__(trace, "events", tuple(map(Event.with_label, self.events, labels)))
+        return trace
+
+
+class InternedLog(NamedTuple):
+    """A log's labels as small ints, in order of first occurrence.
+
+    ``labels[code]`` is the Label of a code, ``rows`` holds one code row per
+    trace and ``occurrences[code]`` counts the code's events.  Codes are
+    keyed by ``Label.parts``, which is what label equality compares, so
+    interning calls no Label method.
+    """
+
+    labels: tuple[Label, ...]
+    rows: tuple[tuple[int, ...], ...]
+    occurrences: tuple[int, ...]
+
+    @classmethod
+    def of(cls, traces: Iterable[Trace]) -> "InternedLog":
+        codes: dict[tuple, int] = {}
+        rows = tuple(tuple([codes.setdefault(e.label.parts, len(codes)) for e in trace.events])
+                     for trace in traces)
+        counts: Counter[int] = Counter()
+        for row in rows:
+            counts.update(row)
+        return cls(tuple(Label(parts) for parts in codes), rows,
+                   tuple(counts[code] for code in range(len(codes))))
+
 
 @dataclass(frozen=True)
 class EventLog:
     """A finite multiset of traces.
 
-    The alphabet is derived from the traces on every access, never cached,
-    so it cannot go stale.
+    The alphabet is derived from the traces on every access.  The interning
+    is computed once, on first use: the log is immutable, so it cannot go
+    stale.
     """
 
     traces: tuple[Trace, ...] = field(default_factory=tuple)
@@ -228,6 +300,11 @@ class EventLog:
     @property
     def alphabet(self) -> tuple[Label, ...]:
         return log_alphabet(self)
+
+    @functools.cached_property
+    def interned(self) -> InternedLog:
+        """The log's labels as small ints, shared by every count over it."""
+        return InternedLog.of(self.traces)
 
 
 def log_alphabet(log: EventLog) -> tuple[Label, ...]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .model import EventLog, Label
 from .relabel import SplitPair, observed_parents
@@ -63,20 +63,7 @@ class OrderingCounts:
         return OrderingCounts(self.pos + other.pos, self.neg + other.neg)
 
 
-def _interned(log: EventLog) -> tuple[list[Label], list[list[int]]]:
-    """The log's labels as small ints: the code -> Label table, one code row
-    per trace.
-
-    Codes are keyed by ``Label.parts``, which is what label equality
-    compares, so interning calls no Label method.
-    """
-    codes: dict[tuple, int] = {}
-    rows = [[codes.setdefault(e.label.parts, len(codes)) for e in trace.events]
-            for trace in log]
-    return [Label(parts) for parts in codes], rows
-
-
-def _hits(rows: list[list[int]], size: int, relation: OrderingRelation) -> list[Counter]:
+def _hits(rows: Iterable[Sequence[int]], size: int, relation: OrderingRelation) -> list[Counter]:
     """hits[b][c]: occurrences of code b that satisfy the relation against c."""
     hits: list[Counter] = [Counter() for _ in range(size)]
     if relation is OrderingRelation.EVENTUALLY_PRECEDES:
@@ -112,22 +99,20 @@ def _hits(rows: list[list[int]], size: int, relation: OrderingRelation) -> list[
 def relation_counts(log: EventLog, relation: OrderingRelation) -> dict[tuple[Label, Label], OrderingCounts]:
     """OrderingCounts for every ordered pair (b, c) of the log's alphabet.
 
-    The one counting kernel: labels are interned to ints once, then one pass
-    per trace counts every pair.  The eventual relations add the running
+    The one counting kernel: it reads the log's interning (labels as ints,
+    computed once per log and shared by every relation), then one pass per
+    trace counts every pair.  The eventual relations add the running
     set of labels seen after (before) each position to that position's row,
     O(|trace| * |alphabet|) per trace.  A trace-final occurrence is neg for
     directly_precedes, a trace-initial one is neg for directly_follows.
     """
-    labels, rows = _interned(log)
-    occurrences: Counter[int] = Counter()
-    for row in rows:
-        occurrences.update(row)
-    hits = _hits(rows, len(labels), relation)
+    interned = log.interned
+    hits = _hits(interned.rows, len(interned.labels), relation)
     out = {}
-    for b, b_label in enumerate(labels):
-        row, n = hits[b], occurrences[b]
+    for b, b_label in enumerate(interned.labels):
+        row, n = hits[b], interned.occurrences[b]
         none = OrderingCounts(0, n)  # immutable, so shared by every miss of b
-        for c, c_label in enumerate(labels):
+        for c, c_label in enumerate(interned.labels):
             p = row.get(c)
             out[(b_label, c_label)] = OrderingCounts(p, n - p) if p else none
     return out
@@ -142,7 +127,8 @@ class LogCounts:
 
     @classmethod
     def of(cls, log: EventLog, relations: Iterable[OrderingRelation]) -> "LogCounts":
-        return cls(Counter(e.label for trace in log for e in trace),
+        interned = log.interned
+        return cls(Counter(dict(zip(interned.labels, interned.occurrences))),
                    {relation: relation_counts(log, relation) for relation in relations})
 
     def column(self, relation: OrderingRelation, b: Label, c: Label) -> OrderingCounts:
@@ -166,13 +152,17 @@ class RefinementCounts:
     @classmethod
     def of(cls, l1_log: EventLog, l2_log: EventLog,
            relations: Iterable[OrderingRelation],
-           base: LogCounts | None = None) -> "RefinementCounts":
+           base: LogCounts | None = None,
+           parents: dict[Label, dict[Label, int]] | None = None) -> "RefinementCounts":
         """Count both logs; ``base``, when given, must be LogCounts.of(l1_log)
-        over at least these relations (a scan shares it across candidates)."""
+        over at least these relations (a scan shares it across candidates),
+        and ``parents``, when given, observed_parents(l1_log, l2_log)."""
         relations = tuple(relations)
         if base is None:
             base = LogCounts.of(l1_log, relations)
-        return cls(base, LogCounts.of(l2_log, relations), observed_parents(l1_log, l2_log))
+        if parents is None:
+            parents = observed_parents(l1_log, l2_log)
+        return cls(base, LogCounts.of(l2_log, relations), parents)
 
 
 @dataclass(frozen=True)

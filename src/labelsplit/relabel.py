@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
 from datetime import time
-from typing import Any
+from typing import Any, NamedTuple
 from zoneinfo import ZoneInfo
 
-from .model import Event, EventLog, Label, Trace
+from .model import Event, EventLog, Label
 
 
 class RefinementError(ValueError):
@@ -44,7 +45,8 @@ class RelabelingFn(ABC):
     """Base class for label rewriters.
 
     Subclasses map a single event to its new label; ``apply`` lifts that to
-    whole logs, keeping ids, timestamps, attributes, and trace shape.
+    whole logs, keeping ids, timestamps, attributes, and trace shape: each
+    trace keeps its events in order and only swaps their labels.
     """
 
     description: str = ""
@@ -54,11 +56,9 @@ class RelabelingFn(ABC):
         ...
 
     def apply(self, log: EventLog) -> EventLog:
-        traces = []
-        for trace in log:
-            events = tuple(e.with_label(self.event_label(e)) for e in trace)
-            traces.append(Trace(trace.case_id, events))
-        return EventLog(traces)
+        relabel = self.event_label
+        return EventLog(trace.with_labels([relabel(e) for e in trace.events])
+                        for trace in log)
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ class Projection(RelabelingFn):
         return "projection[" + ",".join(self.attribute_names) + "]"
 
     def event_label(self, event: Event) -> Label:
-        return Label(tuple(event.attribute(n) for n in self.attribute_names))
+        return Label(tuple([event.attribute(n) for n in self.attribute_names]))
 
 
 @dataclass(frozen=True)
@@ -232,26 +232,64 @@ class RefinementCheck:
     violations: tuple[Violation, ...]
 
 
-def _paired_label_rows(l1_log: EventLog, l2_log: EventLog) -> list[tuple[Any, tuple, tuple]]:
-    """Position-wise pair the two logs; verify they share the base log."""
-    if len(l1_log) != len(l2_log):
-        raise ShapeMismatchError(
-            f"trace counts differ: {len(l1_log)} vs {len(l2_log)}")
-    rows = []
-    for t1, t2 in zip(l1_log, l2_log):
-        if len(t1) != len(t2):
+@dataclass(frozen=True)
+class SplitPair:
+    """A coarse label together with the refined labels observed under it."""
+
+    parent: Label
+    children: tuple[Label, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "children", tuple(sorted(self.children)))
+
+
+class _Pairing(NamedTuple):
+    """Two labelings of one base log, paired position by position once.
+
+    ``rows`` holds (case id, coarse codes, refined codes) per trace, the
+    codes taken from each log's interning.  ``parents`` maps each refined
+    label to the coarse labels seen at its positions, with counts, and
+    ``split_pairs`` is the split set read from it.  An evaluation computes
+    this once per candidate and shares it between its checks.
+    """
+
+    rows: list[tuple[Any, tuple[int, ...], tuple[int, ...]]]
+    parents: dict[Label, dict[Label, int]]
+    split_pairs: tuple[SplitPair, ...]
+
+    @classmethod
+    def of(cls, l1_log: EventLog, l2_log: EventLog) -> "_Pairing":
+        """Pair the logs; ShapeMismatchError unless they share the base log."""
+        if len(l1_log) != len(l2_log):
             raise ShapeMismatchError(
-                f"trace {t1.case_id!r}: lengths differ ({len(t1)} vs {len(t2)})")
-        for e1, e2 in zip(t1, t2):
-            if e1.id != e2.id:
+                f"trace counts differ: {len(l1_log)} vs {len(l2_log)}")
+        for t1, t2 in zip(l1_log, l2_log):
+            if len(t1) != len(t2):
                 raise ShapeMismatchError(
-                    f"trace {t1.case_id!r}: event ids differ ({e1.id!r} vs {e2.id!r})")
-        rows.append((t1.case_id, t1.labels(), t2.labels()))
-    return rows
+                    f"trace {t1.case_id!r}: lengths differ ({len(t1)} vs {len(t2)})")
+            for e1, e2 in zip(t1, t2):
+                if e1.id != e2.id:
+                    raise ShapeMismatchError(
+                        f"trace {t1.case_id!r}: event ids differ ({e1.id!r} vs {e2.id!r})")
+        coarse, refined = l1_log.interned, l2_log.interned
+        rows = list(zip((t.case_id for t in l1_log), coarse.rows, refined.rows))
+        seen: Counter[tuple[int, int]] = Counter()
+        for _, codes1, codes2 in rows:
+            seen.update(zip(codes2, codes1))
+        parents: dict[Label, dict[Label, int]] = {}
+        children: dict[Label, list[Label]] = {}
+        for (child, parent), n in seen.items():
+            child_label, parent_label = refined.labels[child], coarse.labels[parent]
+            parents.setdefault(child_label, {})[parent_label] = n
+            children.setdefault(parent_label, []).append(child_label)
+        split_pairs = tuple(SplitPair(parent, tuple(children[parent]))
+                            for parent in sorted(children, key=Label.sort_key)
+                            if len(children[parent]) >= 2)
+        return cls(rows, parents, split_pairs)
 
 
 def check_refinement(l1_log: EventLog, l2_log: EventLog,
-                     max_violations: int = 10) -> RefinementCheck:
+                     max_violations: int = 10, _pairing: _Pairing | None = None) -> RefinementCheck:
     """Check that the labeling of ``l2_log`` refines that of ``l1_log``.
 
     Both logs must come from the same base log (same traces, matching event
@@ -261,9 +299,11 @@ def check_refinement(l1_log: EventLog, l2_log: EventLog,
     prefix-preserving relabelings, so this stays sound and catches
     positionwise disagreements full-trace comparison would miss).
     Strictness means some coarse label is actually split, i.e. it co-occurs
-    with two or more refined labels.
+    with two or more refined labels.  ``_pairing``, when given, is
+    ``_Pairing.of(l1_log, l2_log)``.
     """
-    rows = _paired_label_rows(l1_log, l2_log)
+    pairing = _Pairing.of(l1_log, l2_log) if _pairing is None else _pairing
+    rows = pairing.rows
 
     violations: list[Violation] = []
     seen_pairs: set[tuple[Any, Any]] = set()
@@ -274,11 +314,11 @@ def check_refinement(l1_log: EventLog, l2_log: EventLog,
     while classes and len(violations) < max_violations:
         next_classes: list[list[int]] = []
         for members in classes:
-            buckets: dict[Label, list[int]] = {}
+            buckets: dict[int, list[int]] = {}
             for idx in members:
-                labels2 = rows[idx][2]
-                if position < len(labels2):
-                    buckets.setdefault(labels2[position], []).append(idx)
+                codes2 = rows[idx][2]
+                if position < len(codes2):
+                    buckets.setdefault(codes2[position], []).append(idx)
             for bucket in buckets.values():
                 first = bucket[0]
                 for idx in bucket[1:]:
@@ -295,47 +335,22 @@ def check_refinement(l1_log: EventLog, l2_log: EventLog,
         classes = next_classes
         position += 1
 
-    strict = bool(extract_split_set(l1_log, l2_log, _rows=rows))
     return RefinementCheck(
         is_equal_length_refinement=not violations,
-        is_strict=strict,
+        is_strict=bool(pairing.split_pairs),
         violations=tuple(violations),
     )
 
 
-@dataclass(frozen=True)
-class SplitPair:
-    """A coarse label together with the refined labels observed under it."""
-
-    parent: Label
-    children: tuple[Label, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(sorted(self.children)))
-
-
-def extract_split_set(l1_log: EventLog, l2_log: EventLog,
-                      _rows=None) -> list[SplitPair]:
+def extract_split_set(l1_log: EventLog, l2_log: EventLog) -> list[SplitPair]:
     """Group refined labels by the coarse label at the same positions.
 
     Returns one SplitPair per coarse label that co-occurs with two or more
     refined labels, children sorted, parents in sorted order.
     """
-    rows = _rows if _rows is not None else _paired_label_rows(l1_log, l2_log)
-    children: dict[Label, set[Label]] = {}
-    for _, labels1, labels2 in rows:
-        for parent, child in zip(labels1, labels2):
-            children.setdefault(parent, set()).add(child)
-    return [SplitPair(parent, tuple(children[parent]))
-            for parent in sorted(children, key=Label.sort_key)
-            if len(children[parent]) >= 2]
+    return list(_Pairing.of(l1_log, l2_log).split_pairs)
 
 
 def observed_parents(l1_log: EventLog, l2_log: EventLog) -> dict[Label, dict[Label, int]]:
     """For each refined label, how often each coarse label co-occurs with it."""
-    parents: dict[Label, dict[Label, int]] = {}
-    for _, labels1, labels2 in _paired_label_rows(l1_log, l2_log):
-        for parent, child in zip(labels1, labels2):
-            counts = parents.setdefault(child, {})
-            counts[parent] = counts.get(parent, 0) + 1
-    return parents
+    return _Pairing.of(l1_log, l2_log).parents

@@ -373,3 +373,32 @@ def test_bad_alpha_is_usage_error(capsys):
                        "--base-label", "Sensor", "--refined-label", "Activity",
                        "--alpha", "2.0")
     assert code == 1
+
+
+def test_refinement_merging_coarse_labels_exits_three(tmp_path, capsys):
+    # fine label x sits under coarse a and b: a refinement may split labels,
+    # never merge them
+    csv = tmp_path / "merge.csv"
+    csv.write_text("id,timestamp,case,coarse,fine\n" + "".join(
+        f"{5 * day + j + 1},2020-01-0{day + 1} 00:0{j},t{day},{coarse},{fine}\n"
+        for day in range(3)
+        for j, (coarse, fine) in enumerate(zip("abcac", ["x", "x", "c", "y", "c"]))))
+    code, out, err = run(capsys, "evaluate", "--csv", str(csv),
+                         "--base-label", "coarse", "--refined-label", "fine")
+    assert code == 3
+    assert out == ""
+    assert "refined label x" in err
+    assert "(a, b)" in err
+
+
+def test_header_names_with_spaces_are_sniffed_and_parsed(tmp_path, capsys):
+    csv = tmp_path / "spaced.csv"
+    csv.write_text("id, timestamp, sensor\n"
+                   "1,2020-01-01 00:00,a\n"
+                   "2,2020-01-01 00:01,b\n"
+                   "3,2020-01-01 00:02,a\n")
+    code, out, err = run(capsys, "stats", "--csv", str(csv), "--base-label", "sensor")
+    assert code == 0, err
+    cell = {(r["relation"], r["b"][0], r["c"][0]): (r["pos"], r["neg"])
+            for r in json.loads(out)["rows"]}
+    assert cell[("directly_precedes", "a", "b")] == (1, 1)

@@ -6,8 +6,9 @@ from datetime import time
 import pytest
 
 from labelsplit import (DEFAULT_RELATIONS, CorrectionPolicy, EvaluationConfig, Label,
-                        OrderingRelation, TimeThreshold, evaluate,
-                        generate_median_time_candidates, rank_candidates)
+                        NotARefinementError, OrderingRelation, TimeThreshold,
+                        check_refinement, evaluate, generate_median_time_candidates,
+                        rank_candidates)
 
 from conftest import log_from_rows
 
@@ -262,3 +263,15 @@ def test_coin_flip_refinement_rarely_useful():
         report = evaluate(log_from_rows(rows), log_from_rows(refined))
         useful_count += report.useful
     assert useful_count == 0
+
+
+def test_refinement_merging_coarse_labels_is_rejected():
+    # refined x sits under coarse a and b, so its tables would count b's
+    # events as a child of a (a1 + a2 != parent); the prefix check alone
+    # passes this log
+    base = log_from_rows([["a", "b", "c", "a", "c"]] * 3)
+    refined = log_from_rows([["x", "x", "c", "y", "c"]] * 3)
+    assert check_refinement(base, refined).is_equal_length_refinement
+    with pytest.raises(NotARefinementError,
+                       match=r"refined label x is observed under several coarse labels \(a, b\)"):
+        evaluate(base, refined)

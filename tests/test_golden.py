@@ -1,0 +1,32 @@
+"""The CLI's --deterministic output on the demo CSV, byte for byte.
+
+Each file under data/golden/ holds the output of one command on
+demos/data/smart_home.csv.  A change that alters any of them alters
+results; regenerate a file only when that is intended, and record why in
+CHANGES.md.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from labelsplit.cli import main
+
+ROOT = Path(__file__).parent.parent
+GOLDEN = Path(__file__).parent / "data" / "golden"
+DEMO_CSV = str(ROOT / "demos" / "data" / "smart_home.csv")
+
+CASES = {
+    "scan.json": ["scan", "--base-label", "Sensor"],
+    "evaluate.json": ["evaluate", "--base-label", "Sensor",
+                      "--refined-label", "Sensor,Activity"],
+    "stats.csv": ["stats", "--base-label", "Sensor", "--format", "csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_deterministic_output_matches_golden_file(name, tmp_path):
+    out = tmp_path / name
+    argv = [*CASES[name], "--csv", DEMO_CSV, "--deterministic", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

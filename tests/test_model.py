@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from labelsplit import (Event, EventLog, Label, MissingAttributeError, Trace,
                         label_of, log_alphabet)
+from labelsplit.model import InternedLog
 
 from conftest import log_from_rows, sample_events
 
@@ -106,3 +108,76 @@ def test_label_str_joins_with_plus():
 def test_alphabet_subset_of_occurring_labels(row):
     log = log_from_rows([row])
     assert set(log_alphabet(log)) == {Label(name) for name in row}
+
+
+def test_event_normalises_naive_and_non_utc_timestamps_to_utc():
+    naive = Event(1, datetime(2020, 1, 1, 12, 0), {"x": "1"})
+    assert naive.timestamp.tzinfo is UTC
+    assert naive.timestamp == datetime(2020, 1, 1, 12, 0, tzinfo=UTC)
+    plus_two = timezone(timedelta(hours=2))
+    shifted = Event(2, datetime(2020, 1, 1, 12, 0, tzinfo=plus_two), {"x": "1"})
+    assert shifted.timestamp.tzinfo is UTC
+    assert shifted.timestamp == datetime(2020, 1, 1, 10, 0, tzinfo=UTC)
+
+
+def test_event_accepts_mapping_pairs_and_tuple_attributes():
+    ts = datetime(2020, 1, 1, tzinfo=UTC)
+    pairs = (("x", "1"), ("y", "2"))
+    from_mapping = Event(1, ts, {"x": "1", "y": "2"})
+    from_list = Event(1, ts, [("x", "1"), ("y", "2")])
+    from_tuple = Event(1, ts, pairs)
+    assert from_mapping.attributes == from_list.attributes == pairs
+    assert from_mapping == from_list == from_tuple
+    assert from_tuple.attributes is pairs
+    assert from_mapping.label == Label(("1", "2"))
+
+
+def test_event_rejects_non_datetime_timestamp():
+    with pytest.raises(TypeError, match="timestamp must be a datetime"):
+        Event(1, "2020-01-01T00:00:00", {"x": "1"})
+
+
+def test_event_is_immutable_with_slots():
+    e = Event(1, datetime(2020, 1, 1, tzinfo=UTC), {"x": "1"})
+    assert not hasattr(e, "__dict__")
+    with pytest.raises(AttributeError):
+        e.label = Label("y")
+    # a frozen slots dataclass rejects unknown names with TypeError before
+    # Python 3.12 (the generated __setattr__ names the pre-slots class)
+    with pytest.raises((AttributeError, TypeError)):
+        e.extra = 1
+    relabeled = e.with_label(Label("y"))
+    assert relabeled.label == Label("y") and e.label == Label("1")
+    assert (relabeled.id, relabeled.timestamp, relabeled.attributes) == \
+        (e.id, e.timestamp, e.attributes)
+
+
+def test_trace_with_labels_keeps_events_and_swaps_labels():
+    trace = log_from_rows([["a", "b", "a"]]).traces[0]
+    relabeled = trace.with_labels([Label("x"), Label("y"), Label("z")])
+    assert relabeled.case_id == trace.case_id
+    assert [e.id for e in relabeled] == [e.id for e in trace]
+    assert relabeled.labels() == (Label("x"), Label("y"), Label("z"))
+    assert relabeled == Trace(trace.case_id, [e.with_label(lbl) for e, lbl
+                                              in zip(trace, relabeled.labels())])
+
+
+@pytest.mark.parametrize("count", [0, 2, 4])
+def test_trace_with_labels_rejects_label_count_mismatch(count):
+    trace = log_from_rows([["a", "b", "a"]]).traces[0]
+    with pytest.raises(ValueError, match=f"{count} labels for 3 events"):
+        trace.with_labels([Label("x")] * count)
+
+
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6), max_size=5))
+def test_cached_interning_equals_fresh_interning(rows):
+    log = log_from_rows(rows)
+    cached = log.interned
+    assert log.interned is cached
+    assert cached == InternedLog.of(log.traces)
+    assert cached == EventLog(list(log)).interned
+    # the codes decode to the log's labels, and occurrences count them
+    assert [[cached.labels[code] for code in row] for row in cached.rows] == \
+        [list(t.labels()) for t in log]
+    counts = Counter(e.label for t in log for e in t)
+    assert dict(zip(cached.labels, cached.occurrences)) == counts

@@ -1,11 +1,14 @@
-from datetime import time
+import random
+from datetime import datetime, time, timedelta, timezone
 
 import pytest
 from hypothesis import given, strategies as st
 
-from labelsplit import (Label, NotARefinementError, Projection, RuleBased,
-                        RuleError, ShapeMismatchError, SplitPair, TimeThreshold,
-                        check_refinement, extract_split_set, parse_time_of_day)
+from labelsplit import (Event, EventLog, Label, NotARefinementError, PartitionKeySpec,
+                        Projection, RuleBased, RuleError, ShapeMismatchError, SplitPair,
+                        TimeThreshold, Trace, check_refinement, extract_split_set,
+                        parse_time_of_day, partition)
+from labelsplit.model import InternedLog
 
 from conftest import label_rows, log_from_rows
 
@@ -191,3 +194,44 @@ def test_apply_preserves_lengths(rows):
     log = log_from_rows(rows)
     refined = Projection("act").apply(log)
     assert [len(t) for t in refined] == [len(t) for t in log]
+
+
+def _random_log(seed: int) -> EventLog:
+    """A seeded log of 4 cases with few distinct times, so equal-timestamp
+    runs are common, and ids mixing ints and digit strings."""
+    rng = random.Random(seed)
+    start = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    events = []
+    for n in rng.sample(range(1, 500), rng.randrange(1, 60)):
+        events.append(Event(
+            n if rng.random() < 0.5 else str(n),
+            start + timedelta(days=rng.randrange(2), hours=rng.randrange(0, 24, 6)),
+            {"case": f"c{rng.randrange(4)}", "kind": rng.choice("abc"),
+             "hr": str(rng.randrange(60, 64))}))
+    return Projection("kind").apply(partition(events, PartitionKeySpec(("case",))))
+
+
+_RELABELINGS = [
+    Projection(("kind", "hr")),
+    TimeThreshold(Label("a"), time(12, 0), Label("a_lo"), Label("a_hi"),
+                  timezone="Europe/Amsterdam"),
+    RuleBased.from_text("hr >= 62 -> high\nkind = b -> bee\ndefault -> other"),
+]
+
+
+@pytest.mark.parametrize("fn", _RELABELINGS, ids=lambda fn: fn.description)
+@pytest.mark.parametrize("seed", range(12))
+def test_apply_equals_rebuilding_every_event(fn, seed):
+    log = _random_log(seed)
+    before = log.interned
+    reference = EventLog(
+        Trace(t.case_id, [Event(e.id, e.timestamp, e.attributes, fn.event_label(e))
+                          for e in t])
+        for t in log)
+    relabeled = fn.apply(log)
+    assert relabeled == reference
+    assert [[e.label for e in t] for t in relabeled] == \
+        [[e.label for e in t] for t in reference]
+    # the relabeled log interns its own labels; the base log's cache is untouched
+    assert relabeled.interned == InternedLog.of(reference.traces)
+    assert log.interned is before
