@@ -18,6 +18,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .evaluate import (EvaluationConfig, EvaluationReport, evaluate,
                        generate_median_time_candidates, rank_candidates)
@@ -25,7 +26,7 @@ from .ingest import (CsvFormatError, CsvSchema, PartitionKeySpec, XesFormatError
                      csv_header, parse_csv, parse_xes_minimal, partition,
                      write_csv, write_xes_minimal)
 from .model import EventLog, Label, MissingAttributeError, Trace
-from .ordering import DEFAULT_RELATIONS, OrderingRelation, relation_counts
+from .ordering import DEFAULT_RELATIONS, LogCounts, OrderingRelation
 from .relabel import (Projection, RefinementError, RuleBased, RuleError,
                       TimeThreshold, parse_time_of_day)
 from .stats import CorrectionPolicy
@@ -171,6 +172,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _time_zone(name: str) -> str:
+    """``name``, checked to name a time zone."""
+    try:
+        ZoneInfo(name)
+    except (ZoneInfoNotFoundError, ValueError):
+        raise UsageError(f"unknown time zone {name!r}") from None
+    return name
+
+
 def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -189,7 +199,7 @@ def _resolve_schema(text: str, args) -> CsvSchema:
                 id_column=kv.get("id_column", "synthesize"),
                 timestamp_format=kv.get("timestamp_format") or None,
                 delimiter=kv.get("delimiter", ","),
-                timezone=kv.get("timezone", args.timezone),
+                timezone=_time_zone(kv.get("timezone", args.timezone)),
             )
         except ValueError as exc:
             raise UsageError(f"bad schema: {exc}") from exc
@@ -377,40 +387,51 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _chosen_codes(labels: tuple[Label, ...], codes: list[int], names: str | None) -> list[int]:
+    """The codes whose label text is in the comma-separated ``names``; all
+    of ``codes`` when no names are given."""
+    if not names:
+        return codes
+    wanted = set(_split_list(names))
+    return [code for code in codes if str(labels[code]) in wanted]
+
+
 def cmd_stats(args) -> int:
     log = _load_base_log(args)
     relations = _relations(args)
-    alphabet = list(log.alphabet)
-    b_filter = set(_split_list(args.b_labels)) if args.b_labels else None
-    c_filter = set(_split_list(args.c_labels)) if args.c_labels else None
-    rows = []
-    for relation in relations:
-        counts = relation_counts(log, relation)
-        for b in alphabet:
-            if b_filter is not None and str(b) not in b_filter:
-                continue
-            for c in alphabet:
-                if c == b and not args.include_self:
-                    continue
-                if c_filter is not None and str(c) not in c_filter:
-                    continue
-                oc = counts[(b, c)]
-                rows.append({"relation": relation.value,
-                             "b": b.json_parts(), "c": c.json_parts(),
-                             "pos": oc.pos, "neg": oc.neg})
+    labels, occurrences = log.interned.labels, log.interned.occurrences
+    codes = sorted(range(len(labels)), key=lambda code: labels[code].sort_key())
+    b_codes = _chosen_codes(labels, codes, args.b_labels)
+    c_codes = _chosen_codes(labels, codes, args.c_labels)
+    counts = LogCounts.of(log, relations, [labels[b] for b in b_codes])
+
+    def cells():
+        """(relation, b code, c code, pos, neg) of each row, in relation and
+        then sorted-label order."""
+        for relation in relations:
+            rows = counts.rows[relation]
+            for b in b_codes:
+                row, n = rows[b], occurrences[b]
+                for c in c_codes:
+                    if c != b or args.include_self:
+                        p = row.get(c, 0)
+                        yield relation.value, b, c, p, n - p
+
     if args.format == "csv":
+        names = ["+".join(str(p) for p in label.json_parts()) for label in labels]
         lines = ["relation,b,c,pos,neg"]
-        for row in rows:
-            b = "+".join(str(p) for p in row["b"])
-            c = "+".join(str(p) for p in row["c"])
-            lines.append(f"{row['relation']},\"{b}\",\"{c}\",{row['pos']},{row['neg']}")
+        lines += [f'{relation},"{names[b]}","{names[c]}",{pos},{neg}'
+                  for relation, b, c, pos, neg in cells()]
         text = "\n".join(lines) + "\n"
         if args.out:
             Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    _emit(args, {"rows": rows})
+    parts = [label.json_parts() for label in labels]
+    _emit(args, {"rows": [{"relation": relation, "b": parts[b], "c": parts[c],
+                           "pos": pos, "neg": neg}
+                          for relation, b, c, pos, neg in cells()]})
     return EXIT_OK
 
 
@@ -464,6 +485,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         _apply_config(args, argv)
+        _time_zone(args.timezone)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         parser.print_usage(sys.stderr)

@@ -139,7 +139,7 @@ def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
 
     pair_tables: list[tuple[tuple[Label, Label], list[ContingencyTable]]] = []
     skipped = 0
-    counts = (RefinementCounts.of(l1_log, l2_log, config.relations, base, pairing.parents)
+    counts = (RefinementCounts.of(l1_log, l2_log, config.relations, base, pairing)
               if split_pairs else None)
     for split in split_pairs:
         for a1, a2 in itertools.combinations(split.children, 2):

@@ -97,6 +97,11 @@ class Label:
     def __hash__(self) -> int:
         return hash(self.parts)
 
+    def __reduce__(self):
+        # rebuild through __init__: the default restores the slot through
+        # __setattr__, which refuses
+        return (Label, (self.parts,))
+
     def __repr__(self) -> str:
         return f"Label{self.parts!r}"
 
@@ -251,13 +256,15 @@ class Trace:
 class InternedLog(NamedTuple):
     """A log's labels as small ints, in order of first occurrence.
 
-    ``labels[code]`` is the Label of a code, ``rows`` holds one code row per
-    trace and ``occurrences[code]`` counts the code's events.  Codes are
-    keyed by ``Label.parts``, which is what label equality compares, so
-    interning calls no Label method.
+    ``labels[code]`` is the Label of a code, ``codes`` maps a label's
+    ``parts`` back to its code, ``rows`` holds one code row per trace and
+    ``occurrences[code]`` counts the code's events.  Codes are keyed by
+    ``Label.parts``, which is what label equality compares, so interning
+    and code lookups call no Label method.
     """
 
     labels: tuple[Label, ...]
+    codes: dict[tuple, int]
     rows: tuple[tuple[int, ...], ...]
     occurrences: tuple[int, ...]
 
@@ -269,7 +276,7 @@ class InternedLog(NamedTuple):
         counts: Counter[int] = Counter()
         for row in rows:
             counts.update(row)
-        return cls(tuple(Label(parts) for parts in codes), rows,
+        return cls(tuple(Label(parts) for parts in codes), codes, rows,
                    tuple(counts[code] for code in range(len(codes))))
 
 

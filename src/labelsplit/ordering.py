@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .model import EventLog, Label
-from .relabel import SplitPair, observed_parents
+from .model import EventLog, InternedLog, Label
+from .relabel import SplitPair, _Pairing
 
 
 class OrderingRelation(Enum):
@@ -47,7 +47,7 @@ DEFAULT_RELATIONS: tuple[OrderingRelation, ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrderingCounts:
     """Occurrences of a source label that do (pos) / do not (neg) satisfy a
     relation with respect to a context label."""
@@ -63,21 +63,36 @@ class OrderingCounts:
         return OrderingCounts(self.pos + other.pos, self.neg + other.neg)
 
 
-def _hits(rows: Iterable[Sequence[int]], size: int, relation: OrderingRelation) -> list[Counter]:
-    """hits[b][c]: occurrences of code b that satisfy the relation against c."""
-    hits: list[Counter] = [Counter() for _ in range(size)]
+def _hits(rows: Iterable[Sequence[int]], size: int, relation: OrderingRelation,
+          sources: Iterable[int] | None = None) -> list[Counter | None]:
+    """hits[b][c]: occurrences of code b that satisfy the relation against c.
+
+    Only the codes in ``sources`` (every code when None) get a row; the row
+    of any other code is None, though its occurrences still count as
+    contexts of the others.
+    """
+    if sources is None:
+        hits: list[Counter | None] = [Counter() for _ in range(size)]
+    else:
+        hits = [None] * size
+        for b in sources:
+            hits[b] = Counter()
     if relation is OrderingRelation.EVENTUALLY_PRECEDES:
         for row in rows:
             after: set[int] = set()
             for b in reversed(row):
-                hits[b].update(after)
+                hit = hits[b]
+                if hit is not None:
+                    hit.update(after)
                 after.add(b)
         return hits
     if relation is OrderingRelation.EVENTUALLY_FOLLOWS:
         for row in rows:
             before: set[int] = set()
             for b in row:
-                hits[b].update(before)
+                hit = hits[b]
+                if hit is not None:
+                    hit.update(before)
                 before.add(b)
         return hits
     pairs: Counter[tuple[int, int]] = Counter()
@@ -92,25 +107,29 @@ def _hits(rows: Iterable[Sequence[int]], size: int, relation: OrderingRelation) 
         else:
             raise ValueError(f"unknown relation {relation!r}")
     for (b, c), k in pairs.items():
-        hits[b][c] = k
+        hit = hits[b]
+        if hit is not None:
+            hit[c] = k
     return hits
 
 
 def relation_counts(log: EventLog, relation: OrderingRelation) -> dict[tuple[Label, Label], OrderingCounts]:
     """OrderingCounts for every ordered pair (b, c) of the log's alphabet.
 
-    The one counting kernel: it reads the log's interning (labels as ints,
-    computed once per log and shared by every relation), then one pass per
-    trace counts every pair.  The eventual relations add the running
-    set of labels seen after (before) each position to that position's row,
-    O(|trace| * |alphabet|) per trace.  A trace-final occurrence is neg for
-    directly_precedes, a trace-initial one is neg for directly_follows.
+    A dense view of ``LogCounts.of(log, (relation,))``, |alphabet|² entries
+    keyed by Label pairs.  The kernel behind it reads the log's interning
+    (labels as ints, computed once per log and shared by every relation),
+    then one pass per trace counts every pair.  The eventual relations add
+    the running set of labels seen after (before) each position to that
+    position's row, O(|trace| * |alphabet|) per trace.  A trace-final
+    occurrence is neg for directly_precedes, a trace-initial one is neg for
+    directly_follows.
     """
-    interned = log.interned
-    hits = _hits(interned.rows, len(interned.labels), relation)
+    counts = LogCounts.of(log, (relation,))
+    interned = counts.interned
     out = {}
-    for b, b_label in enumerate(interned.labels):
-        row, n = hits[b], interned.occurrences[b]
+    for b, (b_label, row) in enumerate(zip(interned.labels, counts.rows[relation])):
+        n = interned.occurrences[b]
         none = OrderingCounts(0, n)  # immutable, so shared by every miss of b
         for c, c_label in enumerate(interned.labels):
             p = row.get(c)
@@ -120,16 +139,32 @@ def relation_counts(log: EventLog, relation: OrderingRelation) -> dict[tuple[Lab
 
 @dataclass(frozen=True)
 class LogCounts:
-    """One log's relation_counts for each relation, plus label occurrences."""
+    """One log's ordering counts per relation, as the kernel's int-coded rows.
 
-    occurrences: Counter
-    by_relation: dict[OrderingRelation, dict[tuple[Label, Label], OrderingCounts]]
+    ``rows[relation][b][c]`` counts the occurrences of code b (codes from
+    ``interned``) that satisfy the relation against code c; a missing c
+    counts 0.  When ``sources`` is given only those labels' rows were
+    counted, and asking for any other source raises KeyError.
+    """
+
+    interned: InternedLog
+    rows: dict[OrderingRelation, list[Counter | None]]
+    sources: frozenset[tuple] | None = None
 
     @classmethod
-    def of(cls, log: EventLog, relations: Iterable[OrderingRelation]) -> "LogCounts":
+    def of(cls, log: EventLog, relations: Iterable[OrderingRelation],
+           sources: Iterable[Label] | None = None) -> "LogCounts":
+        """Count the log once per relation; only the rows of ``sources``
+        (labels that need not occur in the log) when given."""
         interned = log.interned
-        return cls(Counter(dict(zip(interned.labels, interned.occurrences))),
-                   {relation: relation_counts(log, relation) for relation in relations})
+        if sources is None:
+            wanted, codes = None, None
+        else:
+            wanted = frozenset(label.parts for label in sources)
+            codes = [interned.codes[parts] for parts in wanted if parts in interned.codes]
+        size = len(interned.labels)
+        return cls(interned, {relation: _hits(interned.rows, size, relation, codes)
+                              for relation in relations}, wanted)
 
     def column(self, relation: OrderingRelation, b: Label, c: Label) -> OrderingCounts:
         """Counts of source b against context c.
@@ -137,13 +172,26 @@ class LogCounts:
         A source absent from the log counts (0, 0); a context absent from it
         satisfies the relation nowhere, so b counts (0, occurrences of b).
         """
-        return self.by_relation[relation].get((b, c), OrderingCounts(0, self.occurrences[b]))
+        rows = self.rows[relation]
+        if self.sources is not None and b.parts not in self.sources:
+            raise KeyError(f"source label {b} was not counted")
+        codes = self.interned.codes
+        b_code = codes.get(b.parts)
+        if b_code is None:
+            return OrderingCounts(0, 0)
+        c_code = codes.get(c.parts)
+        p = 0 if c_code is None else rows[b_code].get(c_code, 0)
+        return OrderingCounts(p, self.interned.occurrences[b_code] - p)
 
 
 @dataclass(frozen=True)
 class RefinementCounts:
     """Everything the tables of one refinement are built from, counted once:
-    both logs' counts and the coarse labels seen under each refined label."""
+    both logs' counts and the coarse labels seen under each refined label.
+
+    The refined log's counts hold only the rows of split children, the only
+    refined sources a table reads.
+    """
 
     base: LogCounts
     refined: LogCounts
@@ -153,16 +201,17 @@ class RefinementCounts:
     def of(cls, l1_log: EventLog, l2_log: EventLog,
            relations: Iterable[OrderingRelation],
            base: LogCounts | None = None,
-           parents: dict[Label, dict[Label, int]] | None = None) -> "RefinementCounts":
+           pairing: _Pairing | None = None) -> "RefinementCounts":
         """Count both logs; ``base``, when given, must be LogCounts.of(l1_log)
         over at least these relations (a scan shares it across candidates),
-        and ``parents``, when given, observed_parents(l1_log, l2_log)."""
+        and ``pairing``, when given, _Pairing.of(l1_log, l2_log)."""
         relations = tuple(relations)
         if base is None:
             base = LogCounts.of(l1_log, relations)
-        if parents is None:
-            parents = observed_parents(l1_log, l2_log)
-        return cls(base, LogCounts.of(l2_log, relations), parents)
+        if pairing is None:
+            pairing = _Pairing.of(l1_log, l2_log)
+        children = [child for split in pairing.split_pairs for child in split.children]
+        return cls(base, LogCounts.of(l2_log, relations, children), pairing.parents)
 
 
 @dataclass(frozen=True)

@@ -402,3 +402,26 @@ def test_header_names_with_spaces_are_sniffed_and_parsed(tmp_path, capsys):
     cell = {(r["relation"], r["b"][0], r["c"][0]): (r["pos"], r["neg"])
             for r in json.loads(out)["rows"]}
     assert cell[("directly_precedes", "a", "b")] == (1, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--base-label", "Sensor"],
+    ["scan", "--base-label", "Sensor"],
+    ["evaluate", "--base-label", "Sensor",
+     "--threshold", "Bedroom motion,08:30,Tossing & turning,Getting up"],
+])
+def test_unknown_time_zone_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--timezone", "Not/AZone")
+    assert code == 1
+    assert out == ""
+    assert "error: unknown time zone 'Not/AZone'" in err
+    assert "Traceback" not in err
+
+
+def test_unknown_time_zone_in_schema_is_usage_error(tmp_path, capsys):
+    schema = tmp_path / "schema.cfg"
+    schema.write_text("attribute_columns=case,Sensor,Activity\ntimezone=Not/AZone\n")
+    code, _, err = run(capsys, "stats", "--csv", SMART_HOME, "--csv-schema", str(schema),
+                       "--base-label", "Sensor")
+    assert code == 1
+    assert "error: unknown time zone 'Not/AZone'" in err

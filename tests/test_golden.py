@@ -21,6 +21,11 @@ CASES = {
     "evaluate.json": ["evaluate", "--base-label", "Sensor",
                       "--refined-label", "Sensor,Activity"],
     "stats.csv": ["stats", "--base-label", "Sensor", "--format", "csv"],
+    "stats.json": ["stats", "--base-label", "Sensor", "--format", "json", "--include-self",
+                   "--relations", "directly_follows,directly_precedes,eventually_follows,"
+                                  "eventually_precedes,length_two_loop",
+                   "--b-labels", "Bedroom motion,Living room motion",
+                   "--c-labels", "Living room motion"],
 }
 
 

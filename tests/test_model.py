@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -181,3 +183,19 @@ def test_cached_interning_equals_fresh_interning(rows):
         [list(t.labels()) for t in log]
     counts = Counter(e.label for t in log for e in t)
     assert dict(zip(cached.labels, cached.occurrences)) == counts
+    assert cached.codes == {label.parts: code for code, label in enumerate(cached.labels)}
+
+
+def test_label_pickles_and_deep_copies():
+    assert copy.deepcopy(Label("x", 1)) == Label("x", 1)
+    nested = Label((("a", 1),))  # one part that is itself a tuple
+    assert copy.deepcopy(nested) == nested and pickle.loads(pickle.dumps(nested)) == nested
+
+
+def test_log_pickles_with_its_cached_interning(sample_log):
+    log = sample_log
+    interned = log.interned
+    copied = pickle.loads(pickle.dumps(log))
+    assert copied == log
+    assert vars(copied)["interned"] == interned  # the cache travels with the log
+    assert copied.alphabet == log.alphabet

@@ -1,9 +1,14 @@
 import random
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from labelsplit import (Label, LogCounts, OrderingCounts, OrderingRelation,
-                        build_tables, extract_split_set, relation_counts)
+import labelsplit
+from labelsplit import (EvaluationConfig, Label, LogCounts, OrderingCounts, OrderingRelation,
+                        RefinementCounts, build_tables, cli, evaluate, extract_split_set,
+                        generate_median_time_candidates, ordering, rank_candidates,
+                        relation_counts)
 
 from conftest import label_rows, log_from_rows
 from oracles import naive_count
@@ -189,3 +194,69 @@ def test_count_matches_naive_scan(rows, relation):
             expected = naive_count(rows, relation.value, b, c)
             actual = column(log, relation, Label(b), Label(c))
             assert (actual.pos, actual.neg) == expected
+
+
+ALL_RELATIONS = (DP, DF, EP, EF, LOOP)
+
+
+@settings(max_examples=120)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=7),
+                min_size=1, max_size=6),
+       st.data())
+def test_restricted_counts_match_dense_counts(rows, data):
+    log = log_from_rows(rows)
+    alphabet = list(log.alphabet)
+    sources = data.draw(st.one_of(
+        st.none(), st.just(alphabet),
+        st.lists(st.sampled_from(alphabet + [Label("zz")]), unique=True)))
+    counts = LogCounts.of(log, ALL_RELATIONS, sources)
+    contexts = alphabet + [Label("zz")]  # zz never occurs in the log
+    for relation in ALL_RELATIONS:
+        dense = relation_counts(log, relation)
+        for b in alphabet if sources is None else sources:
+            n = sum(row.count(str(b)) for row in rows)
+            for c in contexts:
+                expected = dense.get((b, c), OrderingCounts(0, n))
+                assert counts.column(relation, b, c) == expected
+
+
+def test_restricted_counts_refuse_an_uncounted_source(activity_log):
+    counts = LogCounts.of(activity_log, (DP,), [TT, Label("nope")])
+    assert counts.column(DP, TT, LRM) == OrderingCounts(0, 16)
+    assert counts.column(DP, Label("nope"), LRM) == OrderingCounts(0, 0)
+    with pytest.raises(KeyError, match="Getting up"):
+        counts.column(DP, GU, LRM)
+    with pytest.raises(KeyError, match="other"):
+        counts.column(DP, Label("other"), LRM)
+
+
+def test_refined_counts_hold_only_split_children():
+    l1 = log_from_rows([["a", "b", "a", "c"], ["b", "a"]])
+    l2 = log_from_rows([["a1", "b", "a2", "c"], ["b", "a1"]])
+    counts = RefinementCounts.of(l1, l2, (DP,))
+    assert counts.refined.column(DP, Label("a1"), Label("b")) == OrderingCounts(1, 1)
+    with pytest.raises(KeyError):
+        counts.refined.column(DP, Label("b"), Label("a2"))
+    assert counts.base.column(DP, Label("b"), Label("a")) == OrderingCounts(2, 0)
+
+
+def test_pipeline_builds_no_dense_counts(monkeypatch, sensor_log, activity_log, tmp_path):
+    # relation_counts alone builds the dense (Label, Label) dict;
+    # scan, evaluate and stats read the kernel's rows instead
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the pipeline called relation_counts")
+
+    for module in (labelsplit, ordering, cli):
+        if hasattr(module, "relation_counts"):
+            monkeypatch.setattr(module, "relation_counts", refuse)
+    config = EvaluationConfig(relations=ALL_RELATIONS)
+    assert evaluate(sensor_log, activity_log, config).useful
+    candidates = generate_median_time_candidates(sensor_log)
+    assert len(rank_candidates(sensor_log, candidates, config)) == len(candidates)
+    csv = str(Path(__file__).parent / "data" / "smart_home.csv")
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"stats.{fmt}"
+        assert cli.main(["stats", "--csv", csv, "--base-label", "Sensor,Activity",
+                         "--relations", ",".join(r.value for r in ALL_RELATIONS),
+                         "--format", fmt, "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
