@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
@@ -300,15 +301,48 @@ def _eval_config(args) -> EvaluationConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _round_floats(value: Any) -> Any:
-    """Fix float text at 12 significant digits so output is reproducible."""
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _key_text(key: Any) -> str:
+    """A dict key's text as ``json`` writes it; float keys are not rounded."""
+    if isinstance(key, str):
+        return encode_basestring(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def json_text(value: Any, pad: str = "\n") -> str:
+    """``json.dumps(value, ensure_ascii=False, indent=2)``, written in one
+    pass with every float value fixed at 12 significant digits, so output
+    is reproducible.  ``pad`` is the newline and indent that close
+    ``value``: each container is one join of its items' texts."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        return f"[{inner}{(',' + inner).join([json_text(v, inner) for v in value])}{pad}]"
     if isinstance(value, dict):
-        return {k: _round_floats(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_round_floats(v) for v in value]
-    return value
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_key_text(k)}: {json_text(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
+    if isinstance(value, float):
+        text = float.__repr__(float(f"{value:.12g}"))
+        return _NONFINITE.get(text, text)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(args, doc: Any, pretty_text: str | None = None) -> None:
@@ -317,7 +351,7 @@ def _emit(args, doc: Any, pretty_text: str | None = None) -> None:
     else:
         if isinstance(doc, dict) and not args.deterministic:
             doc = {**doc, "generated_at": datetime.now(timezone.utc).isoformat()}
-        text = json.dumps(_round_floats(doc), ensure_ascii=False, indent=2) + "\n"
+        text = json_text(doc) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -418,7 +452,9 @@ def cmd_stats(args) -> int:
                         yield relation.value, b, c, p, n - p
 
     if args.format == "csv":
-        names = ["+".join(str(p) for p in label.json_parts()) for label in labels]
+        # RFC 4180: a quote inside a quoted field is doubled
+        names = ["+".join(str(p) for p in label.json_parts()).replace('"', '""')
+                 for label in labels]
         lines = ["relation,b,c,pos,neg"]
         lines += [f'{relation},"{names[b]}","{names[c]}",{pos},{neg}'
                   for relation, b, c, pos, neg in cells()]

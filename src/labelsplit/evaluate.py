@@ -58,6 +58,10 @@ class EvaluationReport:
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
+        # each label's parts are built once; its tests share that one list
+        labels = {label.parts: label
+                  for t in self.tests for label in (t.context_label, *t.pair)}
+        parts = {key: label.json_parts() for key, label in labels.items()}
         return {
             "candidate": self.candidate_description,
             "split_pairs": [
@@ -69,8 +73,8 @@ class EvaluationReport:
             "corrected_alpha": self.corrected_alpha,
             "tests": [
                 {"relation": t.relation.value,
-                 "context": t.context_label.json_parts(),
-                 "pair": [t.pair[0].json_parts(), t.pair[1].json_parts()],
+                 "context": parts[t.context_label.parts],
+                 "pair": [parts[t.pair[0].parts], parts[t.pair[1].parts]],
                  "table": {
                      "a1": [t.table.col_a1.pos, t.table.col_a1.neg],
                      "a2": [t.table.col_a2.pos, t.table.col_a2.neg],

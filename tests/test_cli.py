@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -249,6 +251,21 @@ def test_stats_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "relation,b,c,pos,neg"
     assert len(lines) == 1 + 4 * 2 * 1
+
+
+def test_stats_csv_doubles_quotes_in_labels(tmp_path, capsys):
+    csv_path = tmp_path / "quoted.csv"
+    csv_path.write_text('id,timestamp,sensor\n'
+                        '1,2015-03-11T01:00:00,"say ""hi"""\n'
+                        '2,2015-03-11T02:00:00,"a,b"\n'
+                        '3,2015-03-11T03:00:00,"say ""hi"""\n')
+    code, out, _ = run(capsys, "stats", "--csv", str(csv_path), "--base-label", "sensor",
+                       "--relations", "directly_follows", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["relation", "b", "c", "pos", "neg"]
+    assert rows[1:] == [["directly_follows", "a,b", 'say "hi"', "1", "0"],
+                        ["directly_follows", 'say "hi"', "a,b", "1", "1"]]
 
 
 def test_gen_candidates(capsys):

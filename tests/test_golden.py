@@ -20,6 +20,7 @@ CASES = {
     "scan.json": ["scan", "--base-label", "Sensor"],
     "evaluate.json": ["evaluate", "--base-label", "Sensor",
                       "--refined-label", "Sensor,Activity"],
+    "gen-candidates.json": ["gen-candidates", "--base-label", "Sensor"],
     "stats.csv": ["stats", "--base-label", "Sensor", "--format", "csv"],
     "stats.json": ["stats", "--base-label", "Sensor", "--format", "json", "--include-self",
                    "--relations", "directly_follows,directly_precedes,eventually_follows,"
