@@ -218,36 +218,34 @@ def _resolve_schema(text: str, args) -> CsvSchema:
 
 
 def _load_base_log(args) -> EventLog:
-    """Read the input into an event log carrying the base labeling."""
+    """Read the input into an event log carrying the base labeling: CSV
+    events are labelled as they are parsed, XES logs are projected."""
     if bool(args.csv) == bool(args.xes):
         raise UsageError("exactly one of --csv or --xes is required")
+    base_label = tuple(_split_list(args.base_label)) if args.base_label else None
     if args.csv:
         try:
             text = Path(args.csv).read_text(encoding="utf-8")
         except OSError as exc:
             raise CsvFormatError(f"cannot read {args.csv}: {exc}") from exc
         schema = _resolve_schema(text, args)
-        events = parse_csv(text, schema)
+        events = parse_csv(text, schema, base_label)
         if args.case_key or args.calendar_key != "none":
             spec = PartitionKeySpec(
                 attribute_keys=tuple(_split_list(args.case_key or "")),
                 calendar_key=args.calendar_key,
                 timezone=args.timezone,
             )
-            log = partition(events, spec)
-        elif "case" in schema.attribute_columns:
-            log = partition(events, PartitionKeySpec(("case",)))
-        else:
-            log = EventLog([Trace("all", events)]) if events else EventLog()
-    else:
-        try:
-            data = Path(args.xes).read_bytes()
-        except OSError as exc:
-            raise XesFormatError(f"cannot read {args.xes}: {exc}") from exc
-        log = parse_xes_minimal(data)
-    if args.base_label:
-        log = Projection(tuple(_split_list(args.base_label))).apply(log)
-    return log
+            return partition(events, spec)
+        if "case" in schema.attribute_columns:
+            return partition(events, PartitionKeySpec(("case",)))
+        return EventLog([Trace("all", events)]) if events else EventLog()
+    try:
+        data = Path(args.xes).read_bytes()
+    except OSError as exc:
+        raise XesFormatError(f"cannot read {args.xes}: {exc}") from exc
+    log = parse_xes_minimal(data)
+    return Projection(base_label).apply(log) if base_label else log
 
 
 def _refined_log(args, base_log: EventLog):
@@ -364,6 +362,16 @@ def human_label(label: Label) -> str:
     return str(label)
 
 
+def _pretty_stats(rows: list[tuple[str, str, str, int, int]]) -> str:
+    """(relation, b, c, pos, neg) rows as a table: every column as wide as
+    its widest cell, text left-aligned and counts right-aligned."""
+    cells = [("relation", "b", "c", "pos", "neg"),
+             *[(relation, b, c, str(pos), str(neg)) for relation, b, c, pos, neg in rows]]
+    w = [max(map(len, column)) for column in zip(*cells)]
+    return "".join(f"{relation:<{w[0]}}  {b:<{w[1]}}  {c:<{w[2]}}  {pos:>{w[3]}}  {neg:>{w[4]}}\n"
+                   for relation, b, c, pos, neg in cells)
+
+
 def _pretty_report(report: EvaluationReport) -> str:
     lines = [
         f"candidate: {report.candidate_description}",
@@ -463,6 +471,11 @@ def cmd_stats(args) -> int:
             Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
+        return EXIT_OK
+    if args.pretty:
+        names = [human_label(label) for label in labels]
+        _emit(args, None, _pretty_stats([(relation, names[b], names[c], pos, neg)
+                                         for relation, b, c, pos, neg in cells()]))
         return EXIT_OK
     parts = [label.json_parts() for label in labels]
     _emit(args, {"rows": [{"relation": relation, "b": parts[b], "c": parts[c],

@@ -17,7 +17,7 @@ from datetime import datetime, timezone, tzinfo
 from typing import Any, Iterable
 from zoneinfo import ZoneInfo
 
-from .model import Event, EventLog, Label, Trace, _value_key
+from .model import Event, EventLog, Label, MissingAttributeError, Trace, _value_key
 
 logger = logging.getLogger(__name__)
 
@@ -153,13 +153,19 @@ def csv_header(data: bytes | str, delimiter: str) -> list[str]:
     return _column_names(next(csv.reader(io.StringIO(_decode(data)), delimiter=delimiter), []))
 
 
-def parse_csv(data: bytes | str, schema: CsvSchema) -> list[Event]:
-    """Parse CSV text into one Event per data row.
+def parse_csv(data: bytes | str, schema: CsvSchema,
+              label_columns: Iterable[str] | None = None) -> list[Event]:
+    """Parse CSV text into one Event per data row, labelled as it is built.
 
+    Each event's label is its values of ``label_columns``, in that order,
+    or of every attribute column (the default label) when None; each
+    distinct value tuple gets one Label object, shared by its events.
     Header names are stripped of surrounding whitespace, as ``csv_header``
     does, before the schema's columns are looked up.  Synthesized ids are
     the 1-based data-row index.  Raises CsvFormatError on ragged rows,
-    unparseable timestamps, or duplicate explicit ids, naming the line.
+    unparseable timestamps, or duplicate explicit ids, naming the line.  A
+    label column that is not an attribute column raises
+    MissingAttributeError for the first event, once every row has parsed.
     """
     text = _decode(data)
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
@@ -180,6 +186,10 @@ def parse_csv(data: bytes | str, schema: CsvSchema) -> list[Event]:
     id_at = None if schema.id_column == SYNTHESIZE else columns[schema.id_column]
     timestamp_at = columns[schema.timestamp_column]
     attributes_at = [(name, columns[name]) for name in schema.attribute_columns]
+    label_columns = schema.attribute_columns if label_columns is None else tuple(label_columns)
+    missing = [name for name in label_columns if name not in schema.attribute_columns]
+    label_at = [columns[name] for name in label_columns if name in schema.attribute_columns]
+    labels: dict[tuple, Label] = {}
     fmt = schema.timestamp_format
     tz = _time_zone(schema.timezone)
     events: list[Event] = []
@@ -202,7 +212,14 @@ def parse_csv(data: bytes | str, schema: CsvSchema) -> list[Event]:
             ts = parse_timestamp(row[timestamp_at], fmt, tz)
         except ValueError as exc:
             raise CsvFormatError(f"line {reader.line_num}: {exc}") from exc
-        events.append(Event(event_id, ts, tuple([(name, row[i]) for name, i in attributes_at])))
+        values = tuple([row[i] for i in label_at])
+        label = labels.get(values)
+        if label is None:
+            label = labels[values] = Label(values)
+        events.append(Event(event_id, ts, tuple([(name, row[i]) for name, i in attributes_at]),
+                            label))
+    if missing and events:
+        raise MissingAttributeError(missing[0], events[0].id)
     return events
 
 

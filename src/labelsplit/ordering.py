@@ -17,7 +17,7 @@ coarse label taken from the unrefined log.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -64,12 +64,22 @@ class OrderingCounts:
 
 
 def _hits(rows: Iterable[Sequence[int]], size: int, relation: OrderingRelation,
-          sources: Iterable[int] | None = None) -> list[Counter | None]:
+          sources: Sequence[int] | None = None) -> list[Counter | None]:
     """hits[b][c]: occurrences of code b that satisfy the relation against c.
 
     Only the codes in ``sources`` (every code when None) get a row; the row
     of any other code is None, though its occurrences still count as
     contexts of the others.
+
+    eventually_precedes is eventually_follows on the reversed row.  An
+    occurrence of b eventually follows c when it comes after c's first
+    occurrence, so a trace with more source occurrences than distinct
+    labels adds, per distinct c, the labels after c's first occurrence to
+    a column of c: O(distinct labels * |trace|), counted in C.  The columns
+    are moved into the source rows once per log.  Any other trace adds the
+    set of labels seen before each source occurrence to that source's row:
+    O(source occurrences * alphabet).  A trace without source occurrences
+    adds nothing.
     """
     if sources is None:
         hits: list[Counter | None] = [Counter() for _ in range(size)]
@@ -77,23 +87,30 @@ def _hits(rows: Iterable[Sequence[int]], size: int, relation: OrderingRelation,
         hits = [None] * size
         for b in sources:
             hits[b] = Counter()
-    if relation is OrderingRelation.EVENTUALLY_PRECEDES:
+    if relation in (OrderingRelation.EVENTUALLY_FOLLOWS, OrderingRelation.EVENTUALLY_PRECEDES):
+        backwards = relation is OrderingRelation.EVENTUALLY_PRECEDES
+        cols: defaultdict[int, Counter] = defaultdict(Counter)
         for row in rows:
-            after: set[int] = set()
-            for b in reversed(row):
+            n_sources = len(row) if sources is None else sum(map(row.count, sources))
+            if not n_sources:
+                continue
+            if n_sources > 1 and n_sources > len(set(row)):
+                if backwards:
+                    row = row[::-1]
+                for c in dict.fromkeys(row):
+                    cols[c].update(row[row.index(c) + 1:])
+                continue
+            seen: set[int] = set()
+            for b in reversed(row) if backwards else row:
                 hit = hits[b]
                 if hit is not None:
-                    hit.update(after)
-                after.add(b)
-        return hits
-    if relation is OrderingRelation.EVENTUALLY_FOLLOWS:
-        for row in rows:
-            before: set[int] = set()
-            for b in row:
+                    hit.update(seen)
+                seen.add(b)
+        for c, col in cols.items():
+            for b, k in col.items():
                 hit = hits[b]
                 if hit is not None:
-                    hit.update(before)
-                before.add(b)
+                    hit[c] += k
         return hits
     pairs: Counter[tuple[int, int]] = Counter()
     for row in rows:
@@ -119,9 +136,8 @@ def relation_counts(log: EventLog, relation: OrderingRelation) -> dict[tuple[Lab
     A dense view of ``LogCounts.of(log, (relation,))``, |alphabet|² entries
     keyed by Label pairs.  The kernel behind it reads the log's interning
     (labels as ints, computed once per log and shared by every relation),
-    then one pass per trace counts every pair.  The eventual relations add
-    the running set of labels seen after (before) each position to that
-    position's row, O(|trace| * |alphabet|) per trace.  A trace-final
+    then one pass per trace counts every pair (see ``_hits`` for the
+    eventual relations' per-trace cost).  A trace-final
     occurrence is neg for directly_precedes, a trace-initial one is neg for
     directly_follows.
     """
@@ -163,6 +179,8 @@ class LogCounts:
             wanted = frozenset(label.parts for label in sources)
             codes = [interned.codes[parts] for parts in wanted if parts in interned.codes]
         size = len(interned.labels)
+        if codes is not None and len(codes) == size:
+            codes = None  # every label is a source: no per-trace source counts
         return cls(interned, {relation: _hits(interned.rows, size, relation, codes)
                               for relation in relations}, wanted)
 

@@ -63,7 +63,11 @@ class RelabelingFn(ABC):
 
 @dataclass(frozen=True)
 class Projection(RelabelingFn):
-    """Label each event by the values of the named attributes."""
+    """Label each event by the values of the named attributes.
+
+    Each distinct value tuple gets one Label, kept for the projection's
+    lifetime and shared by every event carrying those values.
+    """
 
     attribute_names: tuple[str, ...]
 
@@ -71,13 +75,18 @@ class Projection(RelabelingFn):
         if isinstance(attribute_names, str):
             attribute_names = (attribute_names,)
         object.__setattr__(self, "attribute_names", tuple(attribute_names))
+        object.__setattr__(self, "_labels", {})
 
     @property
     def description(self) -> str:
         return "projection[" + ",".join(self.attribute_names) + "]"
 
     def event_label(self, event: Event) -> Label:
-        return Label(tuple([event.attribute(n) for n in self.attribute_names]))
+        values = tuple([event.attribute(n) for n in self.attribute_names])
+        label = self._labels.get(values)
+        if label is None:
+            label = self._labels[values] = Label(values)
+        return label
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,16 @@ def test_evaluate_unknown_column_is_config_error(capsys):
     code, _, err = run(capsys, "evaluate", "--csv", SMART_HOME,
                        "--base-label", "NoSuch", "--refined-label", "Activity")
     assert code == 1
+    assert err == "error: event '1' has no attribute 'NoSuch'\n"
+
+
+def test_malformed_row_is_reported_before_an_unknown_label_column(tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("id,timestamp,Sensor\n1,2020-01-01 00:00:00,x\n2,not-a-date,y\n")
+    code, _, err = run(capsys, "evaluate", "--csv", str(csv),
+                       "--base-label", "NoSuch", "--refined-label", "Sensor")
+    assert code == 2
+    assert err == "parse error: line 3: unparseable timestamp 'not-a-date'\n"
 
 
 def test_scan_evaluates_every_label(capsys):
@@ -356,6 +366,24 @@ def test_pretty_output(capsys):
     assert code == 0
     assert "useful: yes" in out
     assert "directly_precedes" in out
+
+
+def test_stats_pretty_is_an_aligned_table(capsys):
+    code, out, _ = run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Sensor",
+                       "--relations", "directly_precedes", "--pretty")
+    assert code == 0
+    assert out == ("relation           b                   c                   pos  neg\n"
+                   "directly_precedes  Bedroom motion      Living room motion    5   16\n"
+                   "directly_precedes  Living room motion  Bedroom motion        0    5\n")
+
+
+def test_stats_csv_format_wins_over_pretty(capsys):
+    _, pretty_csv, _ = run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Sensor",
+                           "--format", "csv", "--pretty")
+    _, plain_csv, _ = run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Sensor",
+                          "--format", "csv")
+    assert pretty_csv == plain_csv
+    assert pretty_csv.startswith("relation,b,c,pos,neg\n")
 
 
 def test_case_key_flags_match_default(capsys):

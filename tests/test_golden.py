@@ -17,6 +17,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 DEMO_CSV = str(ROOT / "demos" / "data" / "smart_home.csv")
 
 CASES = {
+    "convert.csv": ["convert", "--to", "csv", "--base-label", "Sensor"],
+    "convert.xes": ["convert", "--to", "xes", "--base-label", "Sensor"],
     "scan.json": ["scan", "--base-label", "Sensor"],
     "evaluate.json": ["evaluate", "--base-label", "Sensor",
                       "--refined-label", "Sensor,Activity"],

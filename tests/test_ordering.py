@@ -199,11 +199,14 @@ def test_count_matches_naive_scan(rows, relation):
 ALL_RELATIONS = (DP, DF, EP, EF, LOOP)
 
 
-@settings(max_examples=120)
-@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=7),
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=12),
                 min_size=1, max_size=6),
        st.data())
 def test_restricted_counts_match_dense_counts(rows, data):
+    # rows up to 12 events over 4 labels hold both traces with more source
+    # occurrences than distinct labels and traces with fewer, so both of the
+    # eventual relations' per-trace branches run
     log = log_from_rows(rows)
     alphabet = list(log.alphabet)
     sources = data.draw(st.one_of(
@@ -216,8 +219,9 @@ def test_restricted_counts_match_dense_counts(rows, data):
         for b in alphabet if sources is None else sources:
             n = sum(row.count(str(b)) for row in rows)
             for c in contexts:
-                expected = dense.get((b, c), OrderingCounts(0, n))
+                expected = OrderingCounts(*naive_count(rows, relation.value, str(b), str(c)))
                 assert counts.column(relation, b, c) == expected
+                assert dense.get((b, c), OrderingCounts(0, n)) == expected
 
 
 def test_restricted_counts_refuse_an_uncounted_source(activity_log):
