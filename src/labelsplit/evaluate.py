@@ -18,8 +18,8 @@ from zoneinfo import ZoneInfo
 
 from .gain import EntropyBreakdown, relative_information_gain
 from .model import EventLog, Label
-from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OrderingRelation,
-                       RefinementCounts, build_tables)
+from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OccurrenceBits,
+                       OrderingRelation, RefinementCounts, build_tables)
 from .relabel import (NotARefinementError, RelabelingFn, SplitPair, TimeThreshold,
                       _Pairing, check_refinement)
 from .stats import CorrectionPolicy, TestResult, fisher_test
@@ -137,20 +137,43 @@ def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
             f"refined labeling does not refine the base one: refined label "
             f"{merged[0]} is observed under several coarse labels ({coarse})")
     split_pairs = pairing.split_pairs
+    counts = (RefinementCounts.of(l1_log, l2_log, config.relations, base, pairing)
+              if split_pairs else None)
+    return _tabulate(l1_log, l2_log, split_pairs, counts, config, description)
+
+
+def _collect_split(l1_log: EventLog, fn: TimeThreshold, config: EvaluationConfig,
+                   bits: OccurrenceBits) -> _Collected:
+    """``_collect`` for a time split whose two children are distinct and
+    name no event of ``l1_log`` but the parent's.
+
+    Such a split always refines the base labeling, so no refined log is
+    built, paired or counted: the child columns are the parent's
+    occurrence bitsets masked by the occurrences each child takes.
+    """
+    counts = bits.refinement(fn.base_label, fn.low_label, fn.high_label,
+                             fn.occurrence_mask(l1_log))
+    split_pairs = (() if counts is None
+                   else (SplitPair(fn.base_label, (fn.low_label, fn.high_label)),))
+    return _tabulate(l1_log, None, split_pairs, counts, config, fn.description)
+
+
+def _tabulate(l1_log: EventLog, l2_log: EventLog | None,
+              split_pairs: tuple[SplitPair, ...], counts: RefinementCounts | None,
+              config: EvaluationConfig, description: str) -> _Collected:
+    """Build every table of every split pair from the refinement's counts."""
     notes: list[str] = []
     if not split_pairs:
         notes.append("refinement is not strict")
 
     pair_tables: list[tuple[tuple[Label, Label], list[ContingencyTable]]] = []
     skipped = 0
-    counts = (RefinementCounts.of(l1_log, l2_log, config.relations, base, pairing)
-              if split_pairs else None)
     for split in split_pairs:
         for a1, a2 in itertools.combinations(split.children, 2):
             tables = build_tables(l1_log, l2_log, split, a1, a2,
                                   relations=config.relations,
                                   context_labels=config.context_labels,
-                                  counts=counts)
+                                  counts=counts, notes=notes)
             usable = [t for t in tables if t.parent_col.total > 0]
             skipped += len(tables) - len(usable)
             pair_tables.append(((a1, a2), usable))
@@ -272,6 +295,14 @@ def _note_skip(skipped: list[str] | None, message: str) -> None:
         skipped.append(message)
 
 
+def _splits_one_label(fn: RelabelingFn, codes: Container[tuple]) -> bool:
+    """Whether ``fn`` is a time split whose two children are distinct and
+    name no event but the parent's in a log interned as ``codes``."""
+    return (isinstance(fn, TimeThreshold) and fn.low_label != fn.high_label
+            and all(child == fn.base_label or child.parts not in codes
+                    for child in (fn.low_label, fn.high_label)))
+
+
 def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
                     config: EvaluationConfig | None = None) -> list[EvaluationReport]:
     """Evaluate every candidate against the base log and sort by score.
@@ -279,12 +310,26 @@ def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
     Sorting is score-descending with ties broken by candidate description.
     Under per_candidate_set correction the Bonferroni family spans all
     candidates' tests.  The base log is counted once for all candidates.
+
+    A time split whose two children are distinct and name no event of the
+    base log but the parent's changes only the parent's label.  Such
+    candidates share one pass over the base log that records, per parent,
+    relation and context, which parent occurrences satisfy the relation
+    (``OccurrenceBits``); each gets its child columns from those bitsets
+    and its occurrence mask, with no refined log.  Every other candidate is
+    applied to the base log and evaluated as ``evaluate`` does, so it
+    raises the same errors.
     """
     config = config or EvaluationConfig()
+    candidates = list(candidates)
     base = LogCounts.of(l1_log, config.relations)
+    codes = base.interned.codes
+    fresh = [_splits_one_label(fn, codes) for fn in candidates]
+    bits = OccurrenceBits.of(base, [fn.base_label for fn, ok in zip(candidates, fresh) if ok])
     collected = [
-        _collect(l1_log, fn.apply(l1_log), config, fn.description, base)
-        for fn in candidates
+        _collect_split(l1_log, fn, config, bits) if ok
+        else _collect(l1_log, fn.apply(l1_log), config, fn.description, base)
+        for fn, ok in zip(candidates, fresh)
     ]
     family_m = None
     if config.correction.family_scope == "per_candidate_set":

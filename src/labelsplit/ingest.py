@@ -166,6 +166,8 @@ def parse_csv(data: bytes | str, schema: CsvSchema,
     unparseable timestamps, or duplicate explicit ids, naming the line.  A
     label column that is not an attribute column raises
     MissingAttributeError for the first event, once every row has parsed.
+    A header that names a column twice raises CsvFormatError: neither cell
+    could be told from the other.
     """
     text = _decode(data)
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
@@ -174,7 +176,12 @@ def parse_csv(data: bytes | str, schema: CsvSchema,
     except StopIteration:
         raise CsvFormatError("empty input: missing header row")
 
-    columns = {name: i for i, name in enumerate(_column_names(header))}
+    columns: dict[str, int] = {}
+    for i, name in enumerate(_column_names(header)):
+        if name in columns and name:
+            raise CsvFormatError(
+                f"line {reader.line_num}: header names column {name!r} twice")
+        columns[name] = i
     needed = [schema.timestamp_column, *schema.attribute_columns]
     if schema.id_column != SYNTHESIZE:
         needed.append(schema.id_column)
@@ -296,14 +303,22 @@ def parse_xes_minimal(data: bytes | str, warnings: list[str] | None = None) -> E
     return EventLog(traces)
 
 
+_CSV_FIXED_COLUMNS = ("id", "timestamp", "case", "label")
+
+
 def write_csv(log: EventLog) -> str:
     """Serialize a log to CSV: id, timestamp, case, one column per attribute
-    name (union over events, in order of first appearance), and the label."""
+    name (union over events, in order of first appearance), and the label.
+
+    Each column name appears once: the id, timestamp, case and label
+    columns carry the event's id and timestamp, its trace's case id and its
+    label, so an attribute of one of those names is not written again.
+    """
     attr_names: list[str] = []
     for trace in log:
         for event in trace:
             for name, _ in event.attributes:
-                if name not in attr_names:
+                if name not in attr_names and name not in _CSV_FIXED_COLUMNS:
                     attr_names.append(name)
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -313,6 +313,16 @@ class EventLog:
         """The log's labels as small ints, shared by every count over it."""
         return InternedLog.of(self.traces)
 
+    @functools.cached_property
+    def events_by_label(self) -> dict[tuple, list[Event]]:
+        """Each label's events in log order, keyed by ``Label.parts``: the
+        k-th event of a label is its k-th occurrence, trace by trace."""
+        index: dict[tuple, list[Event]] = {}
+        for trace in self.traces:
+            for event in trace.events:
+                index.setdefault(event.label.parts, []).append(event)
+        return index
+
 
 def log_alphabet(log: EventLog) -> tuple[Label, ...]:
     """Distinct labels occurring in the log, in sorted (deterministic) order."""

@@ -10,6 +10,12 @@ equals the number of occurrences of b in the log.  The relations:
   eventually_follows(b, c)   b at position i, c at some j < i
   length_two_loop(b, c)      b at i, c at i+1, b at i+2, with b != c
 
+A scan also keeps, for each candidate parent label, which of its
+occurrences satisfy each relation (``OccurrenceBits``, one Python-int bitset
+per relation and context).  A split of that one label then needs no refined
+log: each child's count is a popcount of the bitset masked by the child's
+occurrences.
+
 The 2x2-plus-margin contingency table compares two refined labels a1, a2
 against a context label b, alongside the same statistic for their common
 coarse label taken from the unrefined log.
@@ -202,17 +208,145 @@ class LogCounts:
         return OrderingCounts(p, self.interned.occurrences[b_code] - p)
 
 
+@dataclass(frozen=True, slots=True)
+class SplitCounts:
+    """The counts of the two children of one split label, read from the
+    parent's occurrence bitsets (``OccurrenceBits``) with no refined log.
+
+    ``hits[relation][c]`` is the parent's bitset against context code c and
+    ``masks`` maps each child's ``Label.parts`` to the parent occurrences it
+    takes.  A context must be a label the split leaves as it is; only the
+    children are sources.
+    """
+
+    codes: dict[tuple, int]
+    parent: int
+    hits: dict[OrderingRelation, dict[int, int]]
+    masks: dict[tuple, int]
+
+    def column(self, relation: OrderingRelation, b: Label, c: Label) -> OrderingCounts:
+        """Counts of child b against context c, as ``LogCounts.column``."""
+        mask = self.masks.get(b.parts)
+        if mask is None:
+            raise KeyError(f"source label {b} was not counted")
+        c_code = self.codes.get(c.parts)
+        if c_code == self.parent:
+            raise KeyError(f"context label {c} is the split label")
+        hits = 0 if c_code is None else self.hits[relation].get(c_code, 0)
+        if relation is OrderingRelation.LENGTH_TWO_LOOP:
+            # the loop closes at the parent's next occurrence (bit k + 1),
+            # which must go to the same child
+            hits &= mask >> 1
+        pos = (hits & mask).bit_count()
+        return OrderingCounts(pos, mask.bit_count() - pos)
+
+
+@dataclass(frozen=True)
+class OccurrenceBits:
+    """Which occurrences of each parent label satisfy each relation.
+
+    Bit k of ``bits[relation][a][c]`` is set when the k-th occurrence of
+    code a (in log order, trace by trace) satisfies the relation against
+    code c, so its popcount is ``base.rows[relation][a][c]``.  A split of a
+    into two children that label no other event changes no other label, so
+    each child column is this bitset masked by the child's occurrences.
+    """
+
+    base: LogCounts
+    bits: dict[OrderingRelation, dict[int, dict[int, int]]]
+
+    @classmethod
+    def of(cls, base: LogCounts, parents: Iterable[Label]) -> "OccurrenceBits":
+        """One pass over the base log's rows for the relations ``base``
+        counts; ``parents`` need not occur in the log.
+
+        As in ``_hits``, eventually_precedes is eventually_follows on the
+        reversed row: each parent occurrence sets its bit against every
+        label seen before it in its trace.
+        """
+        interned = base.interned
+        codes = interned.codes
+        wanted = {codes[label.parts] for label in parents if label.parts in codes}
+        bits: dict[OrderingRelation, dict[int, dict[int, int]]] = {
+            relation: {a: {} for a in wanted} for relation in base.rows}
+        done = dict.fromkeys(wanted, 0)  # occurrences of each parent so far
+        for row in interned.rows:
+            at = []  # the bit of each position's occurrence, 0 for other labels
+            for x in row:
+                k = done.get(x)
+                if k is None:
+                    at.append(0)
+                else:
+                    done[x] = k + 1
+                    at.append(1 << k)
+            if not any(at):
+                continue
+            for relation, hits in bits.items():
+                if relation in (OrderingRelation.EVENTUALLY_FOLLOWS,
+                                OrderingRelation.EVENTUALLY_PRECEDES):
+                    walk = (zip(row, at) if relation is OrderingRelation.EVENTUALLY_FOLLOWS
+                            else zip(reversed(row), reversed(at)))
+                    seen: set[int] = set()
+                    for x, bit in walk:
+                        if bit:
+                            out = hits[x]
+                            for c in seen:
+                                out[c] = out.get(c, 0) | bit
+                        seen.add(x)
+                    continue
+                if relation is OrderingRelation.DIRECTLY_PRECEDES:
+                    pairs = zip(row, row[1:], at)
+                elif relation is OrderingRelation.DIRECTLY_FOLLOWS:
+                    pairs = zip(row[1:], row, at[1:])
+                elif relation is OrderingRelation.LENGTH_TWO_LOOP:
+                    pairs = ((x, c, bit) for x, c, again, bit in zip(row, row[1:], row[2:], at)
+                             if x == again and c != x)
+                else:
+                    raise ValueError(f"unknown relation {relation!r}")
+                for x, c, bit in pairs:
+                    if bit:
+                        out = hits[x]
+                        out[c] = out.get(c, 0) | bit
+        return cls(base, bits)
+
+    def refinement(self, parent: Label, low: Label, high: Label,
+                   mask: int) -> "RefinementCounts | None":
+        """The counts of relabeling the occurrences of ``parent`` in
+        ``mask`` as ``low`` and the rest as ``high``; None when a child gets
+        no occurrence (the split is not strict).
+
+        ``parent`` must be one of the labels the bitsets were built for,
+        and the children must be distinct labels that name no event but
+        the parent's.  The refined alphabet is the base one with the parent
+        replaced by its children, each child seen under the parent.
+        """
+        interned = self.base.interned
+        a = interned.codes.get(parent.parts)
+        n = 0 if a is None else interned.occurrences[a]
+        full = (1 << n) - 1
+        if mask in (0, full):
+            return None
+        parents = {label: {label: k} for label, k in zip(interned.labels, interned.occurrences)
+                   if label.parts != parent.parts}
+        parents[low] = {parent: mask.bit_count()}
+        parents[high] = {parent: n - mask.bit_count()}
+        hits = {relation: rows[a] for relation, rows in self.bits.items()}
+        split = SplitCounts(interned.codes, a, hits, {low.parts: mask, high.parts: full ^ mask})
+        return RefinementCounts(self.base, split, parents)
+
+
 @dataclass(frozen=True)
 class RefinementCounts:
     """Everything the tables of one refinement are built from, counted once:
     both logs' counts and the coarse labels seen under each refined label.
 
-    The refined log's counts hold only the rows of split children, the only
-    refined sources a table reads.
+    The refined counts hold only the rows of split children, the only
+    refined sources a table reads: a refined log's ``LogCounts`` restricted
+    to them, or a single split's ``SplitCounts``.
     """
 
     base: LogCounts
-    refined: LogCounts
+    refined: LogCounts | SplitCounts
     parents: dict[Label, dict[Label, int]]
 
     @classmethod
@@ -268,15 +402,21 @@ def build_tables(
     context_labels: Iterable[Label] | None = None,
     *,
     counts: RefinementCounts | None = None,
+    notes: list[str] | None = None,
 ) -> list[ContingencyTable]:
     """One table per (relation, context label) for the child pair (a1, a2).
 
     Context labels default to the refined alphabet minus every child of the
     pair's parent, so siblings are never used as context.  An explicit
-    ``context_labels`` list overrides that default (children still excluded).
+    ``context_labels`` list overrides that default; children are still
+    excluded, and so is a label of the base log that names no refined event
+    (the split's own parent, say): its child columns would read 0 by
+    construction against a full parent column.  Such labels are named in a
+    note appended to ``notes``, unless that note is already there.
     ``counts`` are the refinement's counts when the caller already has them
-    (an evaluation shares them across its pairs); otherwise both logs are
-    counted here.
+    (an evaluation shares them across its pairs; a scan reads a single
+    split's from the base log's ``OccurrenceBits``); otherwise both logs
+    are counted here, and the logs are read only then.
     """
     relations = tuple(relations)
     if counts is None:
@@ -286,7 +426,19 @@ def build_tables(
     if context_labels is None:
         contexts = [b for b in sorted(parents) if b not in siblings]
     else:
-        contexts = [b for b in context_labels if b not in siblings]
+        base_codes = counts.base.interned.codes
+        contexts, removed = [], []
+        for b in context_labels:
+            if b in parents or b.parts not in base_codes:
+                if b not in siblings:
+                    contexts.append(b)
+            else:
+                removed.append(b)
+        if removed and notes is not None:
+            note = ("left out context label(s) that name no event of the refined log: "
+                    + ", ".join(str(b) for b in removed))
+            if note not in notes:
+                notes.append(note)
     parent_of = {b: _parent_context(parents, b) if b in parents else b for b in contexts}
 
     tables = []

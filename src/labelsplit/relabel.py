@@ -118,6 +118,18 @@ class TimeThreshold(RelabelingFn):
             return self.low_label
         return self.high_label
 
+    def occurrence_mask(self, log: EventLog) -> int:
+        """The occurrences of ``base_label`` that go to ``low_label``, as a
+        bitset: bit k is set when the label's k-th occurrence in ``log``
+        (in log order, see ``EventLog.events_by_label``) is before the
+        threshold."""
+        tz = ZoneInfo(self.timezone)
+        threshold = self.threshold
+        events = log.events_by_label.get(self.base_label.parts, ())
+        # most significant bit first, so the last occurrence leads
+        return int("0" + "".join(["1" if e.timestamp.astimezone(tz).time() < threshold
+                                  else "0" for e in reversed(events)]), 2)
+
 
 _RULE_RE = re.compile(r"^(?P<attr>.+?)\s*(?P<op>!=|>=|=|<)\s*(?P<value>.*?)\s*->\s*(?P<label>.+)$")
 _DEFAULT_RE = re.compile(r"^default\s*->\s*(?P<label>.+)$")

@@ -308,6 +308,15 @@ def test_convert_to_csv(capsys):
     assert len(out.strip().splitlines()) == 27
 
 
+def test_repeated_header_name_exits_two(tmp_path, capsys):
+    path = tmp_path / "repeated.csv"
+    path.write_text("id,timestamp,case,case\n1,2020-01-01 00:00,TRACE-A,attr-value\n")
+    code, out, err = run(capsys, "stats", "--csv", str(path))
+    assert code == 2
+    assert out == ""
+    assert "header names column 'case' twice" in err
+
+
 def test_deterministic_output_is_byte_identical(capsys):
     args = ("evaluate", "--csv", SMART_HOME, "--base-label", "Sensor",
             "--refined-label", "Activity", "--deterministic")

@@ -1,14 +1,15 @@
 import math
 import random
 from dataclasses import replace
-from datetime import time
+from datetime import datetime, time, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from labelsplit import (DEFAULT_RELATIONS, CorrectionPolicy, EvaluationConfig, Label,
-                        NotARefinementError, OrderingRelation, TimeThreshold,
-                        check_refinement, evaluate, generate_median_time_candidates,
-                        rank_candidates)
+from labelsplit import (DEFAULT_RELATIONS, CorrectionPolicy, Event, EvaluationConfig,
+                        EventLog, Label, NotARefinementError, OrderingRelation,
+                        TimeThreshold, Trace, check_refinement, evaluate,
+                        generate_median_time_candidates, rank_candidates)
 
 from conftest import log_from_rows
 
@@ -173,10 +174,12 @@ def test_median_children_avoid_existing_labels():
     assert split.children == (Label("a___1"), Label("a___2"))
 
 
-def _assert_ranked_equals_evaluated(base_log, config):
+def _assert_ranked_equals_evaluated(base_log, config, candidates=None):
     """Each report of a scan, which shares the base log's counts across
-    candidates, equals evaluating that candidate on its own."""
-    candidates = generate_median_time_candidates(base_log)
+    candidates, equals evaluating that candidate on its own; the candidates
+    default to the log's median-time splits."""
+    if candidates is None:
+        candidates = generate_median_time_candidates(base_log)
     reports = rank_candidates(base_log, candidates, config)
     by_description = {r.candidate_description: r for r in reports}
     assert len(by_description) == len(candidates)
@@ -216,6 +219,96 @@ def test_rank_candidates_matches_evaluate(sensor_log, activity_log):
                 _assert_ranked_equals_evaluated(base_log, config)
                 checked += 1
     assert checked == len(logs) * len(relation_sets) * 2
+
+
+_ALPHABET = ("a", "b", "c")
+_DAY = datetime(2020, 1, 1, tzinfo=timezone.utc)
+
+
+@st.composite
+def _scan_inputs(draw):
+    """A log, split candidates for its labels and a configuration.
+
+    Traces hold one or more events, repeated labels and a-c-a loops, at
+    random minutes of the day.  Each label gets one time split whose
+    threshold may put all, none or some occurrences low, and whose
+    children are fresh, named like the parent, equal to each other, or
+    another label of the alphabet.
+    """
+    label = st.sampled_from(_ALPHABET)
+    loop = st.tuples(label, label, st.integers(1, 3)).map(
+        lambda t: [t[0], t[1]] * t[2] + [t[0]])
+    rows = draw(st.lists(st.one_of(st.lists(label, min_size=1, max_size=9), loop),
+                         min_size=1, max_size=6))
+    traces, next_id = [], 0
+    for t_index, row in enumerate(rows):
+        minutes = sorted(draw(st.lists(st.integers(0, 1439), min_size=len(row),
+                                       max_size=len(row))))
+        events = []
+        for name, minute in zip(row, minutes):
+            next_id += 1
+            events.append(Event(next_id, _DAY + timedelta(minutes=minute), {"act": name},
+                                label=Label(name)))
+        traces.append(Trace(f"t{t_index}", events))
+    candidates = []
+    for name in _ALPHABET:
+        minute = draw(st.integers(0, 1440))
+        threshold = time(23, 59, 59) if minute == 1440 else time(*divmod(minute, 60))
+        low, high = draw(st.sampled_from([
+            (f"{name}_1", f"{name}_2"), (name, f"{name}_2"), (f"{name}_1", name),
+            (f"{name}_1", f"{name}_1"), *((other, f"{name}_2") for other in _ALPHABET
+                                          if other != name)]))
+        candidates.append(TimeThreshold(Label(name), threshold, Label(low), Label(high)))
+    relations = draw(st.lists(st.sampled_from(list(OrderingRelation)), min_size=1,
+                              unique=True))
+    contexts = draw(st.none() | st.lists(st.sampled_from([*_ALPHABET, "a_1", "absent"]),
+                                         min_size=1, max_size=3, unique=True))
+    config = EvaluationConfig(
+        alpha=0.05, relations=relations,
+        correction=CorrectionPolicy("bonferroni", draw(st.sampled_from(
+            ["per_candidate", "per_candidate_set"]))),
+        context_labels=None if contexts is None else tuple(map(Label, contexts)))
+    return EventLog(traces), candidates, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scan_inputs())
+def test_mask_path_equals_materialised_refinement(inputs):
+    # rank_candidates reads fresh-child splits from the base log's
+    # occurrence bitsets; evaluate always builds the refined log
+    base_log, candidates, config = inputs
+    errors = []
+    for fn in candidates:
+        try:
+            evaluate(base_log, fn.apply(base_log), config, fn.description)
+        except NotARefinementError as exc:
+            errors.append(str(exc))
+    if not errors:
+        _assert_ranked_equals_evaluated(base_log, config, candidates)
+        return
+    # a child that names another label merges it: the scan stops at the
+    # first such candidate with the error evaluate raises for it
+    with pytest.raises(NotARefinementError) as raised:
+        rank_candidates(base_log, candidates, config)
+    assert str(raised.value) == errors[0]
+
+
+def test_context_removed_by_the_refinement_is_left_out(sensor_log):
+    # the split's own parent names no refined event: its child columns
+    # would read 0 against a full parent column, inflating m and RIG
+    fn = TimeThreshold(Label("Bedroom motion"), time(5, 0), Label("T"), Label("G"))
+    refined = fn.apply(sensor_log)
+    living = EvaluationConfig(context_labels=(Label("Living room motion"),))
+    both = replace(living, context_labels=(Label("Living room motion"),
+                                           Label("Bedroom motion")))
+    alone = evaluate(sensor_log, refined, living, fn.description)
+    report = evaluate(sensor_log, refined, both, fn.description)
+    assert report.m_tests == alone.m_tests == 4
+    assert report.entropy.relative_information_gain == pytest.approx(0.342455011003)
+    assert report.tests == alone.tests
+    assert report.notes == ("left out context label(s) that name no event of the "
+                            "refined log: Bedroom motion",)
+    assert rank_candidates(sensor_log, [fn], both) == [report]
 
 
 def test_rank_orders_useful_first(sensor_log):

@@ -20,6 +20,9 @@ CASES = {
     "convert.csv": ["convert", "--to", "csv", "--base-label", "Sensor"],
     "convert.xes": ["convert", "--to", "xes", "--base-label", "Sensor"],
     "scan.json": ["scan", "--base-label", "Sensor"],
+    "scan-all-relations.json": ["scan", "--base-label", "Sensor", "--relations",
+                                "directly_follows,directly_precedes,eventually_follows,"
+                                "eventually_precedes,length_two_loop"],
     "evaluate.json": ["evaluate", "--base-label", "Sensor",
                       "--refined-label", "Sensor,Activity"],
     "gen-candidates.json": ["gen-candidates", "--base-label", "Sensor"],
@@ -38,3 +41,12 @@ def test_deterministic_output_matches_golden_file(name, tmp_path):
     argv = [*CASES[name], "--csv", DEMO_CSV, "--deterministic", "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_csv_conversion_reproduces_itself(tmp_path):
+    # the golden CSV carries each column once, so converting it again
+    # changes nothing
+    out = tmp_path / "again.csv"
+    argv = [*CASES["convert.csv"], "--csv", str(GOLDEN / "convert.csv"), "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / "convert.csv").read_bytes()

@@ -66,6 +66,25 @@ def test_parse_csv_missing_header_column():
                                                   attribute_columns=("Other",)))
 
 
+def test_parse_csv_repeated_header_name_is_error():
+    # csv.DictReader-style parsing would keep only the last "case" cell
+    with pytest.raises(CsvFormatError, match="line 1: header names column 'case' twice"):
+        parse_csv("id,timestamp,case,case\n1,2020-01-01 00:00,TRACE-A,attr-value\n",
+                  CsvSchema(timestamp_column="timestamp", attribute_columns=("case",)))
+
+
+def test_write_csv_writes_each_column_once():
+    events = parse_csv("id,timestamp,case,label,Sensor\n"
+                       "1,2020-01-01 00:00,attr-case,attr-label,a\n",
+                       CsvSchema(timestamp_column="timestamp",
+                                 attribute_columns=("case", "label", "Sensor"),
+                                 id_column="id"), ("Sensor",))
+    log = partition(events, PartitionKeySpec((), "day"))
+    header, row = write_csv(log).splitlines()
+    assert header == "id,timestamp,case,Sensor,label"
+    assert row == "1,2020-01-01T00:00:00+00:00,2020-01-01,a,a"
+
+
 def test_parse_csv_custom_format_and_timezone():
     schema = CsvSchema(timestamp_column="when", attribute_columns=("Sensor",),
                        timestamp_format="%m/%d/%Y %H:%M", timezone="Europe/Amsterdam")

@@ -54,6 +54,20 @@ def test_time_threshold_only_depends_on_own_event(sensor_log):
         assert label_rows(solo)[0] == label_rows(whole)[keep]
 
 
+def test_occurrence_mask_marks_the_low_occurrences(sensor_log):
+    # bit k is set when the label's k-th occurrence, in log order, goes low
+    fn = TimeThreshold(Label("Bedroom motion"), time(8, 30), Label("lo"), Label("hi"),
+                       timezone="Europe/Amsterdam")
+    mask = fn.occurrence_mask(sensor_log)
+    low = [str(e.label) == "lo" for t in fn.apply(sensor_log) for e in t
+           if str(e.label) in ("lo", "hi")]
+    assert len(low) == 21 and 0 < sum(low) < 21
+    assert [bool(mask >> k & 1) for k in range(len(low))] == low
+    assert mask >> len(low) == 0
+    absent = TimeThreshold(Label("nowhere"), time(8, 30), Label("lo"), Label("hi"))
+    assert absent.occurrence_mask(sensor_log) == 0
+
+
 RULES = """
 # refine bedroom motion by heart rate
 Sensor != Bedroom motion -> other
