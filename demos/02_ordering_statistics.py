@@ -8,9 +8,9 @@ contingency table with the unsplit counts as a margin column.
 
 from pathlib import Path
 
-from labelsplit import (CsvSchema, Label, OrderingRelation, PartitionKeySpec,
-                        Projection, build_tables, extract_split_set, parse_csv,
-                        partition, relation_counts)
+from labelsplit import (DEFAULT_RELATIONS, CsvSchema, Label, OrderingRelation,
+                        PartitionKeySpec, Projection, RefinementCounts, build_tables,
+                        extract_split_set, parse_csv, partition, relation_counts)
 
 DATA = Path(__file__).parent / "data" / "smart_home.csv"
 
@@ -36,8 +36,8 @@ for b in (gu, tt):
 print(f"\nsplit: {split.parent} -> {[str(c) for c in split.children]}")
 
 # one contingency table per (relation, context label)
-tables = build_tables(sensor_log, activity_log, split,
-                      split.children[0], split.children[1])
+counts = RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS)
+tables = build_tables(counts, split, split.children[0], split.children[1])
 for t in tables:
     print(f"\n{t.relation} vs {t.context_label}")
     print(f"           {str(t.a1):<22}{str(t.a2):<22}{t.parent_label}")

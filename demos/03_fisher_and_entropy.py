@@ -9,8 +9,9 @@ after, summed, as relative information gain.
 
 from pathlib import Path
 
-from labelsplit import (CsvSchema, PartitionKeySpec, Projection, bonferroni_threshold,
-                        build_tables, extract_split_set, fisher_exact_two_sided,
+from labelsplit import (DEFAULT_RELATIONS, CsvSchema, PartitionKeySpec, Projection,
+                        RefinementCounts, bonferroni_threshold, build_tables,
+                        extract_split_set, fisher_exact_two_sided,
                         parse_csv, partition, relative_information_gain,
                         table_entropies)
 
@@ -25,8 +26,8 @@ sensor_log = Projection("Sensor").apply(log)
 activity_log = Projection("Activity").apply(log)
 
 (split,) = extract_split_set(sensor_log, activity_log)
-tables = build_tables(sensor_log, activity_log, split,
-                      split.children[0], split.children[1])
+counts = RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS)
+tables = build_tables(counts, split, split.children[0], split.children[1])
 
 alpha = 0.01
 corrected = bonferroni_threshold(alpha, len(tables))

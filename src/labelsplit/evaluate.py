@@ -20,8 +20,7 @@ from .gain import EntropyBreakdown, relative_information_gain
 from .model import EventLog, Label
 from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OccurrenceBits,
                        OrderingRelation, RefinementCounts, build_tables)
-from .relabel import (NotARefinementError, RelabelingFn, SplitPair, TimeThreshold,
-                      _Pairing, check_refinement)
+from .relabel import RelabelingFn, SplitPair, TimeThreshold, _Pairing
 from .stats import CorrectionPolicy, TestResult, fisher_test
 
 logger = logging.getLogger(__name__)
@@ -113,33 +112,19 @@ def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
              description: str, base: LogCounts | None = None) -> _Collected:
     """Check the refinement and build every table of every split pair.
 
-    The logs are paired once; the refinement check, the split set and the
-    coarse labels seen under each refined label all come from that pairing.
-    Each log is counted once per relation; ``base``, when given, holds the
-    base log's counts shared by a whole candidate scan.  A refined label
-    seen under two or more coarse labels merges them, so its tables would
-    not add up to the parent's: that raises NotARefinementError too.
+    The logs are paired once (``_Pairing``): that is the refinement check,
+    and it yields the split set and the one coarse label seen under each
+    refined label.  A refined label seen under two or more coarse labels
+    merges them, so its tables would not add up to the parent's: that
+    raises NotARefinementError.  Each log is counted once per relation;
+    ``base``, when given, holds the base log's counts shared by a whole
+    candidate scan.
     """
     pairing = _Pairing.of(l1_log, l2_log)
-    check = check_refinement(l1_log, l2_log, _pairing=pairing)
-    if not check.is_equal_length_refinement:
-        first = check.violations[0]
-        raise NotARefinementError(
-            f"refined labeling does not refine the base one: traces "
-            f"{first.case_a!r} and {first.case_b!r} agree on refined labels "
-            f"but differ at position {first.position}",
-            check.violations,
-        )
-    merged = sorted(child for child, coarse in pairing.parents.items() if len(coarse) > 1)
-    if merged:
-        coarse = ", ".join(str(label) for label in sorted(pairing.parents[merged[0]]))
-        raise NotARefinementError(
-            f"refined labeling does not refine the base one: refined label "
-            f"{merged[0]} is observed under several coarse labels ({coarse})")
     split_pairs = pairing.split_pairs
     counts = (RefinementCounts.of(l1_log, l2_log, config.relations, base, pairing)
               if split_pairs else None)
-    return _tabulate(l1_log, l2_log, split_pairs, counts, config, description)
+    return _tabulate(split_pairs, counts, config, description)
 
 
 def _collect_split(l1_log: EventLog, fn: TimeThreshold, config: EvaluationConfig,
@@ -155,11 +140,10 @@ def _collect_split(l1_log: EventLog, fn: TimeThreshold, config: EvaluationConfig
                              fn.occurrence_mask(l1_log))
     split_pairs = (() if counts is None
                    else (SplitPair(fn.base_label, (fn.low_label, fn.high_label)),))
-    return _tabulate(l1_log, None, split_pairs, counts, config, fn.description)
+    return _tabulate(split_pairs, counts, config, fn.description)
 
 
-def _tabulate(l1_log: EventLog, l2_log: EventLog | None,
-              split_pairs: tuple[SplitPair, ...], counts: RefinementCounts | None,
+def _tabulate(split_pairs: tuple[SplitPair, ...], counts: RefinementCounts | None,
               config: EvaluationConfig, description: str) -> _Collected:
     """Build every table of every split pair from the refinement's counts."""
     notes: list[str] = []
@@ -170,10 +154,10 @@ def _tabulate(l1_log: EventLog, l2_log: EventLog | None,
     skipped = 0
     for split in split_pairs:
         for a1, a2 in itertools.combinations(split.children, 2):
-            tables = build_tables(l1_log, l2_log, split, a1, a2,
+            tables = build_tables(counts, split, a1, a2,
                                   relations=config.relations,
                                   context_labels=config.context_labels,
-                                  counts=counts, notes=notes)
+                                  notes=notes)
             usable = [t for t in tables if t.parent_col.total > 0]
             skipped += len(tables) - len(usable)
             pair_tables.append(((a1, a2), usable))

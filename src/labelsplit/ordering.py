@@ -326,19 +326,18 @@ class OccurrenceBits:
         full = (1 << n) - 1
         if mask in (0, full):
             return None
-        parents = {label: {label: k} for label, k in zip(interned.labels, interned.occurrences)
-                   if label.parts != parent.parts}
-        parents[low] = {parent: mask.bit_count()}
-        parents[high] = {parent: n - mask.bit_count()}
+        coarse = {label: label for label in interned.labels if label.parts != parent.parts}
+        coarse[low] = coarse[high] = parent
         hits = {relation: rows[a] for relation, rows in self.bits.items()}
         split = SplitCounts(interned.codes, a, hits, {low.parts: mask, high.parts: full ^ mask})
-        return RefinementCounts(self.base, split, parents)
+        return RefinementCounts(self.base, split, coarse)
 
 
 @dataclass(frozen=True)
 class RefinementCounts:
     """Everything the tables of one refinement are built from, counted once:
-    both logs' counts and the coarse labels seen under each refined label.
+    both logs' counts and, for each refined label, the one coarse label seen
+    at its positions (``coarse``).
 
     The refined counts hold only the rows of split children, the only
     refined sources a table reads: a refined log's ``LogCounts`` restricted
@@ -347,7 +346,7 @@ class RefinementCounts:
 
     base: LogCounts
     refined: LogCounts | SplitCounts
-    parents: dict[Label, dict[Label, int]]
+    coarse: dict[Label, Label]
 
     @classmethod
     def of(cls, l1_log: EventLog, l2_log: EventLog,
@@ -356,14 +355,16 @@ class RefinementCounts:
            pairing: _Pairing | None = None) -> "RefinementCounts":
         """Count both logs; ``base``, when given, must be LogCounts.of(l1_log)
         over at least these relations (a scan shares it across candidates),
-        and ``pairing``, when given, _Pairing.of(l1_log, l2_log)."""
+        and ``pairing``, when given, _Pairing.of(l1_log, l2_log).  Pairing
+        the logs here raises NotARefinementError, as ``evaluate`` does, when
+        a refined label is seen under two or more coarse labels."""
         relations = tuple(relations)
         if base is None:
             base = LogCounts.of(l1_log, relations)
         if pairing is None:
             pairing = _Pairing.of(l1_log, l2_log)
         children = [child for split in pairing.split_pairs for child in split.children]
-        return cls(base, LogCounts.of(l2_log, relations, children), pairing.parents)
+        return cls(base, LogCounts.of(l2_log, relations, children), pairing.coarse)
 
 
 @dataclass(frozen=True)
@@ -386,22 +387,14 @@ class ContingencyTable:
     parent_col: OrderingCounts
 
 
-def _parent_context(parents: dict[Label, dict[Label, int]], b: Label) -> Label:
-    """The coarse label observed at b's positions (most frequent on ties)."""
-    counts = parents[b]
-    return max(sorted(counts), key=lambda lbl: counts[lbl])
-
-
 def build_tables(
-    l1_log: EventLog,
-    l2_log: EventLog,
+    counts: RefinementCounts,
     pair: SplitPair,
     a1: Label,
     a2: Label,
     relations: Iterable[OrderingRelation] = DEFAULT_RELATIONS,
     context_labels: Iterable[Label] | None = None,
     *,
-    counts: RefinementCounts | None = None,
     notes: list[str] | None = None,
 ) -> list[ContingencyTable]:
     """One table per (relation, context label) for the child pair (a1, a2).
@@ -413,23 +406,20 @@ def build_tables(
     (the split's own parent, say): its child columns would read 0 by
     construction against a full parent column.  Such labels are named in a
     note appended to ``notes``, unless that note is already there.
-    ``counts`` are the refinement's counts when the caller already has them
-    (an evaluation shares them across its pairs; a scan reads a single
-    split's from the base log's ``OccurrenceBits``); otherwise both logs
-    are counted here, and the logs are read only then.
+    ``counts`` are the refinement's counts (``RefinementCounts.of`` for two
+    logs; a scan reads a single split's from the base log's
+    ``OccurrenceBits``) over at least ``relations``; the parent column
+    reads the base log against each context's coarse label.
     """
-    relations = tuple(relations)
-    if counts is None:
-        counts = RefinementCounts.of(l1_log, l2_log, relations)
-    parents = counts.parents
+    coarse = counts.coarse
     siblings = set(pair.children)
     if context_labels is None:
-        contexts = [b for b in sorted(parents) if b not in siblings]
+        contexts = [b for b in sorted(coarse) if b not in siblings]
     else:
         base_codes = counts.base.interned.codes
         contexts, removed = [], []
         for b in context_labels:
-            if b in parents or b.parts not in base_codes:
+            if b in coarse or b.parts not in base_codes:
                 if b not in siblings:
                     contexts.append(b)
             else:
@@ -439,7 +429,6 @@ def build_tables(
                     + ", ".join(str(b) for b in removed))
             if note not in notes:
                 notes.append(note)
-    parent_of = {b: _parent_context(parents, b) if b in parents else b for b in contexts}
 
     tables = []
     for relation in relations:
@@ -452,6 +441,6 @@ def build_tables(
                 col_a1=counts.refined.column(relation, a1, b),
                 col_a2=counts.refined.column(relation, a2, b),
                 parent_label=pair.parent,
-                parent_col=counts.base.column(relation, pair.parent, parent_of[b]),
+                parent_col=counts.base.column(relation, pair.parent, coarse.get(b, b)),
             ))
     return tables

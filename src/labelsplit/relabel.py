@@ -2,10 +2,12 @@
 
 A relabeling function rewrites every event's label while preserving trace
 shape (all built-in kinds are equal-length and each output label depends
-only on the event itself, so prefixes are preserved).  Refinement between
-two labelings of the same base log is checked on the observed traces and
-their prefixes; the split set collects the refined-label groups that share
-a common coarse label.
+only on the event itself, so prefixes are preserved).  Two labelings of the
+same base log are paired position by position: the finer one refines the
+coarser one when each refined label is seen under one coarse label only,
+and the split set collects the refined-label groups that share a common
+coarse label.  ``check_refinement`` reports the trace pairs that violate
+the refinement implication on the observed traces and their prefixes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
 from datetime import time
-from typing import Any, NamedTuple
+from itertools import islice
+from typing import Any, Iterator, NamedTuple
 from zoneinfo import ZoneInfo
 
 from .model import Event, EventLog, Label
@@ -31,10 +34,6 @@ class ShapeMismatchError(RefinementError):
 
 class NotARefinementError(RefinementError):
     """The finer labeling does not refine the coarser one on this log."""
-
-    def __init__(self, message: str, violations: tuple = ()):
-        super().__init__(message)
-        self.violations = violations
 
 
 class RuleError(ValueError):
@@ -264,75 +263,79 @@ class SplitPair:
         object.__setattr__(self, "children", tuple(sorted(self.children)))
 
 
-class _Pairing(NamedTuple):
-    """Two labelings of one base log, paired position by position once.
+def _observed(l1_log: EventLog, l2_log: EventLog
+              ) -> tuple[dict[Label, dict[Label, int]], tuple[SplitPair, ...]]:
+    """Pair the logs position by position: for each refined label, how often
+    each coarse label co-occurs with it, and the split set read from that.
+    ShapeMismatchError unless the logs share the base log."""
+    if len(l1_log) != len(l2_log):
+        raise ShapeMismatchError(
+            f"trace counts differ: {len(l1_log)} vs {len(l2_log)}")
+    for t1, t2 in zip(l1_log, l2_log):
+        if len(t1) != len(t2):
+            raise ShapeMismatchError(
+                f"trace {t1.case_id!r}: lengths differ ({len(t1)} vs {len(t2)})")
+        for e1, e2 in zip(t1, t2):
+            if e1.id != e2.id:
+                raise ShapeMismatchError(
+                    f"trace {t1.case_id!r}: event ids differ ({e1.id!r} vs {e2.id!r})")
+    coarse, refined = l1_log.interned, l2_log.interned
+    seen: Counter[tuple[int, int]] = Counter()
+    for codes1, codes2 in zip(coarse.rows, refined.rows):
+        seen.update(zip(codes2, codes1))
+    parents: dict[Label, dict[Label, int]] = {}
+    children: dict[Label, list[Label]] = {}
+    for (child, parent), n in seen.items():
+        child_label, parent_label = refined.labels[child], coarse.labels[parent]
+        parents.setdefault(child_label, {})[parent_label] = n
+        children.setdefault(parent_label, []).append(child_label)
+    split_pairs = tuple(SplitPair(parent, tuple(children[parent]))
+                        for parent in sorted(children, key=Label.sort_key)
+                        if len(children[parent]) >= 2)
+    return parents, split_pairs
 
-    ``rows`` holds (case id, coarse codes, refined codes) per trace, the
-    codes taken from each log's interning.  ``parents`` maps each refined
-    label to the coarse labels seen at its positions, with counts, and
-    ``split_pairs`` is the split set read from it.  An evaluation computes
-    this once per candidate and shares it between its checks.
+
+class _Pairing(NamedTuple):
+    """Two labelings of one base log, paired position by position once: the
+    pipeline's only refinement check.
+
+    ``coarse`` maps each refined label to the one coarse label seen at all
+    its positions, and ``split_pairs`` is the split set.  A refined label
+    seen under two or more coarse labels merges them, so the refined
+    labeling does not refine the coarse one.  That covers the prefix check
+    of ``check_refinement``: traces that agree on refined labels up to
+    position p but differ in the coarse label at p put one refined label
+    over two coarse ones.
     """
 
-    rows: list[tuple[Any, tuple[int, ...], tuple[int, ...]]]
-    parents: dict[Label, dict[Label, int]]
+    coarse: dict[Label, Label]
     split_pairs: tuple[SplitPair, ...]
 
     @classmethod
     def of(cls, l1_log: EventLog, l2_log: EventLog) -> "_Pairing":
-        """Pair the logs; ShapeMismatchError unless they share the base log."""
-        if len(l1_log) != len(l2_log):
-            raise ShapeMismatchError(
-                f"trace counts differ: {len(l1_log)} vs {len(l2_log)}")
-        for t1, t2 in zip(l1_log, l2_log):
-            if len(t1) != len(t2):
-                raise ShapeMismatchError(
-                    f"trace {t1.case_id!r}: lengths differ ({len(t1)} vs {len(t2)})")
-            for e1, e2 in zip(t1, t2):
-                if e1.id != e2.id:
-                    raise ShapeMismatchError(
-                        f"trace {t1.case_id!r}: event ids differ ({e1.id!r} vs {e2.id!r})")
-        coarse, refined = l1_log.interned, l2_log.interned
-        rows = list(zip((t.case_id for t in l1_log), coarse.rows, refined.rows))
-        seen: Counter[tuple[int, int]] = Counter()
-        for _, codes1, codes2 in rows:
-            seen.update(zip(codes2, codes1))
-        parents: dict[Label, dict[Label, int]] = {}
-        children: dict[Label, list[Label]] = {}
-        for (child, parent), n in seen.items():
-            child_label, parent_label = refined.labels[child], coarse.labels[parent]
-            parents.setdefault(child_label, {})[parent_label] = n
-            children.setdefault(parent_label, []).append(child_label)
-        split_pairs = tuple(SplitPair(parent, tuple(children[parent]))
-                            for parent in sorted(children, key=Label.sort_key)
-                            if len(children[parent]) >= 2)
-        return cls(rows, parents, split_pairs)
+        """Pair the logs; ShapeMismatchError unless they share the base log,
+        NotARefinementError when a refined label merges coarse labels."""
+        parents, split_pairs = _observed(l1_log, l2_log)
+        merged = sorted(child for child, coarse in parents.items() if len(coarse) > 1)
+        if merged:
+            coarse = ", ".join(str(label) for label in sorted(parents[merged[0]]))
+            raise NotARefinementError(
+                f"refined labeling does not refine the base one: refined label "
+                f"{merged[0]} is observed under several coarse labels ({coarse})")
+        return cls({child: next(iter(seen)) for child, seen in parents.items()}, split_pairs)
 
 
-def check_refinement(l1_log: EventLog, l2_log: EventLog,
-                     max_violations: int = 10, _pairing: _Pairing | None = None) -> RefinementCheck:
-    """Check that the labeling of ``l2_log`` refines that of ``l1_log``.
-
-    Both logs must come from the same base log (same traces, matching event
-    ids position-wise).  The refinement implication -- equal refined label
-    sequences imply equal coarse ones -- is checked over the observed traces
-    and all their prefixes (truncation commutes with equal-length
-    prefix-preserving relabelings, so this stays sound and catches
-    positionwise disagreements full-trace comparison would miss).
-    Strictness means some coarse label is actually split, i.e. it co-occurs
-    with two or more refined labels.  ``_pairing``, when given, is
-    ``_Pairing.of(l1_log, l2_log)``.
-    """
-    pairing = _Pairing.of(l1_log, l2_log) if _pairing is None else _pairing
-    rows = pairing.rows
-
-    violations: list[Violation] = []
+def _violations(l1_log: EventLog, l2_log: EventLog) -> Iterator[Violation]:
+    """The trace pairs that agree on refined labels up to some position but
+    differ in the coarse label there, position by position."""
+    rows = list(zip((t.case_id for t in l1_log), l1_log.interned.rows,
+                    l2_log.interned.rows))
     seen_pairs: set[tuple[Any, Any]] = set()
     # Partition traces by refined-label prefix, position by position; within
     # a class the coarse labels at the next position must agree.
     classes: list[list[int]] = [list(range(len(rows)))]
     position = 0
-    while classes and len(violations) < max_violations:
+    while classes:
         next_classes: list[list[int]] = []
         for members in classes:
             buckets: dict[int, list[int]] = {}
@@ -347,19 +350,36 @@ def check_refinement(l1_log: EventLog, l2_log: EventLog,
                         key = (rows[first][0], rows[idx][0])
                         if key not in seen_pairs:
                             seen_pairs.add(key)
-                            violations.append(
-                                Violation(rows[first][0], rows[idx][0], position))
-                        if len(violations) >= max_violations:
-                            break
+                            yield Violation(rows[first][0], rows[idx][0], position)
                 if len(bucket) > 1:
                     next_classes.append(bucket)
         classes = next_classes
         position += 1
 
+
+def check_refinement(l1_log: EventLog, l2_log: EventLog,
+                     max_violations: int = 10) -> RefinementCheck:
+    """Check that the labeling of ``l2_log`` refines that of ``l1_log``.
+
+    Both logs must come from the same base log (same traces, matching event
+    ids position-wise).  The refinement implication -- equal refined label
+    sequences imply equal coarse ones -- is checked over the observed traces
+    and all their prefixes (truncation commutes with equal-length
+    prefix-preserving relabelings, so this stays sound and catches
+    positionwise disagreements full-trace comparison would miss); at most
+    ``max_violations`` violating trace pairs are reported.  Strictness
+    means some coarse label is actually split, i.e. it co-occurs with two
+    or more refined labels.
+
+    The pipeline does not call this: ``evaluate`` rejects any refined label
+    seen under two coarse labels, which every violation here implies.
+    """
+    _, split_pairs = _observed(l1_log, l2_log)
+    violations = tuple(islice(_violations(l1_log, l2_log), max(max_violations, 0)))
     return RefinementCheck(
         is_equal_length_refinement=not violations,
-        is_strict=bool(pairing.split_pairs),
-        violations=tuple(violations),
+        is_strict=bool(split_pairs),
+        violations=violations,
     )
 
 
@@ -369,9 +389,9 @@ def extract_split_set(l1_log: EventLog, l2_log: EventLog) -> list[SplitPair]:
     Returns one SplitPair per coarse label that co-occurs with two or more
     refined labels, children sorted, parents in sorted order.
     """
-    return list(_Pairing.of(l1_log, l2_log).split_pairs)
+    return list(_observed(l1_log, l2_log)[1])
 
 
 def observed_parents(l1_log: EventLog, l2_log: EventLog) -> dict[Label, dict[Label, int]]:
     """For each refined label, how often each coarse label co-occurs with it."""
-    return _Pairing.of(l1_log, l2_log).parents
+    return _observed(l1_log, l2_log)[0]

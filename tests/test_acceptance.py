@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from labelsplit import (CsvSchema, EvaluationConfig, Event, EventLog, Label,
-                        PartitionKeySpec, Projection, Trace, bonferroni_threshold,
-                        build_tables, evaluate, extract_split_set,
+from labelsplit import (DEFAULT_RELATIONS, CsvSchema, EvaluationConfig, Event, EventLog,
+                        Label, PartitionKeySpec, Projection, RefinementCounts, Trace,
+                        bonferroni_threshold, build_tables, evaluate, extract_split_set,
                         fisher_exact_two_sided, generate_median_time_candidates,
                         parse_csv, partition, rank_candidates,
                         relative_information_gain, table_entropies)
@@ -32,8 +32,8 @@ def sample_logs():
 def sample_tables():
     sensor_log, activity_log = sample_logs()
     split = extract_split_set(sensor_log, activity_log)[0]
-    return build_tables(sensor_log, activity_log, split,
-                        split.children[0], split.children[1])
+    return build_tables(RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS),
+                        split, split.children[0], split.children[1])
 
 
 def test_criterion_1_worked_example_p_values():
@@ -146,7 +146,7 @@ def test_criterion_5_structural_invariants():
         split = next(s for s in extract_split_set(l1, l2)
                      if s.parent == Label(target))
         a1, a2 = split.children
-        tables = build_tables(l1, l2, split, a1, a2)
+        tables = build_tables(RefinementCounts.of(l1, l2, DEFAULT_RELATIONS), split, a1, a2)
 
         for t in tables:
             # column additivity: the only split label is the pair's parent
@@ -163,7 +163,8 @@ def test_criterion_5_structural_invariants():
 
         if index % 5 == 0:
             dup = relative_information_gain(build_tables(
-                _duplicate(l1, 3), _duplicate(l2, 3), split, a1, a2))
+                RefinementCounts.of(_duplicate(l1, 3), _duplicate(l2, 3), DEFAULT_RELATIONS),
+                split, a1, a2))
             assert dup.relative_information_gain == pytest.approx(
                 breakdown.relative_information_gain, abs=1e-9)
     print(f"\nACCEPTANCE 5: PASS  additivity, entropy bounds, RIG bounds, "

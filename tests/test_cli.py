@@ -100,7 +100,8 @@ def test_evaluate_non_refinement_exits_three(tmp_path, capsys):
     code, _, err = run(capsys, "evaluate", "--csv", str(csv),
                        "--base-label", "Sensor", "--refined-label", "HR")
     assert code == 3
-    assert "refinement" in err
+    assert ("refined label 70 is observed under several coarse labels (x, y)"
+            in err)
 
 
 def test_evaluate_parse_error_exits_two(tmp_path, capsys):
@@ -358,6 +359,16 @@ def test_config_file_defaults_and_flag_precedence(tmp_path, capsys):
                     "--refined-label", "Activity", "--config", str(cfg),
                     "--alpha", "0.01")
     assert json.loads(out)["corrected_alpha"] == 0.0025
+    _, out, _ = run(capsys, "evaluate", "--csv", SMART_HOME, "--base-label", "Sensor",
+                    "--refined-label", "Activity", "--config", str(cfg),
+                    "--alpha=0.01")
+    assert json.loads(out)["corrected_alpha"] == 0.0025
+    # an abbreviated flag is refused rather than losing to the config value
+    code, out, err = run(capsys, "evaluate", "--csv", SMART_HOME, "--base-label", "Sensor",
+                         "--refined-label", "Activity", "--config", str(cfg),
+                         "--alph", "0.01")
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --alph" in err
 
 
 def test_unknown_config_key(tmp_path, capsys):

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from labelsplit import (DEFAULT_RELATIONS, CorrectionPolicy, Event, EvaluationConfig,
                         EventLog, Label, NotARefinementError, OrderingRelation,
-                        TimeThreshold, Trace, check_refinement, evaluate,
+                        RefinementCounts, TimeThreshold, Trace, check_refinement, evaluate,
                         generate_median_time_candidates, rank_candidates)
+from labelsplit.relabel import observed_parents
 
 from conftest import log_from_rows
 
@@ -367,4 +368,30 @@ def test_refinement_merging_coarse_labels_is_rejected():
     assert check_refinement(base, refined).is_equal_length_refinement
     with pytest.raises(NotARefinementError,
                        match=r"refined label x is observed under several coarse labels \(a, b\)"):
+        evaluate(base, refined)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xy12")),
+                         min_size=1, max_size=6),
+                min_size=1, max_size=6))
+def test_prefix_violations_imply_merges(rows):
+    # an event gets the refined label x or y, which may sit under several
+    # coarse labels, or its coarse label suffixed 1 or 2, which never does
+    base = log_from_rows([[coarse for coarse, _ in row] for row in rows])
+    refined = log_from_rows([[tag if tag in "xy" else coarse + tag for coarse, tag in row]
+                             for row in rows])
+    merged = {child for child, coarse in observed_parents(base, refined).items()
+              if len(coarse) >= 2}
+    labels = {t.case_id: [e.label for e in t] for t in refined}
+    for v in check_refinement(base, refined, max_violations=100).violations:
+        # both traces carry one refined label at the violating position
+        assert labels[v.case_a][v.position] == labels[v.case_b][v.position]
+        assert labels[v.case_a][v.position] in merged
+    if merged:
+        with pytest.raises(NotARefinementError, match="observed under several coarse labels"):
+            evaluate(base, refined)
+        with pytest.raises(NotARefinementError, match="observed under several coarse labels"):
+            RefinementCounts.of(base, refined, DEFAULT_RELATIONS)
+    else:
         evaluate(base, refined)

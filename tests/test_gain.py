@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from labelsplit import (ContingencyTable, Label, OrderingCounts, OrderingRelation,
-                        binary_entropy, build_tables, extract_split_set,
-                        relative_information_gain, table_entropies)
+from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, Label, OrderingCounts,
+                        OrderingRelation, RefinementCounts, binary_entropy, build_tables,
+                        extract_split_set, relative_information_gain, table_entropies)
 
 from conftest import label_rows, log_from_rows
 from oracles import naive_rig
@@ -71,8 +71,8 @@ def test_table_entropies_empty_child_column():
 
 def test_rig_sample_tables_is_exactly_one(sensor_log, activity_log):
     split = extract_split_set(sensor_log, activity_log)[0]
-    tables = build_tables(sensor_log, activity_log, split,
-                          split.children[0], split.children[1])
+    counts = RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS)
+    tables = build_tables(counts, split, split.children[0], split.children[1])
     breakdown = relative_information_gain(tables)
     assert breakdown.total_before == pytest.approx(0.7919, abs=1e-4)
     assert breakdown.total_after == 0.0
@@ -95,7 +95,8 @@ def test_rig_independent_split_is_near_zero_and_matches_naive_oracle():
                 for name in row] for row in rows]
     l1, l2 = log_from_rows(rows), log_from_rows(refined)
     split = extract_split_set(l1, l2)[0]
-    tables = build_tables(l1, l2, split, split.children[0], split.children[1])
+    counts = RefinementCounts.of(l1, l2, DEFAULT_RELATIONS)
+    tables = build_tables(counts, split, split.children[0], split.children[1])
     breakdown = relative_information_gain(tables)
 
     contexts = sorted({n for row in refined for n in row} - {"a_1", "a_2"})
@@ -121,7 +122,8 @@ def test_rig_invariant_under_trace_duplication(sensor_log, activity_log):
     from labelsplit import EventLog, Event, Trace
     split = extract_split_set(sensor_log, activity_log)[0]
     base = relative_information_gain(build_tables(
-        sensor_log, activity_log, split, split.children[0], split.children[1]))
+        RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS), split,
+        split.children[0], split.children[1]))
 
     def duplicate(log, k):
         traces = []
@@ -133,7 +135,8 @@ def test_rig_invariant_under_trace_duplication(sensor_log, activity_log):
         return EventLog(traces)
 
     dup = relative_information_gain(build_tables(
-        duplicate(sensor_log, 3), duplicate(activity_log, 3), split,
+        RefinementCounts.of(duplicate(sensor_log, 3), duplicate(activity_log, 3),
+                            DEFAULT_RELATIONS), split,
         split.children[0], split.children[1]))
     assert dup.relative_information_gain == pytest.approx(
         base.relative_information_gain, rel=1e-12)

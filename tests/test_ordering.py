@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import labelsplit
-from labelsplit import (EvaluationConfig, Label, LogCounts, OrderingCounts, OrderingRelation,
-                        RefinementCounts, build_tables, cli, evaluate, extract_split_set,
-                        generate_median_time_candidates, ordering, rank_candidates,
-                        relation_counts)
+from labelsplit import (DEFAULT_RELATIONS, EvaluationConfig, Label, LogCounts, OrderingCounts,
+                        NotARefinementError, OrderingRelation, RefinementCounts, build_tables,
+                        cli, evaluate, extract_split_set, generate_median_time_candidates,
+                        ordering, rank_candidates, relation_counts)
 
 from conftest import label_rows, log_from_rows
 from oracles import naive_count
@@ -118,8 +118,8 @@ def test_relation_counts_hashes_labels_only_for_its_result(activity_log, monkeyp
 
 def test_build_tables_reproduces_the_four_sample_tables(sensor_log, activity_log):
     splits = extract_split_set(sensor_log, activity_log)
-    tables = build_tables(sensor_log, activity_log, splits[0],
-                          splits[0].children[0], splits[0].children[1])
+    counts = RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS)
+    tables = build_tables(counts, splits[0], splits[0].children[0], splits[0].children[1])
     assert len(tables) == 4  # one context label, four relations
     by_relation = {t.relation: t for t in tables}
     # children are sorted: a1 = Getting up, a2 = Tossing & turning
@@ -138,14 +138,15 @@ def test_build_tables_no_context_labels():
     l1 = log_from_rows([["a", "a"], ["a", "a"]])
     l2 = log_from_rows([["a1", "a2"], ["a2", "a1"]])
     splits = extract_split_set(l1, l2)
-    tables = build_tables(l1, l2, splits[0], Label("a1"), Label("a2"))
+    counts = RefinementCounts.of(l1, l2, DEFAULT_RELATIONS)
+    tables = build_tables(counts, splits[0], Label("a1"), Label("a2"))
     assert tables == []
 
 
 def test_build_tables_explicit_context_excludes_siblings(sensor_log, activity_log):
     splits = extract_split_set(sensor_log, activity_log)
-    tables = build_tables(sensor_log, activity_log, splits[0], GU, TT,
-                          context_labels=[LRM, GU, TT])
+    counts = RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS)
+    tables = build_tables(counts, splits[0], GU, TT, context_labels=[LRM, GU, TT])
     assert {t.context_label for t in tables} == {LRM}
 
 
@@ -169,7 +170,7 @@ def test_column_additivity_against_naive_scanner():
         if split is None:
             continue
         a1, a2 = split.children[0], split.children[1]
-        tables = build_tables(l1, l2, split, a1, a2)
+        tables = build_tables(RefinementCounts.of(l1, l2, DEFAULT_RELATIONS), split, a1, a2)
         rows1, rows2 = label_rows(l1), label_rows(l2)
         for t in tables:
             # independent recount of all three columns
@@ -242,6 +243,16 @@ def test_refined_counts_hold_only_split_children():
     with pytest.raises(KeyError):
         counts.refined.column(DP, Label("b"), Label("a2"))
     assert counts.base.column(DP, Label("b"), Label("a")) == OrderingCounts(2, 0)
+
+
+def test_refinement_counts_refuse_a_merge():
+    # refined x sits under coarse a and b: no coarse label of x to read the
+    # parent column against
+    l1 = log_from_rows([["a", "b", "c"], ["c", "a"]])
+    l2 = log_from_rows([["x", "x", "c"], ["c", "y"]])
+    with pytest.raises(NotARefinementError,
+                       match=r"refined label x is observed under several coarse labels \(a, b\)"):
+        RefinementCounts.of(l1, l2, (DP,))
 
 
 def test_pipeline_builds_no_dense_counts(monkeypatch, sensor_log, activity_log, tmp_path):

@@ -152,6 +152,15 @@ def test_check_refinement_positionwise_merge_is_violation():
     assert not check.is_equal_length_refinement
 
 
+def test_check_refinement_stops_at_max_violations():
+    # t0/t1 and t2/t3 each violate at position 0, in separate buckets
+    l1 = log_from_rows([["a"], ["b"], ["c"], ["d"]])
+    l2 = log_from_rows([["x"], ["x"], ["y"], ["y"]])
+    assert len(check_refinement(l1, l2, max_violations=1).violations) == 1
+    assert len(check_refinement(l1, l2, max_violations=2).violations) == 2
+    assert len(check_refinement(l1, l2).violations) == 2
+
+
 def test_check_refinement_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         check_refinement(log_from_rows([["a"]]), log_from_rows([["a"], ["b"]]))
