@@ -414,7 +414,7 @@ def build_tables(
     coarse = counts.coarse
     siblings = set(pair.children)
     if context_labels is None:
-        contexts = [b for b in sorted(coarse) if b not in siblings]
+        contexts = [b for b in sorted(coarse, key=Label.sort_key) if b not in siblings]
     else:
         base_codes = counts.base.interned.codes
         contexts, removed = [], []

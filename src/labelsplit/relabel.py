@@ -375,9 +375,10 @@ def check_refinement(l1_log: EventLog, l2_log: EventLog,
     seen under two coarse labels, which every violation here implies.
     """
     _, split_pairs = _observed(l1_log, l2_log)
-    violations = tuple(islice(_violations(l1_log, l2_log), max(max_violations, 0)))
+    found = _violations(l1_log, l2_log)
+    violations = tuple(islice(found, max(max_violations, 0)))
     return RefinementCheck(
-        is_equal_length_refinement=not violations,
+        is_equal_length_refinement=not violations and next(found, None) is None,
         is_strict=bool(split_pairs),
         violations=violations,
     )

@@ -3,14 +3,13 @@
 The two-sided p-value follows the sum-of-small-p definition: over all
 tables with the observed margins, sum the hypergeometric point
 probabilities that do not exceed the observed one (with a small relative
-slack for float equality).  Probabilities are accumulated in log space so
-large counts cannot overflow.
+slack for float equality), each taken relative to the observed one by the
+hypergeometric term ratio, so large counts cannot overflow.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .model import Label
@@ -19,23 +18,9 @@ from .ordering import ContingencyTable, OrderingRelation
 # Relative slack when comparing point probabilities for the two-sided sum.
 _TIE_SLACK = 1e-7
 
-# Log-factorial table, grown on demand; reads are lock-free once the index
-# exists, growth is synchronized.
-_log_fact: list[float] = [0.0]
-_log_fact_lock = threading.Lock()
-
-
-def _log_factorial(n: int) -> float:
-    if n < len(_log_fact):
-        return _log_fact[n]
-    with _log_fact_lock:
-        while len(_log_fact) <= n:
-            _log_fact.append(_log_fact[-1] + math.log(len(_log_fact)))
-    return _log_fact[n]
-
-
-def _log_comb(n: int, k: int) -> float:
-    return _log_factorial(n) - _log_factorial(k) - _log_factorial(n - k)
+# Terms are P(x) / P(observed) in units of 2**-64, so the tables between the
+# two tails, up to 2**1074 times likelier than a subnormal observed one, stay finite.
+_UNIT = 2.0 ** -64
 
 
 def fisher_exact_two_sided(a1_pos: int, a1_neg: int, a2_pos: int, a2_neg: int) -> float:
@@ -56,24 +41,35 @@ def fisher_exact_two_sided(a1_pos: int, a1_neg: int, a2_pos: int, a2_neg: int) -
     total = n1 + n2
     if total == 0:
         return 1.0
-
-    log_denominator = _log_comb(total, r)
-
-    def log_prob(x: int) -> float:
-        return _log_comb(n1, x) + _log_comb(n2, r - x) - log_denominator
-
-    cutoff = log_prob(a1_pos) + math.log1p(_TIE_SLACK)
-    support = range(max(0, r - n2), min(r, n1) + 1)
-    included = []
-    for x in support:
-        lp = log_prob(x)
-        if lp <= cutoff:
-            included.append(lp)
-    if len(included) == len(support):
+    lg = math.lgamma
+    p_observed = math.exp(lg(n1 + 1) + lg(n2 + 1) + lg(r + 1) + lg(total - r + 1)
+                          - lg(total + 1) - lg(a1_pos + 1) - lg(a1_neg + 1)
+                          - lg(a2_pos + 1) - lg(a2_neg + 1))
+    if p_observed == 0.0:
+        return 0.0  # underflow: no included table is likelier than this one
+    cutoff = (1.0 + _TIE_SLACK) * _UNIT
+    negligible = _UNIT * 2.0 ** -60
+    terms = [_UNIT]
+    excluded = False
+    # Walk up in a1_pos, then up in a2_pos (down in a1_pos, columns swapped).
+    # The term ratio falls as x grows (the pmf is log-concave), so after a
+    # kept term t with ratio < 1 the rest of the walk sums to at most
+    # t * ratio / (1 - ratio); while ratio >= 1 the stop test cannot pass.
+    for x, m, n in ((a1_pos, n1, n2), (a2_pos, n2, n1)):
+        t, end = _UNIT, min(r, m)
+        while x < end:
+            ratio = (m - x) * (r - x) / ((x + 1) * (n - r + x + 1))
+            x += 1
+            t *= ratio
+            if t > cutoff:
+                excluded = True
+            else:
+                terms.append(t)
+                if t * ratio <= (1.0 - ratio) * negligible:
+                    break
+    if not excluded:
         return 1.0  # every table included: the sum is 1 by definition
-    # sum smallest terms first to limit rounding error
-    included.sort()
-    p = sum(math.exp(lp) for lp in included)
+    p = p_observed * (math.fsum(terms) / _UNIT)
     return min(1.0, max(0.0, p))
 
 

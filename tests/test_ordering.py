@@ -150,6 +150,21 @@ def test_build_tables_explicit_context_excludes_siblings(sensor_log, activity_lo
     assert {t.context_label for t in tables} == {LRM}
 
 
+def test_build_tables_orders_contexts_without_label_comparisons(monkeypatch):
+    l1 = log_from_rows([["a", "d", "b", "c"], ["c", "a", "b", "a"]])
+    l2 = log_from_rows([["a1", "d", "b", "c"], ["c", "a2", "b", "a1"]])
+    splits = extract_split_set(l1, l2)
+    counts = RefinementCounts.of(l1, l2, DEFAULT_RELATIONS)
+
+    def refuse(self, other):
+        raise AssertionError("Label.__lt__ called")
+
+    monkeypatch.setattr(Label, "__lt__", refuse)
+    tables = build_tables(counts, splits[0], Label("a1"), Label("a2"))
+    contexts = [t.context_label for t in tables if t.relation == tables[0].relation]
+    assert contexts == [Label("b"), Label("c"), Label("d")]
+
+
 def random_refined_logs(rng: random.Random):
     """A random log over 3-5 labels plus a random binary split of one label."""
     alphabet = [f"L{i}" for i in range(rng.randint(3, 5))]

@@ -142,6 +142,9 @@ def test_check_refinement_merge_is_violation():
     v = check.violations[0]
     assert {v.case_a, v.case_b} == {"t0", "t1"}
     assert v.position == 0
+    capped = check_refinement(l1, l2, max_violations=0)
+    assert not capped.is_equal_length_refinement
+    assert capped.violations == ()
 
 
 def test_check_refinement_positionwise_merge_is_violation():

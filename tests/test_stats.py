@@ -21,7 +21,7 @@ def test_all_negative_columns_give_one():
 
 
 def test_equal_columns_give_one():
-    for k, n in [(1, 3), (2, 4), (5, 9), (0, 7)]:
+    for k, n in [(1, 3), (2, 4), (5, 9), (0, 7), (1000, 2000), (37, 5000), (4999, 5000)]:
         assert fisher_exact_two_sided(k, n - k, k, n - k) == 1.0
 
 
@@ -56,6 +56,29 @@ def test_matches_bruteforce_on_random_tables():
         cells = [rng.randrange(0, 11) for _ in range(4)]
         expected = fisher_two_sided_bruteforce(*cells)
         assert fisher_exact_two_sided(*cells) == pytest.approx(expected, abs=1e-10)
+
+
+def test_matches_bruteforce_at_larger_counts():
+    # ties at the cutoff: the mirror table of (a, b, b, a) is equally likely;
+    # far tails: the walk toward the near end stops long before it
+    tables = [(480, 520, 520, 480), (430, 570, 570, 430), (300, 700, 400, 600),
+              (1200, 800, 800, 1200), (5, 1400, 60, 900)]
+    rng = random.Random(29)
+    for _ in range(12):
+        n1, n2 = rng.randrange(100, 1500), rng.randrange(100, 1500)
+        a1_pos = rng.randrange(0, n1 + 1)
+        a2_pos = min(n2, max(0, round(a1_pos * n2 / n1) + rng.randrange(-40, 41)))
+        tables.append((a1_pos, n1 - a1_pos, a2_pos, n2 - a2_pos))
+    for cells in tables:
+        expected = fisher_two_sided_bruteforce(*cells)
+        assert fisher_exact_two_sided(*cells) == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+def test_subnormal_p_keeps_the_far_tail():
+    # the tables between the two tails are up to 1e314 times likelier than
+    # the observed one; the equally likely mirror table must still count
+    p = fisher_exact_two_sided(0, 525, 525, 0)
+    assert p == pytest.approx(2 / math.comb(1050, 525), rel=1e-6, abs=0)
 
 
 @given(st.tuples(*[st.integers(0, 25)] * 4))
