@@ -19,14 +19,13 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
-from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 from .evaluate import (EvaluationConfig, EvaluationReport, evaluate,
                        generate_median_time_candidates, rank_candidates)
 from .ingest import (CsvFormatError, CsvSchema, PartitionKeySpec, XesFormatError,
-                     csv_header, parse_csv, parse_xes_minimal, partition,
-                     write_csv, write_xes_minimal)
-from .model import EventLog, Label, MissingAttributeError, Trace
+                     csv_header, parse_xes_minimal, read_csv, write_csv,
+                     write_xes_minimal)
+from .model import EventLog, Label, MissingAttributeError, time_zone
 from .ordering import DEFAULT_RELATIONS, LogCounts, OrderingRelation
 from .relabel import (Projection, RefinementError, RuleBased, RuleError,
                       TimeThreshold, parse_time_of_day)
@@ -181,8 +180,8 @@ def build_parser() -> _Parser:
 def _time_zone(name: str) -> str:
     """``name``, checked to name a time zone."""
     try:
-        ZoneInfo(name)
-    except (ZoneInfoNotFoundError, ValueError):
+        time_zone(name)
+    except (KeyError, ValueError):  # ZoneInfoNotFoundError is a KeyError
         raise UsageError(f"unknown time zone {name!r}") from None
     return name
 
@@ -223,8 +222,9 @@ def _resolve_schema(text: str, args) -> CsvSchema:
 
 
 def _load_base_log(args) -> EventLog:
-    """Read the input into an event log carrying the base labeling: CSV
-    events are labelled as they are parsed, XES logs are projected."""
+    """Read the input into an event log carrying the base labeling: a CSV
+    file is read into columns labelled as they are read, with no Event
+    built; XES logs are projected."""
     if bool(args.csv) == bool(args.xes):
         raise UsageError("exactly one of --csv or --xes is required")
     base_label = tuple(_split_list(args.base_label)) if args.base_label else None
@@ -234,17 +234,15 @@ def _load_base_log(args) -> EventLog:
         except OSError as exc:
             raise CsvFormatError(f"cannot read {args.csv}: {exc}") from exc
         schema = _resolve_schema(text, args)
-        events = parse_csv(text, schema, base_label)
+        columns = read_csv(text, schema, base_label)
         if args.case_key or args.calendar_key != "none":
-            spec = PartitionKeySpec(
+            return columns.log(PartitionKeySpec(
                 attribute_keys=tuple(_split_list(args.case_key or "")),
                 calendar_key=args.calendar_key,
                 timezone=args.timezone,
-            )
-            return partition(events, spec)
-        if "case" in schema.attribute_columns:
-            return partition(events, PartitionKeySpec(("case",)))
-        return EventLog([Trace("all", events)]) if events else EventLog()
+            ))
+        return columns.log(PartitionKeySpec(("case",))
+                           if "case" in schema.attribute_columns else None)
     try:
         data = Path(args.xes).read_bytes()
     except OSError as exc:

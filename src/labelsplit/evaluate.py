@@ -14,10 +14,9 @@ import itertools
 import logging
 from dataclasses import dataclass, field
 from typing import Container, Iterable
-from zoneinfo import ZoneInfo
 
 from .gain import EntropyBreakdown, relative_information_gain
-from .model import EventLog, Label
+from .model import EventLog, Label, local, time_zone
 from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OccurrenceBits,
                        OrderingRelation, RefinementCounts, build_tables)
 from .relabel import RelabelingFn, SplitPair, TimeThreshold, _Pairing
@@ -229,16 +228,18 @@ def generate_median_time_candidates(
     into a child.  Labels with fewer than two occurrences or a single
     distinct time of day are skipped and listed in ``skipped``.
     """
-    tz = ZoneInfo(timezone)
-    times_by_label: dict[Label, list] = {}
-    for trace in log:
-        for event in trace:
-            times_by_label.setdefault(event.label, []).append(
-                event.timestamp.astimezone(tz).time())
+    tz = time_zone(timezone)
+    interned = log.interned
+    times_by_code: list[list] = [[] for _ in interned.labels]
+    for row, times in zip(interned.rows, log.columns.times):
+        for code, instant in zip(row, local(times, tz)):
+            times_by_code[code].append(instant.time())
 
     candidates: list[RelabelingFn] = []
-    for label in sorted(times_by_label):
-        times = sorted(times_by_label[label])
+    labels = interned.labels
+    for code in sorted(range(len(labels)), key=lambda code: labels[code].sort_key()):
+        label = labels[code]
+        times = sorted(times_by_code[code])
         if len(times) < 2:
             _note_skip(skipped, f"{label}: fewer than 2 occurrences")
             continue
@@ -250,7 +251,7 @@ def generate_median_time_candidates(
         if below < 2 or len(times) - below < 2:
             logger.warning("median split of %s leaves a child with <2 occurrences; "
                            "the tests will have little power", label)
-        low, high = _fresh_children(label, times_by_label)
+        low, high = _fresh_children(label, interned.codes)
         candidates.append(TimeThreshold(
             base_label=label,
             threshold=threshold,
@@ -261,14 +262,14 @@ def generate_median_time_candidates(
     return candidates
 
 
-def _fresh_children(label: Label, alphabet: Container[Label]) -> tuple[Label, Label]:
+def _fresh_children(label: Label, codes: Container[tuple]) -> tuple[Label, Label]:
     """Child names "<label>_1"/"<label>_2", with the separator repeated until
-    neither is in the alphabet."""
+    neither names a label of a log interned as ``codes``."""
     separator = "_"
     while True:
         low = Label(f"{label}{separator}1")
         high = Label(f"{label}{separator}2")
-        if low not in alphabet and high not in alphabet:
+        if low.parts not in codes and high.parts not in codes:
             return low, high
         separator += "_"
 

@@ -1,8 +1,14 @@
 """Event ingestion: CSV parsing, a minimal XES subset, and trace partitioning.
 
-CSV input is UTF-8 with a header row and RFC-4180 quoting.  XES support is
-deliberately minimal: log/trace/event elements, the event name and timestamp,
-and string attributes; everything else is skipped and counted as a warning.
+CSV input is UTF-8 with a header row and RFC-4180 quoting.  ``read_csv``
+reads it into columns (ids, UTC timestamps and each attribute column's
+values, row by row) and makes every check; ``CsvColumns.log`` groups and
+orders the rows into a columnar EventLog without building an Event, and
+``CsvColumns.events`` builds one Event per row, which is what ``parse_csv``
+returns.  ``partition`` groups Event objects by the same rules.  XES support
+is deliberately minimal: log/trace/event elements, the event name and
+timestamp, and string attributes; everything else is skipped and counted as
+a warning.
 """
 
 from __future__ import annotations
@@ -11,13 +17,15 @@ import csv
 import functools
 import io
 import logging
-import xml.etree.ElementTree as ET
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timezone, tzinfo
-from typing import Any, Iterable
-from zoneinfo import ZoneInfo
+from itertools import groupby, islice, repeat
+from operator import attrgetter, eq, itemgetter, methodcaller
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .model import Event, EventLog, Label, MissingAttributeError, Trace, _value_key
+from .model import (MISSING, Event, EventLog, Label, MissingAttributeError, Trace, _id_key,
+                    _value_key, attribute_columns, local, time_zone)
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +59,11 @@ def parse_timestamp(text: str, fmt: str | None, tz: tzinfo) -> datetime:
             parsed = datetime.strptime(text, fmt)
     except ValueError as exc:
         raise ValueError(f"unparseable timestamp {text!r}") from exc
+    return _to_utc(parsed, tz)
+
+
+def _to_utc(parsed: datetime, tz: tzinfo) -> datetime:
+    """A parsed timestamp in ``timezone.utc``, naive ones taken in ``tz``."""
     if parsed.tzinfo is None:
         if _is_utc(tz):
             # combine is several times cheaper than replace(tzinfo=...)
@@ -65,11 +78,22 @@ def _is_utc(tz: tzinfo) -> bool:
     return tz is timezone.utc or getattr(tz, "key", None) == "UTC"
 
 
-def _time_zone(name: str) -> tzinfo:
-    """The time zone called ``name``: ``timezone.utc`` for "UTC", which
-    needs no conversion of UTC instants, else a ZoneInfo (which raises for
-    unknown names)."""
-    return timezone.utc if name == "UTC" else ZoneInfo(name)
+def _utc_times(texts: Sequence[str], fmt: str | None, tz: tzinfo) -> list[datetime]:
+    """``parse_timestamp`` of every text, each step mapped over all texts
+    at once; a ValueError when any text does not parse."""
+    stripped = map(str.strip, texts)
+    if fmt is None or fmt == "iso8601":
+        parsed = list(map(datetime.fromisoformat,
+                          map(methodcaller("replace", "Z", "+00:00"), stripped)))
+    else:
+        parsed = list(map(datetime.strptime, stripped, repeat(fmt)))
+    zones = set(map(attrgetter("tzinfo"), parsed))
+    if zones == {None} and _is_utc(tz):
+        return list(map(datetime.combine, map(datetime.date, parsed), map(datetime.time, parsed),
+                        repeat(timezone.utc)))
+    if zones == {timezone.utc}:
+        return parsed
+    return [_to_utc(p, tz) for p in parsed]
 
 
 @dataclass(frozen=True)
@@ -120,7 +144,7 @@ class PartitionKeySpec:
 
     @functools.cached_property
     def _tz(self) -> tzinfo:
-        return _time_zone(self.timezone)
+        return time_zone(self.timezone)
 
     def key_of(self, event: Event) -> tuple:
         parts = [event.attribute(name) for name in self.attribute_keys]
@@ -153,21 +177,56 @@ def csv_header(data: bytes | str, delimiter: str) -> list[str]:
     return _column_names(next(csv.reader(io.StringIO(_decode(data)), delimiter=delimiter), []))
 
 
-def parse_csv(data: bytes | str, schema: CsvSchema,
-              label_columns: Iterable[str] | None = None) -> list[Event]:
-    """Parse CSV text into one Event per data row, labelled as it is built.
+class CsvColumns(NamedTuple):
+    """A CSV file's data rows, column by column, in row order.
+
+    ``ids[r]`` and ``times[r]`` are row r's event id and UTC timestamp and
+    ``values[name][r]`` its cell of attribute column ``name``; ``names``
+    are the schema's attribute columns and ``label_names`` the columns
+    each event is labelled by.
+    """
+
+    ids: list
+    times: list[datetime]
+    values: dict[str, Sequence[str]]
+    names: tuple[str, ...]
+    label_names: tuple[str, ...]
+
+    def log(self, key: PartitionKeySpec | None) -> EventLog:
+        """The rows grouped into traces by ``key`` (as ``partition`` groups
+        events), or into one trace "all" when None, with no Event built."""
+        if key is not None:
+            traces = _traces(key, self.ids, self.times, self.values)
+        elif self.ids:
+            traces = [("all", _time_ordered(list(range(len(self.ids))), self.ids, self.times))]
+        else:
+            traces = []
+        return EventLog.of_rows(traces, self.ids, self.times, self.names, self.values,
+                                self.label_names)
+
+    def events(self) -> list[Event]:
+        """One Event per row, in row order."""
+        if not self.ids:
+            return []
+        log = EventLog.of_rows([(None, range(len(self.ids)))], self.ids, self.times,
+                               self.names, self.values, self.label_names)
+        return list(log.traces[0].events)
+
+
+def read_csv(data: bytes | str, schema: CsvSchema,
+             label_columns: Iterable[str] | None = None) -> CsvColumns:
+    """Read CSV text into columns, checking every row.
 
     Each event's label is its values of ``label_columns``, in that order,
-    or of every attribute column (the default label) when None; each
-    distinct value tuple gets one Label object, shared by its events.
-    Header names are stripped of surrounding whitespace, as ``csv_header``
-    does, before the schema's columns are looked up.  Synthesized ids are
-    the 1-based data-row index.  Raises CsvFormatError on ragged rows,
+    or of every attribute column (the default label) when None.  Header
+    names are stripped of surrounding whitespace, as ``csv_header`` does,
+    before the schema's columns are looked up.  Synthesized ids are the
+    1-based data-row index.  Raises CsvFormatError on ragged rows,
     unparseable timestamps, or duplicate explicit ids, naming the line.  A
     label column that is not an attribute column raises
-    MissingAttributeError for the first event, once every row has parsed.
-    A header that names a column twice raises CsvFormatError: neither cell
-    could be told from the other.
+    MissingAttributeError for the first row's event, once every row has
+    parsed.  A header that names a column twice raises CsvFormatError:
+    neither cell could be told from the other.
     """
     text = _decode(data)
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
@@ -191,43 +250,167 @@ def parse_csv(data: bytes | str, schema: CsvSchema,
 
     width = len(header)
     id_at = None if schema.id_column == SYNTHESIZE else columns[schema.id_column]
-    timestamp_at = columns[schema.timestamp_column]
-    attributes_at = [(name, columns[name]) for name in schema.attribute_columns]
-    label_columns = schema.attribute_columns if label_columns is None else tuple(label_columns)
-    missing = [name for name in label_columns if name not in schema.attribute_columns]
-    label_at = [columns[name] for name in label_columns if name in schema.attribute_columns]
-    labels: dict[tuple, Label] = {}
-    fmt = schema.timestamp_format
-    tz = _time_zone(schema.timezone)
-    events: list[Event] = []
-    seen_ids: set = set()
-    for row_index, row in enumerate(reader, start=1):
-        if not row:
+    label_names = schema.attribute_columns if label_columns is None else tuple(label_columns)
+    # each row's timestamp, explicit id and attribute cells as one tuple
+    at = list(dict.fromkeys([columns[schema.timestamp_column],
+                             *([] if id_at is None else [id_at]),
+                             *(columns[name] for name in schema.attribute_columns)]))
+    take = itemgetter(*at) if len(at) > 1 else itemgetter(at[0], at[0])
+    kept = {at.index(columns[name]): [] for name in schema.attribute_columns}
+    # one string object per distinct value of each attribute column
+    memos: dict[int, dict[str, str]] = {k: {} for k in kept}
+    ids: list = []
+    times: list[datetime] = []
+    seen: set = set()
+    blanks: list[int] = []
+    for rows in _row_chunks(reader, width, take, blanks):
+        chunk = list(zip(*rows))
+        if not chunk:
             continue
+        chunk_ids, chunk_times = _check(text, schema, chunk[0], len(ids), blanks,
+                                        None if id_at is None else (chunk[at.index(id_at)], seen))
+        ids.extend(chunk_ids)
+        times.extend(chunk_times)
+        for k, column in kept.items():
+            column.extend(map(memos[k].setdefault, chunk[k], chunk[k]))
+    missing = [name for name in label_names if name not in schema.attribute_columns]
+    if missing and ids:
+        raise MissingAttributeError(missing[0], ids[0])
+    return CsvColumns(ids, times, {name: kept[at.index(columns[name])]
+                                   for name in schema.attribute_columns},
+                      schema.attribute_columns, label_names)
+
+
+_CHUNK = 4096
+
+
+def _row_chunks(reader, width: int, take: Callable[[list[str]], tuple[str, ...]],
+                blanks: list[int]) -> Iterator[list[tuple[str, ...]]]:
+    """The data rows, each as the tuple of cells ``take`` picks, up to
+    ``_CHUNK`` rows at a time.
+
+    A blank line is skipped; ``blanks`` records how many rows came before
+    it.  A row of the wrong width raises CsvFormatError once the rows before
+    it have been yielded, so that their errors come first.  Tuples of
+    strings, unlike the row lists, leave the garbage collector's care at
+    its next pass.
+    """
+    rows: list[tuple[str, ...]] = []
+    done = 0
+    for row in reader:
         if len(row) != width:
-            raise CsvFormatError(
-                f"line {reader.line_num}: expected {width} fields, got {len(row)}"
-            )
-        if id_at is None:
-            event_id: Any = row_index
-        else:
-            event_id = row[id_at]
-            if event_id in seen_ids:
-                raise CsvFormatError(f"line {reader.line_num}: duplicate event id {event_id!r}")
-            seen_ids.add(event_id)
+            if not row:
+                blanks.append(done + len(rows))
+                continue
+            ragged = CsvFormatError(
+                f"line {reader.line_num}: expected {width} fields, got {len(row)}")
+            yield rows
+            raise ragged
+        rows.append(take(row))
+        if len(rows) == _CHUNK:
+            yield rows
+            done += len(rows)
+            rows = []
+    yield rows
+
+
+def _check(text: str, schema: CsvSchema, stamps: Sequence[str], start: int,
+           blanks: list[int], explicit: tuple[Sequence[str], set] | None
+           ) -> tuple[Sequence, list[datetime]]:
+    """The ids and UTC times of a chunk of rows, ``start`` rows after the
+    first, from their timestamp cells.
+
+    ``explicit`` holds the rows' id cells and the set of earlier rows' ids,
+    which takes theirs; with None, ids are synthesized from the row
+    numbers, ``blanks`` included.  Raises CsvFormatError for the first row
+    whose id repeats an earlier one or whose timestamp does not parse,
+    naming its line.
+    """
+    seen = None
+    if explicit is not None:
+        ids, seen = explicit
+    elif blanks:
+        ids = [start + k + 1 + bisect_right(blanks, start + k) for k in range(len(stamps))]
+    else:
+        ids = range(start + 1, start + len(stamps) + 1)
+    tz = time_zone(schema.timezone)
+    try:
+        if seen is None:
+            return ids, _utc_times(stamps, schema.timestamp_format, tz)
+        if len(set(ids)) == len(ids) and seen.isdisjoint(ids):
+            times = _utc_times(stamps, schema.timestamp_format, tz)
+            seen.update(ids)
+            return ids, times
+    except ValueError:
+        pass
+    # a row-by-row pass finds the first failing row; ids are checked first
+    for k, (event_id, stamp) in enumerate(zip(ids, stamps)):
+        if seen is not None:
+            if event_id in seen:
+                message = f"duplicate event id {event_id!r}"
+                break
+            seen.add(event_id)
         try:
-            ts = parse_timestamp(row[timestamp_at], fmt, tz)
+            parse_timestamp(stamp, schema.timestamp_format, tz)
         except ValueError as exc:
-            raise CsvFormatError(f"line {reader.line_num}: {exc}") from exc
-        values = tuple([row[i] for i in label_at])
-        label = labels.get(values)
-        if label is None:
-            label = labels[values] = Label(values)
-        events.append(Event(event_id, ts, tuple([(name, row[i]) for name, i in attributes_at]),
-                            label))
-    if missing and events:
-        raise MissingAttributeError(missing[0], events[0].id)
-    return events
+            message = str(exc)
+            break
+    # the line on which that row ends, read again up to it
+    row = start + k
+    reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
+    for _ in islice(reader, row + bisect_right(blanks, row) + 2):
+        pass
+    raise CsvFormatError(f"line {reader.line_num}: {message}")
+
+
+def parse_csv(data: bytes | str, schema: CsvSchema,
+              label_columns: Iterable[str] | None = None) -> list[Event]:
+    """Parse CSV text into one Event per data row, labelled as it is built.
+
+    ``read_csv`` reads and checks the rows (see there for the errors); each
+    distinct label value tuple gets one Label object, shared by its events.
+    """
+    return read_csv(data, schema, label_columns).events()
+
+
+def _time_ordered(rows: list[int], ids: Sequence, times: Sequence[datetime]) -> list[int]:
+    """``rows`` sorted by (time, id key), the order of ``Event.sort_key``."""
+    rows.sort(key=times.__getitem__)
+    at = list(map(times.__getitem__, rows))
+    if any(map(eq, at[1:], at)):  # equal times: order those by id too
+        rows.sort(key=lambda r: (times[r], _id_key(ids[r])))
+    return rows
+
+
+def _traces(key: PartitionKeySpec, ids: Sequence, times: Sequence[datetime],
+            values: Mapping[str, Sequence], partial: Iterable[str] = ()) -> list[tuple[Any, list[int]]]:
+    """(case id, rows in trace order) of each trace: the rows grouped by
+    their key, traces in key order, each trace's rows in time order.
+
+    A row's key is its values of the key attributes (``values``, where
+    ``MISSING`` marks an absent value in a column named by ``partial``)
+    and, with a calendar key, the local date of its time.  Raises
+    MissingAttributeError naming the first row lacking a key attribute.
+    """
+    names = key.attribute_keys
+    if not set(names) <= values.keys() or not set(partial).isdisjoint(names):
+        for r, event_id in enumerate(ids):
+            for name in names:
+                column = values.get(name)
+                if column is None or column[r] is MISSING:
+                    raise MissingAttributeError(name, event_id)
+    parts = [values[name] for name in names] if ids else []
+    if key.calendar_key == "day":
+        parts.append(list(map(datetime.date, local(times, key._tz))))
+    keys = list(zip(*parts))
+    # number the distinct keys in key order, then sort the rows by that
+    # number: the stable sort keeps each trace's rows in row order
+    distinct = sorted(dict.fromkeys(keys), key=lambda k: tuple(_value_key(v) for v in k))
+    number = {value: n for n, value in enumerate(distinct)}
+    trace_of = list(map(number.__getitem__, keys))
+    rows = sorted(range(len(keys)), key=trace_of.__getitem__)
+    return [(value[0] if len(value) == 1 else value, _time_ordered(list(group), ids, times))
+            for value, (_, group) in zip(distinct, groupby(rows, trace_of.__getitem__))]
 
 
 def partition(events: Iterable[Event], key: PartitionKeySpec) -> EventLog:
@@ -236,14 +419,10 @@ def partition(events: Iterable[Event], key: PartitionKeySpec) -> EventLog:
     Traces are the maximal same-key groups, internally time-ordered; the
     case id is the key value (unwrapped when the key has one component).
     """
-    groups: dict[tuple, list[Event]] = {}
-    for event in events:
-        groups.setdefault(key.key_of(event), []).append(event)
-    traces = []
-    for key_value in sorted(groups, key=lambda k: tuple(_value_key(v) for v in k)):
-        case_id = key_value[0] if len(key_value) == 1 else key_value
-        traces.append(Trace(case_id, groups[key_value]))
-    return EventLog(traces)
+    events = list(events)
+    values, partial = attribute_columns(events)
+    traces = _traces(key, [e.id for e in events], [e.timestamp for e in events], values, partial)
+    return EventLog(Trace(case_id, [events[r] for r in rows]) for case_id, rows in traces)
 
 
 def parse_xes_minimal(data: bytes | str, warnings: list[str] | None = None) -> EventLog:
@@ -253,6 +432,10 @@ def parse_xes_minimal(data: bytes | str, warnings: list[str] | None = None) -> E
     attribute.  String attributes are kept; other attribute kinds are
     skipped and reported via ``warnings`` (and the module logger).
     """
+    # imported here: only XES input and output need it, and every process
+    # that imports this module pays for it
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -339,6 +522,8 @@ def write_csv(log: EventLog) -> str:
 
 def write_xes_minimal(log: EventLog) -> str:
     """Serialize a log to the minimal XES subset read by parse_xes_minimal."""
+    import xml.etree.ElementTree as ET
+
     root = ET.Element("log")
     for trace in log:
         trace_el = ET.SubElement(root, "trace")

@@ -4,14 +4,22 @@ An event is a timestamped record of named attribute values; traces group
 events that share a case key, ordered by time; an event log is a multiset
 of traces.  Every event carries a label (a tuple of attribute values,
 defaulting to all of them) and the log's alphabet is the set of labels
-occurring in it, recomputed from the traces on every access.
+occurring in it.
 
-All three types are immutable.  ``Event(...)`` and ``Trace(...)`` normalise
+An ``EventLog`` is held as columns.  Per log, its labels are interned rows
+(``InternedLog``): one small int per event, trace by trace.  Per trace,
+``LogColumns`` hold the event ids, the UTC timestamps and each attribute's
+values; every labeling of one base log shares them, so relabeling a log
+(``EventLog.relabeled``) builds one new code row per trace and nothing
+else.  ``Trace`` and ``Event`` objects are built from the columns on the
+first access to ``EventLog.traces`` (iterating the log does that) and
+cached.  A log built from Trace objects keeps them and derives its columns
+once, on first use.
+
+All these types are immutable.  ``Event(...)`` and ``Trace(...)`` normalise
 and check whatever they are given, so each event is validated once, when it
-is built; relabeling (``Trace.with_labels``) swaps labels on events that are
-already valid, without re-sorting or re-checking them.  The one thing cached
-is a log's interning (``EventLog.interned``): its labels as small ints,
-computed on first use and shared by every count taken over the log.
+is built; events built from columns, and relabeled ones
+(``Trace.with_labels``), skip that because their fields are already valid.
 """
 
 from __future__ import annotations
@@ -19,8 +27,10 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
-from datetime import date, datetime, time, timezone
+from dataclasses import dataclass
+from datetime import date, datetime, time, timezone, tzinfo
+from itertools import repeat
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 
@@ -180,12 +190,7 @@ class Event:
     def with_label(self, label: Label) -> "Event":
         """This event carrying ``label``.  Every other field is already
         normalised, so the copy skips ``__init__``."""
-        event = object.__new__(Event)
-        _set_id(event, self.id)
-        _set_timestamp(event, self.timestamp)
-        _set_attributes(event, self.attributes)
-        _set_label(event, label)
-        return event
+        return _event(self.id, self.timestamp, self.attributes, label)
 
     def sort_key(self) -> tuple:
         return (self.timestamp, _id_key(self.id))
@@ -195,6 +200,17 @@ _set_id = Event.id.__set__
 _set_timestamp = Event.timestamp.__set__
 _set_attributes = Event.attributes.__set__
 _set_label = Event.label.__set__
+
+
+def _event(id: Any, timestamp: datetime, attributes: tuple, label: Label) -> Event:
+    """An Event of fields that are already normalised, built without
+    ``__init__``."""
+    event = object.__new__(Event)
+    _set_id(event, id)
+    _set_timestamp(event, timestamp)
+    _set_attributes(event, attributes)
+    _set_label(event, label)
+    return event
 
 
 def label_of(event: Event, projection: list[str] | tuple[str, ...]) -> Label:
@@ -247,10 +263,15 @@ class Trace:
         if len(labels) != len(self.events):
             raise ValueError(f"trace {self.case_id!r}: {len(labels)} labels "
                              f"for {len(self.events)} events")
-        trace = object.__new__(Trace)
-        object.__setattr__(trace, "case_id", self.case_id)
-        object.__setattr__(trace, "events", tuple(map(Event.with_label, self.events, labels)))
-        return trace
+        return _trace(self.case_id, tuple(map(Event.with_label, self.events, labels)))
+
+
+def _trace(case_id: Any, events: tuple[Event, ...]) -> Trace:
+    """A Trace of events already in order, with distinct ids."""
+    trace = object.__new__(Trace)
+    object.__setattr__(trace, "case_id", case_id)
+    object.__setattr__(trace, "events", events)
+    return trace
 
 
 class InternedLog(NamedTuple):
@@ -270,60 +291,238 @@ class InternedLog(NamedTuple):
 
     @classmethod
     def of(cls, traces: Iterable[Trace]) -> "InternedLog":
+        return cls.of_parts([e.label.parts for e in trace.events] for trace in traces)
+
+    @classmethod
+    def of_parts(cls, rows: Iterable[Sequence[tuple]]) -> "InternedLog":
+        """Intern labels given per trace as each event's ``Label.parts``."""
         codes: dict[tuple, int] = {}
-        rows = tuple(tuple([codes.setdefault(e.label.parts, len(codes)) for e in trace.events])
-                     for trace in traces)
+        coded = []
         counts: Counter[int] = Counter()
-        for row in rows:
+        for parts in rows:
+            # a trace's distinct labels in order of first occurrence
+            for key in dict.fromkeys(parts):
+                if key not in codes:
+                    codes[key] = len(codes)
+            row = tuple(map(codes.__getitem__, parts))
+            coded.append(row)
             counts.update(row)
-        return cls(tuple(Label(parts) for parts in codes), codes, rows,
+        return cls(tuple(Label(parts) for parts in codes), codes, tuple(coded),
                    tuple(counts[code] for code in range(len(codes))))
 
 
-@dataclass(frozen=True)
-class EventLog:
-    """A finite multiset of traces.
+class _Missing:
+    """The value, in an attribute column, of an event without the attribute."""
 
-    The alphabet is derived from the traces on every access.  The interning
-    is computed once, on first use: the log is immutable, so it cannot go
-    stale.
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "MISSING"
+
+    def __reduce__(self) -> str:
+        return "MISSING"
+
+
+MISSING = _Missing()
+
+
+def attribute_columns(events: Sequence[Event]) -> tuple[dict[str, list], frozenset[str]]:
+    """Each attribute's values over ``events`` (an event's first value of
+    the name, ``MISSING`` when it has none), and the names some event
+    lacks."""
+    columns: dict[str, list] = {}
+    for k, event in enumerate(events):
+        for name, value in event.attributes:
+            column = columns.get(name)
+            if column is None:
+                column = columns[name] = [MISSING] * len(events)
+            if column[k] is MISSING:
+                column[k] = value
+    return columns, frozenset(name for name, column in columns.items() if MISSING in column)
+
+
+class LogColumns(NamedTuple):
+    """What every labeling of one log shares, trace by trace.
+
+    ``ids[t][i]`` and ``times[t][i]`` are the id and UTC timestamp of event
+    i of trace t, and ``attributes[name][t][i]`` is its value of ``name``,
+    or ``MISSING``; ``partial`` names the attributes some event lacks.
+    ``names`` are the attribute names each event is built with, in order.
+    Columns read from Trace objects keep them in ``traces``: a relabeled
+    log copies their events instead of building new ones.
     """
 
-    traces: tuple[Trace, ...] = field(default_factory=tuple)
+    case_ids: tuple
+    ids: tuple[tuple, ...]
+    times: tuple[tuple[datetime, ...], ...]
+    attributes: dict[str, tuple[tuple, ...]]
+    names: tuple[str, ...]
+    partial: frozenset[str] = frozenset()
+    traces: tuple[Trace, ...] | None = None
+
+    @classmethod
+    def of(cls, traces: Sequence[Trace]) -> "LogColumns":
+        flat, partial = attribute_columns([e for trace in traces for e in trace.events])
+        bounds, end = [], 0
+        for trace in traces:
+            bounds.append((end, end + len(trace.events)))
+            end += len(trace.events)
+        attributes = {name: tuple(tuple(column[a:b]) for a, b in bounds)
+                      for name, column in flat.items()}
+        return cls(tuple(t.case_id for t in traces),
+                   tuple(tuple(e.id for e in t.events) for t in traces),
+                   tuple(tuple(e.timestamp for e in t.events) for t in traces),
+                   attributes, tuple(flat), partial, tuple(traces))
+
+    def value_rows(self, names: Sequence[str]) -> list[list[tuple]]:
+        """Per trace, each event's values of ``names`` as a tuple.
+
+        Raises MissingAttributeError naming the first event, in log order,
+        that lacks one of them, and the first of them it lacks.
+        """
+        columns = [self.attributes.get(name) for name in names]
+        if None in columns or self.partial.intersection(names):
+            for t, ids in enumerate(self.ids):
+                for i, event_id in enumerate(ids):
+                    for name, column in zip(names, columns):
+                        if column is None or column[t][i] is MISSING:
+                            raise MissingAttributeError(name, event_id)
+            return [[] for _ in self.ids]  # no event at all
+        if not columns:
+            return [[()] * len(ids) for ids in self.ids]
+        return [list(zip(*[column[t] for column in columns])) for t in range(len(self.ids))]
+
+
+class EventLog:
+    """A finite multiset of traces, held as columns (see the module notes).
+
+    ``EventLog(traces)`` keeps the Trace objects it is given;
+    ``EventLog.of_rows`` and ``relabeled`` build logs from columns, whose
+    traces are built on first access.  Logs compare equal when their
+    traces do.
+    """
 
     def __init__(self, traces: Iterable[Trace] = ()):
-        object.__setattr__(self, "traces", tuple(traces))
+        vars(self)["traces"] = tuple(traces)
 
-    def __len__(self) -> int:
-        return len(self.traces)
+    @classmethod
+    def _of(cls, columns: LogColumns, interned: InternedLog) -> "EventLog":
+        log = object.__new__(cls)
+        vars(log).update(columns=columns, interned=interned)
+        return log
 
-    def __iter__(self) -> Iterator[Trace]:
-        return iter(self.traces)
+    @classmethod
+    def of_rows(cls, traces: Iterable[tuple[Any, Sequence[int]]], ids: Sequence,
+                times: Sequence[datetime], names: Sequence[str],
+                values: Mapping[str, Sequence], label_names: Sequence[str]) -> "EventLog":
+        """A log of rows given column by column.
 
-    @property
-    def event_count(self) -> int:
-        return sum(len(t) for t in self.traces)
+        Row r has id ``ids[r]``, UTC timestamp ``times[r]`` and value
+        ``values[name][r]`` of each attribute; ``names`` are the attribute
+        names of every event, in order.  Each (case id, rows) of ``traces``
+        is one trace of those rows, in that order, and each event is
+        labelled by its values of ``label_names``.
+        """
+        case_ids, id_rows, time_rows = [], [], []
+        gathered: dict[str, list[tuple]] = {name: [] for name in names}
+        for case_id, rows in traces:
+            # the items at ``rows`` as a tuple, also for a single row
+            take = itemgetter(*rows) if len(rows) > 1 else (lambda seq, r=rows[0]: (seq[r],))
+            case_ids.append(case_id)
+            id_rows.append(take(ids))
+            time_rows.append(take(times))
+            for name, column in gathered.items():
+                column.append(take(values[name]))
+        columns = LogColumns(tuple(case_ids), tuple(id_rows), tuple(time_rows),
+                             {name: tuple(column) for name, column in gathered.items()},
+                             tuple(names))
+        return cls._of(columns, InternedLog.of_parts(columns.value_rows(label_names)))
 
-    @property
-    def alphabet(self) -> tuple[Label, ...]:
-        return log_alphabet(self)
+    def relabeled(self, label_rows: Iterable[Sequence[tuple]]) -> "EventLog":
+        """This log's events carrying new labels: ``label_rows`` holds, per
+        trace, each event's label as its ``Label.parts``.  The new log shares
+        this one's columns."""
+        return EventLog._of(self.columns, InternedLog.of_parts(label_rows))
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("EventLog is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("EventLog is immutable")
+
+    @functools.cached_property
+    def traces(self) -> tuple[Trace, ...]:
+        """The log's traces, built from its columns on first access."""
+        columns, interned = self.columns, self.interned
+        label = interned.labels.__getitem__
+        if columns.traces is not None:
+            return tuple(trace.with_labels(list(map(label, row)))
+                         for trace, row in zip(columns.traces, interned.rows))
+        values = [columns.attributes[name] for name in columns.names]
+        traces = []
+        for t, (case_id, ids, times, row) in enumerate(
+                zip(columns.case_ids, columns.ids, columns.times, interned.rows)):
+            pairs = [zip(repeat(name), column[t]) for name, column in zip(columns.names, values)]
+            attributes = zip(*pairs) if pairs else repeat(())
+            traces.append(_trace(case_id, tuple(map(_event, ids, times, attributes,
+                                                    map(label, row)))))
+        return tuple(traces)
+
+    @functools.cached_property
+    def columns(self) -> LogColumns:
+        """The ids, times and attribute values, derived once from the traces
+        of a log built from Trace objects."""
+        return LogColumns.of(self.traces)
 
     @functools.cached_property
     def interned(self) -> InternedLog:
         """The log's labels as small ints, shared by every count over it."""
         return InternedLog.of(self.traces)
 
-    @functools.cached_property
-    def events_by_label(self) -> dict[tuple, list[Event]]:
-        """Each label's events in log order, keyed by ``Label.parts``: the
-        k-th event of a label is its k-th occurrence, trace by trace."""
-        index: dict[tuple, list[Event]] = {}
-        for trace in self.traces:
-            for event in trace.events:
-                index.setdefault(event.label.parts, []).append(event)
-        return index
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return self.traces == other.traces
+
+    def __hash__(self) -> int:
+        return hash(self.traces)
+
+    def __repr__(self) -> str:
+        return f"EventLog(traces={self.traces!r})"
+
+    def __len__(self) -> int:
+        traces = vars(self).get("traces")
+        return len(self.columns.case_ids) if traces is None else len(traces)
+
+    def __iter__(self) -> Iterator[Trace]:
+        return iter(self.traces)
+
+    @property
+    def event_count(self) -> int:
+        return sum(map(len, self.interned.rows))
+
+    @property
+    def alphabet(self) -> tuple[Label, ...]:
+        return log_alphabet(self)
 
 
 def log_alphabet(log: EventLog) -> tuple[Label, ...]:
     """Distinct labels occurring in the log, in sorted (deterministic) order."""
-    return tuple(sorted({e.label for t in log for e in t}))
+    return tuple(sorted(log.interned.labels, key=Label.sort_key))
+
+
+def time_zone(name: str) -> tzinfo:
+    """The time zone called ``name``: ``timezone.utc`` for "UTC", which
+    needs no conversion of UTC instants, else a ZoneInfo, which raises
+    ZoneInfoNotFoundError (a KeyError) or ValueError for unknown names."""
+    if name == "UTC":
+        return timezone.utc
+    # imported on first use: importing zoneinfo reads the platform's
+    # configuration, which a process that only sees UTC need not pay for
+    from zoneinfo import ZoneInfo
+    return ZoneInfo(name)
+
+
+def local(times: Iterable[datetime], tz: tzinfo) -> list[datetime]:
+    """UTC instants as wall-clock times in ``tz``."""
+    return list(times) if tz is timezone.utc else [t.astimezone(tz) for t in times]

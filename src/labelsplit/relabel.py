@@ -2,7 +2,9 @@
 
 A relabeling function rewrites every event's label while preserving trace
 shape (all built-in kinds are equal-length and each output label depends
-only on the event itself, so prefixes are preserved).  Two labelings of the
+only on the event itself, so prefixes are preserved).  It reads the log's
+columns and label rows and gives a log that shares the columns and holds a
+new label row per trace; no Event is built or copied.  Two labelings of the
 same base log are paired position by position: the finer one refines the
 coarser one when each refined label is seen under one coarse label only,
 and the split set collects the refined-label groups that share a common
@@ -12,16 +14,16 @@ the refinement implication on the observed traces and their prefixes.
 
 from __future__ import annotations
 
+import functools
 import re
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from datetime import time
+from datetime import time, tzinfo
 from itertools import islice
 from typing import Any, Iterator, NamedTuple
-from zoneinfo import ZoneInfo
 
-from .model import Event, EventLog, Label
+from .model import MISSING, Event, EventLog, Label, label_of, local, time_zone
 
 
 class RefinementError(ValueError):
@@ -43,9 +45,11 @@ class RuleError(ValueError):
 class RelabelingFn(ABC):
     """Base class for label rewriters.
 
-    Subclasses map a single event to its new label; ``apply`` lifts that to
-    whole logs, keeping ids, timestamps, attributes, and trace shape: each
-    trace keeps its events in order and only swaps their labels.
+    Subclasses map a single event to its new label (``event_label``) and
+    a whole log to its new labels (``label_rows``, read from the log's
+    columns).  ``apply`` keeps ids, timestamps, attributes, and trace
+    shape: each trace keeps its events in order and only swaps their
+    labels.
     """
 
     description: str = ""
@@ -54,19 +58,18 @@ class RelabelingFn(ABC):
     def event_label(self, event: Event) -> Label:
         ...
 
+    @abstractmethod
+    def label_rows(self, log: EventLog) -> list[list[tuple]]:
+        """Per trace of ``log``, each event's new label as its
+        ``Label.parts``: ``event_label`` of every event, in log order."""
+
     def apply(self, log: EventLog) -> EventLog:
-        relabel = self.event_label
-        return EventLog(trace.with_labels([relabel(e) for e in trace.events])
-                        for trace in log)
+        return log.relabeled(self.label_rows(log))
 
 
 @dataclass(frozen=True)
 class Projection(RelabelingFn):
-    """Label each event by the values of the named attributes.
-
-    Each distinct value tuple gets one Label, kept for the projection's
-    lifetime and shared by every event carrying those values.
-    """
+    """Label each event by the values of the named attributes."""
 
     attribute_names: tuple[str, ...]
 
@@ -74,18 +77,16 @@ class Projection(RelabelingFn):
         if isinstance(attribute_names, str):
             attribute_names = (attribute_names,)
         object.__setattr__(self, "attribute_names", tuple(attribute_names))
-        object.__setattr__(self, "_labels", {})
 
     @property
     def description(self) -> str:
         return "projection[" + ",".join(self.attribute_names) + "]"
 
     def event_label(self, event: Event) -> Label:
-        values = tuple([event.attribute(n) for n in self.attribute_names])
-        label = self._labels.get(values)
-        if label is None:
-            label = self._labels[values] = Label(values)
-        return label
+        return label_of(event, self.attribute_names)
+
+    def label_rows(self, log: EventLog) -> list[list[tuple]]:
+        return log.columns.value_rows(self.attribute_names)
 
 
 @dataclass(frozen=True)
@@ -109,25 +110,49 @@ class TimeThreshold(RelabelingFn):
                 f"{self.threshold.isoformat(timespec='minutes')}"
                 f"->{self.low_label}/{self.high_label}]")
 
+    @functools.cached_property
+    def _zone(self) -> tzinfo:
+        return time_zone(self.timezone)
+
     def event_label(self, event: Event) -> Label:
         if event.label != self.base_label:
             return event.label
-        local = event.timestamp.astimezone(ZoneInfo(self.timezone))
-        if local.time() < self.threshold:
+        if event.timestamp.astimezone(self._zone).time() < self.threshold:
             return self.low_label
         return self.high_label
+
+    def _occurrences(self, log: EventLog) -> Iterator[tuple[list[int], list[bool]]]:
+        """Per trace, the positions of ``base_label`` and whether each goes
+        to ``low_label``."""
+        code = log.interned.codes.get(self.base_label.parts)
+        threshold = self.threshold
+        for row, times in zip(log.interned.rows, log.columns.times):
+            # count and index scan in C; a scan looks up every label this way
+            at, i = [], -1
+            for _ in range(row.count(code)):
+                i = row.index(code, i + 1)
+                at.append(i)
+            yield at, [t.time() < threshold for t in local([times[i] for i in at], self._zone)]
+
+    def label_rows(self, log: EventLog) -> list[list[tuple]]:
+        interned = log.interned
+        parts = [label.parts for label in interned.labels]
+        children = (self.high_label.parts, self.low_label.parts)
+        out = []
+        for row, (at, low) in zip(interned.rows, self._occurrences(log)):
+            keys = list(map(parts.__getitem__, row))
+            for i, goes_low in zip(at, low):
+                keys[i] = children[goes_low]
+            out.append(keys)
+        return out
 
     def occurrence_mask(self, log: EventLog) -> int:
         """The occurrences of ``base_label`` that go to ``low_label``, as a
         bitset: bit k is set when the label's k-th occurrence in ``log``
-        (in log order, see ``EventLog.events_by_label``) is before the
-        threshold."""
-        tz = ZoneInfo(self.timezone)
-        threshold = self.threshold
-        events = log.events_by_label.get(self.base_label.parts, ())
+        (in log order, trace by trace) is before the threshold."""
+        low = [bit for _, bits in self._occurrences(log) for bit in bits]
         # most significant bit first, so the last occurrence leads
-        return int("0" + "".join(["1" if e.timestamp.astimezone(tz).time() < threshold
-                                  else "0" for e in reversed(events)]), 2)
+        return int("0" + "".join(["1" if bit else "0" for bit in reversed(low)]), 2)
 
 
 _RULE_RE = re.compile(r"^(?P<attr>.+?)\s*(?P<op>!=|>=|=|<)\s*(?P<value>.*?)\s*->\s*(?P<label>.+)$")
@@ -165,9 +190,14 @@ class Rule:
     label: Label
 
     def matches(self, event: Event) -> bool:
-        if not event.has_attribute(self.attribute):
+        return self.matches_value(next((value for name, value in event.attributes
+                                        if name == self.attribute), MISSING))
+
+    def matches_value(self, actual: Any) -> bool:
+        """Whether an event whose value of the attribute is ``actual``
+        (``MISSING`` when it has none) matches."""
+        if actual is MISSING:
             return False
-        actual = event.attribute(self.attribute)
         if self.op == "=":
             return str(actual) == self.value
         if self.op == "!=":
@@ -201,6 +231,24 @@ class RuleBased(RelabelingFn):
         if self.default is not None:
             return self.default
         raise RuleError(f"no rule matches event {event.id!r} and no default is set")
+
+    def label_rows(self, log: EventLog) -> list[list[tuple]]:
+        columns = [log.columns.attributes.get(rule.attribute) for rule in self.rules]
+        out = []
+        for t, ids in enumerate(log.columns.ids):
+            keys = []
+            for i, event_id in enumerate(ids):
+                for rule, column in zip(self.rules, columns):
+                    if column is not None and rule.matches_value(column[t][i]):
+                        keys.append(rule.label.parts)
+                        break
+                else:
+                    if self.default is None:
+                        raise RuleError(f"no rule matches event {event_id!r} "
+                                        f"and no default is set")
+                    keys.append(self.default.parts)
+            out.append(keys)
+        return out
 
     @classmethod
     def from_text(cls, text: str, name: str = "rules") -> "RuleBased":
@@ -271,14 +319,16 @@ def _observed(l1_log: EventLog, l2_log: EventLog
     if len(l1_log) != len(l2_log):
         raise ShapeMismatchError(
             f"trace counts differ: {len(l1_log)} vs {len(l2_log)}")
-    for t1, t2 in zip(l1_log, l2_log):
-        if len(t1) != len(t2):
-            raise ShapeMismatchError(
-                f"trace {t1.case_id!r}: lengths differ ({len(t1)} vs {len(t2)})")
-        for e1, e2 in zip(t1, t2):
-            if e1.id != e2.id:
+    columns1, columns2 = l1_log.columns, l2_log.columns
+    if columns1 is not columns2:  # relabelings of one log share them
+        for case_id, ids1, ids2 in zip(columns1.case_ids, columns1.ids, columns2.ids):
+            if len(ids1) != len(ids2):
                 raise ShapeMismatchError(
-                    f"trace {t1.case_id!r}: event ids differ ({e1.id!r} vs {e2.id!r})")
+                    f"trace {case_id!r}: lengths differ ({len(ids1)} vs {len(ids2)})")
+            if ids1 != ids2:
+                id1, id2 = next((a, b) for a, b in zip(ids1, ids2) if a != b)
+                raise ShapeMismatchError(
+                    f"trace {case_id!r}: event ids differ ({id1!r} vs {id2!r})")
     coarse, refined = l1_log.interned, l2_log.interned
     seen: Counter[tuple[int, int]] = Counter()
     for codes1, codes2 in zip(coarse.rows, refined.rows):

@@ -1,14 +1,21 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here recomputes results from first principles (exact rational
-arithmetic, direct quantifier scans over label sequences) and shares no
-code with the package.
+arithmetic, direct quantifier scans over label sequences, a plain
+``csv.DictReader`` pass) and shares no code with the package, except that
+``naive_csv_log`` holds its rows in the package's ``Event`` type.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from datetime import datetime, timezone
 from fractions import Fraction
+from zoneinfo import ZoneInfo
+
+from labelsplit import Event, Label
 
 # Relative slack applied when comparing point probabilities, mirroring the
 # two-sided definition under test but in exact arithmetic.
@@ -92,3 +99,79 @@ def naive_rig(l1_rows: list[list[str]], l2_rows: list[list[str]],
     if total_before == 0.0:
         return 0.0
     return (total_before - total_after) / total_before
+
+
+def _naive_id_key(event_id) -> tuple:
+    if isinstance(event_id, int):
+        return (0, event_id, "")
+    if event_id.isdigit():
+        return (0, int(event_id), event_id)
+    return (1, 0, event_id)
+
+
+def naive_csv_log(text: str, label_columns: list[str], case_key: list[str],
+                  calendar_day: bool, tz_name: str = "UTC") -> list[tuple]:
+    """The CLI's reading of a CSV file with its default schema, row by row.
+
+    The header names an optional ``id`` column, a ``timestamp`` column and
+    the attribute columns (all others); cells carry no embedded newlines.
+    Naive timestamps are wall-clock times in ``tz_name``.  Rows are grouped
+    by their ``case_key`` values plus, with ``calendar_day``, their local
+    date; with neither, by a ``case`` column if there is one, else into one
+    trace "all".  Returns (case id, events) per trace, traces in key order
+    and events by (timestamp, id), the key unwrapped when it has one part.
+    """
+    zone = ZoneInfo(tz_name)
+    reader = csv.DictReader(io.StringIO(text))
+    reader.fieldnames = [name.strip() for name in reader.fieldnames]
+    attributes = [name for name in reader.fieldnames if name not in ("id", "timestamp") and name]
+    rows = []
+    for record in reader:
+        # without embedded newlines, a row's index among all rows (blank
+        # ones too) is its line number minus the header's
+        event_id = record["id"] if "id" in reader.fieldnames else reader.line_num - 1
+        stamp = datetime.fromisoformat(record["timestamp"].strip().replace("Z", "+00:00"))
+        if stamp.tzinfo is None:
+            stamp = stamp.replace(tzinfo=zone)
+        stamp = stamp.astimezone(timezone.utc)
+        rows.append(Event(event_id, stamp, [(name, record[name]) for name in attributes],
+                          Label(tuple(record[name] for name in label_columns))))
+    if not case_key and not calendar_day:
+        case_key = ["case"] if "case" in attributes else []
+        if not case_key:
+            return [("all", sorted(rows, key=lambda e: (e.timestamp, _naive_id_key(e.id))))] \
+                if rows else []
+    groups: dict[tuple, list] = {}
+    for event in rows:
+        key = tuple(dict(event.attributes)[name] for name in case_key)
+        if calendar_day:
+            key += (event.timestamp.astimezone(zone).date(),)
+        groups.setdefault(key, []).append(event)
+    return [(key[0] if len(key) == 1 else key,
+             sorted(groups[key], key=lambda e: (e.timestamp, _naive_id_key(e.id))))
+            for key in sorted(groups)]
+
+
+def naive_csv_error(text: str) -> str | None:
+    """The first row error of a CSV file with a ``timestamp`` column and an
+    optional ``id`` column, as "line N: ...", or None; rows are checked one
+    by one, in order: field count, then repeated id, then timestamp."""
+    reader = csv.reader(io.StringIO(text))
+    header = [name.strip() for name in next(reader)]
+    seen = set()
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            return f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+        record = dict(zip(header, row))
+        if "id" in record:
+            if record["id"] in seen:
+                return f"line {reader.line_num}: duplicate event id {record['id']!r}"
+            seen.add(record["id"])
+        stamp = record["timestamp"].strip()
+        try:
+            datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+        except ValueError:
+            return f"line {reader.line_num}: unparseable timestamp {stamp!r}"
+    return None

@@ -36,11 +36,13 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_deterministic_output_matches_golden_file(name, tmp_path):
+def test_deterministic_output_matches_golden_file(name, tmp_path, capsys):
     out = tmp_path / name
     argv = [*CASES[name], "--csv", DEMO_CSV, "--deterministic", "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+    # with --out nothing reaches stdout, whose last line a caller may read
+    assert capsys.readouterr().out == ""
 
 
 def test_csv_conversion_reproduces_itself(tmp_path):
