@@ -8,7 +8,7 @@ heart rate, and (for later demos) a hand-made refined activity label.
 
 from pathlib import Path
 
-from labelsplit import CsvSchema, PartitionKeySpec, Projection, label_of, parse_csv, partition
+from labelsplit import CsvSchema, PartitionKeySpec, Projection, parse_csv, partition
 
 DATA = Path(__file__).parent / "data" / "smart_home.csv"
 
@@ -35,4 +35,4 @@ for trace in sensor_log:
 # projections can combine several attributes
 example = events[5]
 print("\nsensor+heart-rate label of event 6:",
-      label_of(example, ["Sensor", "Heart rate"]).parts)
+      Projection(["Sensor", "Heart rate"]).event_label(example).parts)

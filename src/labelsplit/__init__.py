@@ -14,12 +14,11 @@ from .gain import (EntropyBreakdown, TableEntropy, binary_entropy,
 from .ingest import (CsvFormatError, CsvSchema, PartitionKeySpec, XesFormatError,
                      parse_csv, parse_xes_minimal, partition, write_csv,
                      write_xes_minimal)
-from .model import (Event, EventLog, Label, MissingAttributeError, Trace,
-                    label_of, log_alphabet)
+from .model import Event, EventLog, Label, MissingAttributeError, Trace
 from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OrderingCounts,
                        OrderingRelation, RefinementCounts, build_tables,
                        relation_counts)
-from .relabel import (NotARefinementError, Projection, RefinementCheck,
+from .relabel import (NotARefinementError, Pairing, Projection, RefinementCheck,
                       RefinementError, RelabelingFn, RuleBased, RuleError,
                       ShapeMismatchError, SplitPair, TimeThreshold,
                       check_refinement, extract_split_set, parse_time_of_day)
@@ -45,6 +44,7 @@ __all__ = [
     "NotARefinementError",
     "OrderingCounts",
     "OrderingRelation",
+    "Pairing",
     "PartitionKeySpec",
     "Projection",
     "RefinementCounts",
@@ -69,8 +69,6 @@ __all__ = [
     "fisher_exact_two_sided",
     "fisher_test",
     "generate_median_time_candidates",
-    "label_of",
-    "log_alphabet",
     "parse_csv",
     "parse_time_of_day",
     "parse_xes_minimal",

@@ -432,12 +432,17 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _chosen_codes(labels: tuple[Label, ...], codes: list[int], names: str | None) -> list[int]:
-    """The codes whose label text is in the comma-separated ``names``; all
-    of ``codes`` when no names are given."""
+def _chosen_codes(labels: tuple[Label, ...], codes: list[int], names: str | None,
+                  flag: str) -> list[int]:
+    """The codes whose label text is in the comma-separated ``names`` of
+    ``flag``; all of ``codes`` when no names are given."""
     if not names:
         return codes
-    wanted = set(_split_list(names))
+    wanted = dict.fromkeys(_split_list(names))
+    known = {str(label) for label in labels}
+    unknown = [name for name in wanted if name not in known]
+    if unknown:
+        raise UsageError(f"unknown label(s) in {flag}: {', '.join(unknown)}")
     return [code for code in codes if str(labels[code]) in wanted]
 
 
@@ -446,8 +451,8 @@ def cmd_stats(args) -> int:
     relations = _relations(args)
     labels, occurrences = log.interned.labels, log.interned.occurrences
     codes = sorted(range(len(labels)), key=lambda code: labels[code].sort_key())
-    b_codes = _chosen_codes(labels, codes, args.b_labels)
-    c_codes = _chosen_codes(labels, codes, args.c_labels)
+    b_codes = _chosen_codes(labels, codes, args.b_labels, "--b-labels")
+    c_codes = _chosen_codes(labels, codes, args.c_labels, "--c-labels")
     counts = LogCounts.of(log, relations, [labels[b] for b in b_codes])
 
     def cells():

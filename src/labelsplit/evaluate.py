@@ -19,7 +19,7 @@ from .gain import EntropyBreakdown, relative_information_gain
 from .model import EventLog, Label, local, time_zone
 from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OccurrenceBits,
                        OrderingRelation, RefinementCounts, build_tables)
-from .relabel import RelabelingFn, SplitPair, TimeThreshold, _Pairing
+from .relabel import Pairing, RelabelingFn, SplitPair, TimeThreshold
 from .stats import CorrectionPolicy, TestResult, fisher_test
 
 logger = logging.getLogger(__name__)
@@ -111,7 +111,7 @@ def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
              description: str, base: LogCounts | None = None) -> _Collected:
     """Check the refinement and build every table of every split pair.
 
-    The logs are paired once (``_Pairing``): that is the refinement check,
+    The logs are paired once (``Pairing``): that is the refinement check,
     and it yields the split set and the one coarse label seen under each
     refined label.  A refined label seen under two or more coarse labels
     merges them, so its tables would not add up to the parent's: that
@@ -119,7 +119,8 @@ def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
     ``base``, when given, holds the base log's counts shared by a whole
     candidate scan.
     """
-    pairing = _Pairing.of(l1_log, l2_log)
+    pairing = Pairing.of(l1_log, l2_log)
+    pairing.coarse()  # NotARefinementError on a merge, split or not
     split_pairs = pairing.split_pairs
     counts = (RefinementCounts.of(l1_log, l2_log, config.relations, base, pairing)
               if split_pairs else None)

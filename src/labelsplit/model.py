@@ -213,15 +213,6 @@ def _event(id: Any, timestamp: datetime, attributes: tuple, label: Label) -> Eve
     return event
 
 
-def label_of(event: Event, projection: list[str] | tuple[str, ...]) -> Label:
-    """Project an event onto the named attributes, in the given order.
-
-    Raises MissingAttributeError naming the attribute and event id when a
-    named attribute is absent.
-    """
-    return Label(tuple(event.attribute(name) for name in projection))
-
-
 @dataclass(frozen=True, slots=True)
 class Trace:
     """A time-ordered sequence of events sharing one case key.
@@ -503,12 +494,8 @@ class EventLog:
 
     @property
     def alphabet(self) -> tuple[Label, ...]:
-        return log_alphabet(self)
-
-
-def log_alphabet(log: EventLog) -> tuple[Label, ...]:
-    """Distinct labels occurring in the log, in sorted (deterministic) order."""
-    return tuple(sorted(log.interned.labels, key=Label.sort_key))
+        """Distinct labels occurring in the log, in sorted (deterministic) order."""
+        return tuple(sorted(self.interned.labels, key=Label.sort_key))
 
 
 def time_zone(name: str) -> tzinfo:

@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .model import EventLog, InternedLog, Label
-from .relabel import SplitPair, _Pairing
+from .relabel import Pairing, SplitPair
 
 
 class OrderingRelation(Enum):
@@ -352,19 +352,20 @@ class RefinementCounts:
     def of(cls, l1_log: EventLog, l2_log: EventLog,
            relations: Iterable[OrderingRelation],
            base: LogCounts | None = None,
-           pairing: _Pairing | None = None) -> "RefinementCounts":
+           pairing: Pairing | None = None) -> "RefinementCounts":
         """Count both logs; ``base``, when given, must be LogCounts.of(l1_log)
         over at least these relations (a scan shares it across candidates),
-        and ``pairing``, when given, _Pairing.of(l1_log, l2_log).  Pairing
-        the logs here raises NotARefinementError, as ``evaluate`` does, when
-        a refined label is seen under two or more coarse labels."""
+        and ``pairing``, when given, Pairing.of(l1_log, l2_log).  Raises
+        NotARefinementError, as ``evaluate`` does, when a refined label is
+        seen under two or more coarse labels."""
         relations = tuple(relations)
         if base is None:
             base = LogCounts.of(l1_log, relations)
         if pairing is None:
-            pairing = _Pairing.of(l1_log, l2_log)
+            pairing = Pairing.of(l1_log, l2_log)
+        coarse = pairing.coarse()
         children = [child for split in pairing.split_pairs for child in split.children]
-        return cls(base, LogCounts.of(l2_log, relations, children), pairing.coarse)
+        return cls(base, LogCounts.of(l2_log, relations, children), coarse)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
-"""Relabeling functions and refinement checks.
+"""Relabeling functions and the refinement check.
 
-A relabeling function rewrites every event's label while preserving trace
-shape (all built-in kinds are equal-length and each output label depends
-only on the event itself, so prefixes are preserved).  It reads the log's
-columns and label rows and gives a log that shares the columns and holds a
-new label row per trace; no Event is built or copied.  Two labelings of the
-same base log are paired position by position: the finer one refines the
-coarser one when each refined label is seen under one coarse label only,
-and the split set collects the refined-label groups that share a common
-coarse label.  ``check_refinement`` reports the trace pairs that violate
-the refinement implication on the observed traces and their prefixes.
+A relabeling function rewrites every event's label while keeping trace
+shape: each trace keeps its events in order and only swaps their labels.
+It reads the log's columns and label rows and gives a log that shares the
+columns and holds a new label row per trace; no Event is built or copied.
+
+Two labelings of one base log are paired position by position, once
+(``Pairing.of``).  The finer labeling refines the coarser one when each
+refined label is seen under one coarse label only, so the child columns of
+a split add up to the parent's.  The pairing also yields the split set:
+each coarse label seen with two or more refined labels, and those labels.  ``evaluate``,
+``RefinementCounts.of`` and ``check_refinement`` all read it.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
 from datetime import time, tzinfo
-from itertools import islice
 from typing import Any, Iterator, NamedTuple
 
-from .model import MISSING, Event, EventLog, Label, label_of, local, time_zone
+from .model import MISSING, Event, EventLog, Label, local, time_zone
 
 
 class RefinementError(ValueError):
@@ -83,7 +83,7 @@ class Projection(RelabelingFn):
         return "projection[" + ",".join(self.attribute_names) + "]"
 
     def event_label(self, event: Event) -> Label:
-        return label_of(event, self.attribute_names)
+        return Label(tuple(event.attribute(name) for name in self.attribute_names))
 
     def label_rows(self, log: EventLog) -> list[list[tuple]]:
         return log.columns.value_rows(self.attribute_names)
@@ -285,19 +285,10 @@ class RuleBased(RelabelingFn):
 
 
 @dataclass(frozen=True)
-class Violation:
-    """A pair of traces where equal refined sequences have unequal coarse ones."""
-
-    case_a: Any
-    case_b: Any
-    position: int
-
-
-@dataclass(frozen=True)
 class RefinementCheck:
     is_equal_length_refinement: bool
     is_strict: bool
-    violations: tuple[Violation, ...]
+    violations: tuple[Label, ...]
 
 
 @dataclass(frozen=True)
@@ -311,126 +302,79 @@ class SplitPair:
         object.__setattr__(self, "children", tuple(sorted(self.children)))
 
 
-def _observed(l1_log: EventLog, l2_log: EventLog
-              ) -> tuple[dict[Label, dict[Label, int]], tuple[SplitPair, ...]]:
-    """Pair the logs position by position: for each refined label, how often
-    each coarse label co-occurs with it, and the split set read from that.
-    ShapeMismatchError unless the logs share the base log."""
-    if len(l1_log) != len(l2_log):
-        raise ShapeMismatchError(
-            f"trace counts differ: {len(l1_log)} vs {len(l2_log)}")
-    columns1, columns2 = l1_log.columns, l2_log.columns
-    if columns1 is not columns2:  # relabelings of one log share them
-        for case_id, ids1, ids2 in zip(columns1.case_ids, columns1.ids, columns2.ids):
-            if len(ids1) != len(ids2):
-                raise ShapeMismatchError(
-                    f"trace {case_id!r}: lengths differ ({len(ids1)} vs {len(ids2)})")
-            if ids1 != ids2:
-                id1, id2 = next((a, b) for a, b in zip(ids1, ids2) if a != b)
-                raise ShapeMismatchError(
-                    f"trace {case_id!r}: event ids differ ({id1!r} vs {id2!r})")
-    coarse, refined = l1_log.interned, l2_log.interned
-    seen: Counter[tuple[int, int]] = Counter()
-    for codes1, codes2 in zip(coarse.rows, refined.rows):
-        seen.update(zip(codes2, codes1))
-    parents: dict[Label, dict[Label, int]] = {}
-    children: dict[Label, list[Label]] = {}
-    for (child, parent), n in seen.items():
-        child_label, parent_label = refined.labels[child], coarse.labels[parent]
-        parents.setdefault(child_label, {})[parent_label] = n
-        children.setdefault(parent_label, []).append(child_label)
-    split_pairs = tuple(SplitPair(parent, tuple(children[parent]))
-                        for parent in sorted(children, key=Label.sort_key)
-                        if len(children[parent]) >= 2)
-    return parents, split_pairs
-
-
-class _Pairing(NamedTuple):
+class Pairing(NamedTuple):
     """Two labelings of one base log, paired position by position once: the
-    pipeline's only refinement check.
+    package's one refinement check.
 
-    ``coarse`` maps each refined label to the one coarse label seen at all
-    its positions, and ``split_pairs`` is the split set.  A refined label
-    seen under two or more coarse labels merges them, so the refined
-    labeling does not refine the coarse one.  That covers the prefix check
-    of ``check_refinement``: traces that agree on refined labels up to
-    position p but differ in the coarse label at p put one refined label
-    over two coarse ones.
+    ``parents`` holds, for each refined label, how often each coarse label
+    co-occurs with it; ``split_pairs`` is the split set; ``merged`` lists,
+    sorted, the refined labels seen under two or more coarse labels.  Each
+    such label merges coarse labels, so the refined labeling does not refine
+    the coarse one.
     """
 
-    coarse: dict[Label, Label]
+    parents: dict[Label, dict[Label, int]]
     split_pairs: tuple[SplitPair, ...]
+    merged: tuple[Label, ...]
 
     @classmethod
-    def of(cls, l1_log: EventLog, l2_log: EventLog) -> "_Pairing":
-        """Pair the logs; ShapeMismatchError unless they share the base log,
-        NotARefinementError when a refined label merges coarse labels."""
-        parents, split_pairs = _observed(l1_log, l2_log)
-        merged = sorted(child for child, coarse in parents.items() if len(coarse) > 1)
-        if merged:
-            coarse = ", ".join(str(label) for label in sorted(parents[merged[0]]))
+    def of(cls, l1_log: EventLog, l2_log: EventLog) -> "Pairing":
+        """Pair the logs in one pass over their events; ShapeMismatchError
+        unless they share the base log."""
+        if len(l1_log) != len(l2_log):
+            raise ShapeMismatchError(
+                f"trace counts differ: {len(l1_log)} vs {len(l2_log)}")
+        columns1, columns2 = l1_log.columns, l2_log.columns
+        if columns1 is not columns2:  # relabelings of one log share them
+            for case_id, ids1, ids2 in zip(columns1.case_ids, columns1.ids, columns2.ids):
+                if len(ids1) != len(ids2):
+                    raise ShapeMismatchError(
+                        f"trace {case_id!r}: lengths differ ({len(ids1)} vs {len(ids2)})")
+                if ids1 != ids2:
+                    id1, id2 = next((a, b) for a, b in zip(ids1, ids2) if a != b)
+                    raise ShapeMismatchError(
+                        f"trace {case_id!r}: event ids differ ({id1!r} vs {id2!r})")
+        coarse, refined = l1_log.interned, l2_log.interned
+        seen: Counter[tuple[int, int]] = Counter()
+        for codes1, codes2 in zip(coarse.rows, refined.rows):
+            seen.update(zip(codes2, codes1))
+        parents: dict[Label, dict[Label, int]] = {}
+        children: dict[Label, list[Label]] = {}
+        for (child, parent), n in seen.items():
+            child_label, parent_label = refined.labels[child], coarse.labels[parent]
+            parents.setdefault(child_label, {})[parent_label] = n
+            children.setdefault(parent_label, []).append(child_label)
+        split_pairs = tuple(SplitPair(parent, tuple(children[parent]))
+                            for parent in sorted(children, key=Label.sort_key)
+                            if len(children[parent]) >= 2)
+        merged = tuple(sorted(child for child, under in parents.items() if len(under) > 1))
+        return cls(parents, split_pairs, merged)
+
+    def coarse(self) -> dict[Label, Label]:
+        """Each refined label's one coarse label; NotARefinementError when a
+        refined label merges coarse labels."""
+        if self.merged:
+            coarse = ", ".join(str(label) for label in sorted(self.parents[self.merged[0]]))
             raise NotARefinementError(
                 f"refined labeling does not refine the base one: refined label "
-                f"{merged[0]} is observed under several coarse labels ({coarse})")
-        return cls({child: next(iter(seen)) for child, seen in parents.items()}, split_pairs)
+                f"{self.merged[0]} is observed under several coarse labels ({coarse})")
+        return {child: next(iter(seen)) for child, seen in self.parents.items()}
 
 
-def _violations(l1_log: EventLog, l2_log: EventLog) -> Iterator[Violation]:
-    """The trace pairs that agree on refined labels up to some position but
-    differ in the coarse label there, position by position."""
-    rows = list(zip((t.case_id for t in l1_log), l1_log.interned.rows,
-                    l2_log.interned.rows))
-    seen_pairs: set[tuple[Any, Any]] = set()
-    # Partition traces by refined-label prefix, position by position; within
-    # a class the coarse labels at the next position must agree.
-    classes: list[list[int]] = [list(range(len(rows)))]
-    position = 0
-    while classes:
-        next_classes: list[list[int]] = []
-        for members in classes:
-            buckets: dict[int, list[int]] = {}
-            for idx in members:
-                codes2 = rows[idx][2]
-                if position < len(codes2):
-                    buckets.setdefault(codes2[position], []).append(idx)
-            for bucket in buckets.values():
-                first = bucket[0]
-                for idx in bucket[1:]:
-                    if rows[idx][1][position] != rows[first][1][position]:
-                        key = (rows[first][0], rows[idx][0])
-                        if key not in seen_pairs:
-                            seen_pairs.add(key)
-                            yield Violation(rows[first][0], rows[idx][0], position)
-                if len(bucket) > 1:
-                    next_classes.append(bucket)
-        classes = next_classes
-        position += 1
-
-
-def check_refinement(l1_log: EventLog, l2_log: EventLog,
-                     max_violations: int = 10) -> RefinementCheck:
+def check_refinement(l1_log: EventLog, l2_log: EventLog) -> RefinementCheck:
     """Check that the labeling of ``l2_log`` refines that of ``l1_log``.
 
     Both logs must come from the same base log (same traces, matching event
-    ids position-wise).  The refinement implication -- equal refined label
-    sequences imply equal coarse ones -- is checked over the observed traces
-    and all their prefixes (truncation commutes with equal-length
-    prefix-preserving relabelings, so this stays sound and catches
-    positionwise disagreements full-trace comparison would miss); at most
-    ``max_violations`` violating trace pairs are reported.  Strictness
-    means some coarse label is actually split, i.e. it co-occurs with two
-    or more refined labels.
-
-    The pipeline does not call this: ``evaluate`` rejects any refined label
-    seen under two coarse labels, which every violation here implies.
+    ids position-wise).  The refinement holds when no refined label is seen
+    under two coarse labels; ``violations`` lists, sorted, the refined
+    labels that are.  Strictness means some coarse label is actually split,
+    i.e. it co-occurs with two or more refined labels.
     """
-    _, split_pairs = _observed(l1_log, l2_log)
-    found = _violations(l1_log, l2_log)
-    violations = tuple(islice(found, max(max_violations, 0)))
+    pairing = Pairing.of(l1_log, l2_log)
     return RefinementCheck(
-        is_equal_length_refinement=not violations and next(found, None) is None,
-        is_strict=bool(split_pairs),
-        violations=violations,
+        is_equal_length_refinement=not pairing.merged,
+        is_strict=bool(pairing.split_pairs),
+        violations=pairing.merged,
     )
 
 
@@ -440,9 +384,9 @@ def extract_split_set(l1_log: EventLog, l2_log: EventLog) -> list[SplitPair]:
     Returns one SplitPair per coarse label that co-occurs with two or more
     refined labels, children sorted, parents in sorted order.
     """
-    return list(_observed(l1_log, l2_log)[1])
+    return list(Pairing.of(l1_log, l2_log).split_pairs)
 
 
 def observed_parents(l1_log: EventLog, l2_log: EventLog) -> dict[Label, dict[Label, int]]:
     """For each refined label, how often each coarse label co-occurs with it."""
-    return _observed(l1_log, l2_log)[0]
+    return Pairing.of(l1_log, l2_log).parents

@@ -72,6 +72,23 @@ def naive_count(label_rows: list[list[str]], relation: str, b: str, c: str) -> t
     return pos, neg
 
 
+def prefix_violations(base: list[list[str]], refined: list[list[str]]
+                      ) -> list[tuple[int, int, int]]:
+    """The refinement implication over all prefixes, pair by pair: for
+    every pair of traces i < j, the first position p where their refined
+    labels agree at 0..p but their coarse labels differ at p, as (i, j, p)."""
+    out = []
+    for i in range(len(refined)):
+        for j in range(i + 1, len(refined)):
+            for p in range(min(len(refined[i]), len(refined[j]))):
+                if refined[i][p] != refined[j][p]:
+                    break
+                if base[i][p] != base[j][p]:
+                    out.append((i, j, p))
+                    break
+    return out
+
+
 def entropy_bits(p: float) -> float:
     if p in (0.0, 1.0):
         return 0.0

@@ -240,6 +240,15 @@ def test_stats_dump_matches_sample_tables(capsys):
     assert len(rows) == 8  # 4 relations x 2 sources x 1 context
 
 
+@pytest.mark.parametrize("flag", ["--b-labels", "--c-labels"])
+def test_stats_unknown_label_names_are_refused(capsys, flag):
+    code, out, err = run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Sensor",
+                         flag, "Bedroom motoin", "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert f"error: unknown label(s) in {flag}: Bedroom motoin" in err.splitlines()
+
+
 def test_stats_full_dump_row_count(capsys):
     code, out, _ = run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Activity")
     rows = json.loads(out)["rows"]

@@ -10,9 +10,8 @@ from labelsplit import (DEFAULT_RELATIONS, CorrectionPolicy, Event, EvaluationCo
                         EventLog, Label, NotARefinementError, OrderingRelation,
                         RefinementCounts, TimeThreshold, Trace, check_refinement, evaluate,
                         generate_median_time_candidates, rank_candidates)
-from labelsplit.relabel import observed_parents
-
 from conftest import log_from_rows
+from oracles import prefix_violations
 
 
 def test_sample_evaluation_is_useful(sensor_log, activity_log):
@@ -361,37 +360,54 @@ def test_coin_flip_refinement_rarely_useful():
 
 def test_refinement_merging_coarse_labels_is_rejected():
     # refined x sits under coarse a and b, so its tables would count b's
-    # events as a child of a (a1 + a2 != parent); the prefix check alone
-    # passes this log
+    # events as a child of a (a1 + a2 != parent); no two traces differ in a
+    # coarse label under equal refined prefixes here
     base = log_from_rows([["a", "b", "c", "a", "c"]] * 3)
     refined = log_from_rows([["x", "x", "c", "y", "c"]] * 3)
-    assert check_refinement(base, refined).is_equal_length_refinement
+    assert not check_refinement(base, refined).is_equal_length_refinement
     with pytest.raises(NotARefinementError,
                        match=r"refined label x is observed under several coarse labels \(a, b\)"):
         evaluate(base, refined)
 
 
+# an event gets the refined label x or y, which may sit under several coarse
+# labels, or its coarse label suffixed 1 or 2, which never does
+_tagged_rows = st.lists(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xy12")),
+                                 min_size=1, max_size=6),
+                        min_size=1, max_size=6)
+
+
+def _label_rows(rows):
+    return ([[coarse for coarse, _ in row] for row in rows],
+            [[tag if tag in "xy" else coarse + tag for coarse, tag in row] for row in rows])
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from("xy12")),
-                         min_size=1, max_size=6),
-                min_size=1, max_size=6))
+@given(_tagged_rows)
 def test_prefix_violations_imply_merges(rows):
-    # an event gets the refined label x or y, which may sit under several
-    # coarse labels, or its coarse label suffixed 1 or 2, which never does
-    base = log_from_rows([[coarse for coarse, _ in row] for row in rows])
-    refined = log_from_rows([[tag if tag in "xy" else coarse + tag for coarse, tag in row]
-                             for row in rows])
-    merged = {child for child, coarse in observed_parents(base, refined).items()
-              if len(coarse) >= 2}
-    labels = {t.case_id: [e.label for e in t] for t in refined}
-    for v in check_refinement(base, refined, max_violations=100).violations:
-        # both traces carry one refined label at the violating position
-        assert labels[v.case_a][v.position] == labels[v.case_b][v.position]
-        assert labels[v.case_a][v.position] in merged
-    if merged:
+    base_rows, refined_rows = _label_rows(rows)
+    check = check_refinement(log_from_rows(base_rows), log_from_rows(refined_rows))
+    for i, j, position in prefix_violations(base_rows, refined_rows):
+        # both traces carry one refined label over two coarse ones there
+        assert Label(refined_rows[i][position]) in check.violations
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tagged_rows)
+def test_check_refinement_agrees_with_evaluate(rows):
+    base_rows, refined_rows = _label_rows(rows)
+    base, refined = log_from_rows(base_rows), log_from_rows(refined_rows)
+    under: dict[str, set[str]] = {}
+    for coarse_row, refined_row in zip(base_rows, refined_rows):
+        for coarse, child in zip(coarse_row, refined_row):
+            under.setdefault(child, set()).add(coarse)
+    merged = tuple(Label(child) for child in sorted(under) if len(under[child]) >= 2)
+    check = check_refinement(base, refined)
+    assert check.violations == merged
+    if check.is_equal_length_refinement:
+        evaluate(base, refined)
+    else:
         with pytest.raises(NotARefinementError, match="observed under several coarse labels"):
             evaluate(base, refined)
         with pytest.raises(NotARefinementError, match="observed under several coarse labels"):
             RefinementCounts.of(base, refined, DEFAULT_RELATIONS)
-    else:
-        evaluate(base, refined)

@@ -7,8 +7,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, strategies as st
 
-from labelsplit import (Event, EventLog, Label, MissingAttributeError, Trace,
-                        label_of, log_alphabet)
+from labelsplit import Event, EventLog, Label, MissingAttributeError, Projection, Trace
 from labelsplit.model import InternedLog
 
 from conftest import log_from_rows, sample_events
@@ -18,41 +17,43 @@ UTC = timezone.utc
 
 def test_label_of_single_attribute():
     event = sample_events()[0]
-    assert label_of(event, ["Sensor"]) == Label("Bedroom motion")
+    assert Projection(["Sensor"]).event_label(event) == Label("Bedroom motion")
 
 
 def test_label_of_empty_projection():
     event = sample_events()[0]
-    assert label_of(event, []) == Label(())
+    assert Projection([]).event_label(event) == Label(())
 
 
 def test_label_of_two_attributes():
     event = sample_events()[5]  # row id 6
-    assert label_of(event, ["Sensor", "Heart rate"]) == Label(("Living room motion", "79"))
+    assert (Projection(["Sensor", "Heart rate"]).event_label(event)
+            == Label(("Living room motion", "79")))
 
 
 def test_label_of_missing_attribute_names_event():
     event = sample_events()[0]
     with pytest.raises(MissingAttributeError) as exc:
-        label_of(event, ["NoSuch"])
+        Projection(["NoSuch"]).event_label(event)
     assert "NoSuch" in str(exc.value)
     assert "1" in str(exc.value)
+    assert str(exc.value) == "event 1 has no attribute 'NoSuch'"
 
 
 def test_log_alphabet_empty():
-    assert log_alphabet(EventLog()) == ()
+    assert EventLog().alphabet == ()
 
 
 def test_log_alphabet_sample_sensor_labels():
     events = sample_events()
-    labeled = [e.with_label(label_of(e, ["Sensor"])) for e in events]
+    labeled = [e.with_label(Projection(["Sensor"]).event_label(e)) for e in events]
     log = EventLog([Trace("all", labeled)])
-    assert log_alphabet(log) == (Label("Bedroom motion"), Label("Living room motion"))
+    assert log.alphabet == (Label("Bedroom motion"), Label("Living room motion"))
 
 
 def test_log_alphabet_single_trace():
     log = log_from_rows([["a", "a", "b"]])
-    assert log_alphabet(log) == (Label("a"), Label("b"))
+    assert log.alphabet == (Label("a"), Label("b"))
     assert log.event_count == 3
 
 
@@ -109,7 +110,7 @@ def test_label_str_joins_with_plus():
 @given(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=8))
 def test_alphabet_subset_of_occurring_labels(row):
     log = log_from_rows([row])
-    assert set(log_alphabet(log)) == {Label(name) for name in row}
+    assert set(log.alphabet) == {Label(name) for name in row}
 
 
 def test_event_normalises_naive_and_non_utc_timestamps_to_utc():

@@ -138,13 +138,7 @@ def test_check_refinement_merge_is_violation():
     l2 = log_from_rows([["m"], ["m"]])
     check = check_refinement(l1, l2)
     assert not check.is_equal_length_refinement
-    assert len(check.violations) == 1
-    v = check.violations[0]
-    assert {v.case_a, v.case_b} == {"t0", "t1"}
-    assert v.position == 0
-    capped = check_refinement(l1, l2, max_violations=0)
-    assert not capped.is_equal_length_refinement
-    assert capped.violations == ()
+    assert check.violations == (Label("m"),)
 
 
 def test_check_refinement_positionwise_merge_is_violation():
@@ -153,15 +147,26 @@ def test_check_refinement_positionwise_merge_is_violation():
     l2 = log_from_rows([["m", "x"], ["m", "y"]])
     check = check_refinement(l1, l2)
     assert not check.is_equal_length_refinement
+    assert check.violations == (Label("m"),)
 
 
-def test_check_refinement_stops_at_max_violations():
-    # t0/t1 and t2/t3 each violate at position 0, in separate buckets
+def test_check_refinement_lists_every_merged_label():
+    # t0/t1 merge a and b under x, t2/t3 merge c and d under y
     l1 = log_from_rows([["a"], ["b"], ["c"], ["d"]])
     l2 = log_from_rows([["x"], ["x"], ["y"], ["y"]])
-    assert len(check_refinement(l1, l2, max_violations=1).violations) == 1
-    assert len(check_refinement(l1, l2, max_violations=2).violations) == 2
-    assert len(check_refinement(l1, l2).violations) == 2
+    assert check_refinement(l1, l2).violations == (Label("x"), Label("y"))
+
+
+def test_check_refinement_single_trace_merge_agrees_with_evaluate():
+    # no two traces share a refined prefix, yet x sits over a and b
+    from labelsplit import evaluate
+    l1 = log_from_rows([["a", "b", "c"]])
+    l2 = log_from_rows([["x", "x", "c"]])
+    check = check_refinement(l1, l2)
+    assert not check.is_equal_length_refinement
+    assert check.violations == (Label("x"),)
+    with pytest.raises(NotARefinementError, match=r"refined label x is observed"):
+        evaluate(l1, l2)
 
 
 def test_check_refinement_shape_mismatch():
