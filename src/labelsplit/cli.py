@@ -13,15 +13,15 @@ failure.  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import json
+import csv
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any
 
-from .evaluate import (EvaluationConfig, EvaluationReport, evaluate,
-                       generate_median_time_candidates, rank_candidates)
+from .evaluate import (EvaluationConfig, evaluate, generate_median_time_candidates,
+                       rank_candidates)
 from .ingest import (CsvFormatError, CsvSchema, PartitionKeySpec, XesFormatError,
                      csv_header, parse_xes_minimal, read_csv, write_csv,
                      write_xes_minimal)
@@ -29,6 +29,8 @@ from .model import EventLog, Label, MissingAttributeError, time_zone
 from .ordering import DEFAULT_RELATIONS, LogCounts, OrderingRelation
 from .relabel import (Projection, RefinementError, RuleBased, RuleError,
                       TimeThreshold, parse_time_of_day)
+from .report import (human_label, json_text, pretty_candidates, pretty_ranking,
+                     pretty_report, pretty_stats, report_doc)
 from .stats import CorrectionPolicy
 
 EXIT_OK = 0
@@ -114,7 +116,8 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
                         choices=["per_candidate", "per_candidate_set"],
                         default="per_candidate")
     parser.add_argument("--context-labels", default=None,
-                        help="comma-separated context labels to test against")
+                        help="context labels to test against, as one CSV record "
+                             "(comma-separated; quote a name holding a comma)")
     parser.add_argument("--json", action="store_true", default=False,
                         help="JSON output (the default)")
     parser.add_argument("--pretty", action="store_true", default=False,
@@ -157,9 +160,9 @@ def build_parser() -> _Parser:
     _add_shared_flags(p_stats)
     _add_labeling_flags(p_stats)
     p_stats.add_argument("--b-labels", default=None,
-                         help="restrict source labels (comma-separated)")
+                         help="restrict source labels (one CSV record, as --context-labels)")
     p_stats.add_argument("--c-labels", default=None,
-                         help="restrict context labels (comma-separated)")
+                         help="restrict context labels (one CSV record, as --context-labels)")
     p_stats.add_argument("--include-self", action="store_true", default=False,
                          help="include b == c rows")
     p_stats.add_argument("--format", choices=["json", "csv"], default="json")
@@ -188,6 +191,17 @@ def _time_zone(name: str) -> str:
 
 def _split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def _label_names(text: str, flag: str) -> list[str]:
+    """The label names in ``flag``'s value, read as one CSV record: names
+    are split on commas and stripped, and empty ones dropped; a name in
+    double quotes may hold commas, and a doubled quote in it is a quote."""
+    try:
+        record = next(csv.reader([text], skipinitialspace=True))
+    except csv.Error as exc:
+        raise UsageError(f"cannot read {flag} as one CSV record: {exc}") from None
+    return [name.strip() for name in record if name.strip()]
 
 
 def _resolve_schema(text: str, args) -> CsvSchema:
@@ -290,7 +304,8 @@ def _relations(args) -> tuple[OrderingRelation, ...]:
 def _eval_config(args) -> EvaluationConfig:
     contexts = None
     if args.context_labels is not None:
-        contexts = tuple(Label(text) for text in _split_list(args.context_labels))
+        contexts = tuple(Label(name)
+                         for name in _label_names(args.context_labels, "--context-labels"))
     try:
         return EvaluationConfig(
             alpha=args.alpha,
@@ -302,114 +317,30 @@ def _eval_config(args) -> EvaluationConfig:
         raise UsageError(str(exc)) from exc
 
 
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _key_text(key: Any) -> str:
-    """A dict key's text as ``json`` writes it; float keys are not rounded."""
-    if isinstance(key, str):
-        return encode_basestring(key)
-    if key is None or isinstance(key, (int, float)):
-        return encode_basestring(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def json_text(value: Any, pad: str = "\n") -> str:
-    """``json.dumps(value, ensure_ascii=False, indent=2)``, written in one
-    pass with every float value fixed at 12 significant digits, so output
-    is reproducible.  ``pad`` is the newline and indent that close
-    ``value``: each container is one join of its items' texts."""
-    if isinstance(value, str):
-        return encode_basestring(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        return f"[{inner}{(',' + inner).join([json_text(v, inner) for v in value])}{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [f"{_key_text(k)}: {json_text(v, inner)}" for k, v in value.items()]
-        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
-    if isinstance(value, float):
-        text = float.__repr__(float(f"{value:.12g}"))
-        return _NONFINITE.get(text, text)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _emit(args, doc: Any, pretty_text: str | None = None) -> None:
-    if args.pretty and pretty_text is not None:
-        text = pretty_text
+def _emit(args, doc: Any, pretty: Callable[[], str] | None = None) -> None:
+    """Write ``doc`` as JSON, ending with its run metadata unless
+    --deterministic, or under --pretty the text ``pretty()`` builds."""
+    if args.pretty and pretty is not None:
+        text = pretty()
     else:
         if isinstance(doc, dict) and not args.deterministic:
             doc = {**doc, "generated_at": datetime.now(timezone.utc).isoformat()}
         text = json_text(doc) + "\n"
+    _write(args, text)
+
+
+def _write(args, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def human_label(label: Label) -> str:
-    if any("+" in str(part) for part in label.parts):
-        return "+".join(f'"{part}"' for part in label.parts)
-    return str(label)
-
-
-def _pretty_stats(rows: list[tuple[str, str, str, int, int]]) -> str:
-    """(relation, b, c, pos, neg) rows as a table: every column as wide as
-    its widest cell, text left-aligned and counts right-aligned."""
-    cells = [("relation", "b", "c", "pos", "neg"),
-             *[(relation, b, c, str(pos), str(neg)) for relation, b, c, pos, neg in rows]]
-    w = [max(map(len, column)) for column in zip(*cells)]
-    return "".join(f"{relation:<{w[0]}}  {b:<{w[1]}}  {c:<{w[2]}}  {pos:>{w[3]}}  {neg:>{w[4]}}\n"
-                   for relation, b, c, pos, neg in cells)
-
-
-def _pretty_report(report: EvaluationReport) -> str:
-    lines = [
-        f"candidate: {report.candidate_description}",
-        f"useful: {'yes' if report.useful else 'no'}    score: {report.score:.6g}",
-        f"tests: {report.m_tests} at corrected alpha {report.corrected_alpha:.6g}"
-        f" (alpha {report.alpha:g})",
-    ]
-    for sp in report.split_pairs:
-        children = ", ".join(human_label(c) for c in sp.children)
-        lines.append(f"split: {human_label(sp.parent)} -> {children}")
-    if report.tests:
-        lines.append("")
-        lines.append(f"{'relation':<22}{'context':<28}{'a1 +/-':<12}"
-                     f"{'a2 +/-':<12}{'parent +/-':<12}{'p':<12}sig")
-        for t in report.tests:
-            lines.append(
-                f"{t.relation.value:<22}{human_label(t.context_label):<28}"
-                f"{f'{t.table.col_a1.pos}/{t.table.col_a1.neg}':<12}"
-                f"{f'{t.table.col_a2.pos}/{t.table.col_a2.neg}':<12}"
-                f"{f'{t.table.parent_col.pos}/{t.table.parent_col.neg}':<12}"
-                f"{t.p_value:<12.4g}{'*' if t.significant else ''}")
-    e = report.entropy
-    lines.append("")
-    lines.append(f"entropy before: {e.total_before:.6g}  after: {e.total_after:.6g}"
-                 f"  relative gain: {e.relative_information_gain:.6g}")
-    for note in report.notes:
-        lines.append(f"note: {note}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_evaluate(args) -> int:
     base_log = _load_base_log(args)
     refined, description = _refined_log(args, base_log)
     report = evaluate(base_log, refined, _eval_config(args), description)
-    _emit(args, report.to_json_dict(), _pretty_report(report))
+    _emit(args, report_doc(report), lambda: pretty_report(report))
     return EXIT_OK
 
 
@@ -418,27 +349,18 @@ def cmd_scan(args) -> int:
     skipped: list[str] = []
     candidates = generate_median_time_candidates(base_log, args.timezone, skipped)
     reports = rank_candidates(base_log, candidates, _eval_config(args))
-    doc = {
-        "candidates": [r.to_json_dict() for r in reports],
-        "skipped_labels": skipped,
-    }
-    pretty = ["rank  score       useful  candidate"]
-    for i, r in enumerate(reports, 1):
-        pretty.append(f"{i:<6}{r.score:<12.6g}{'yes' if r.useful else 'no':<8}"
-                      f"{r.candidate_description}")
-    for s in skipped:
-        pretty.append(f"skipped: {s}")
-    _emit(args, doc, "\n".join(pretty) + "\n")
+    doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": skipped}
+    _emit(args, doc, lambda: pretty_ranking(reports, skipped))
     return EXIT_OK
 
 
 def _chosen_codes(labels: tuple[Label, ...], codes: list[int], names: str | None,
                   flag: str) -> list[int]:
-    """The codes whose label text is in the comma-separated ``names`` of
-    ``flag``; all of ``codes`` when no names are given."""
+    """The codes whose label text is named in ``flag``'s value ``names``;
+    all of ``codes`` when no names are given."""
     if not names:
         return codes
-    wanted = dict.fromkeys(_split_list(names))
+    wanted = dict.fromkeys(_label_names(names, flag))
     known = {str(label) for label in labels}
     unknown = [name for name in wanted if name not in known]
     if unknown:
@@ -459,13 +381,13 @@ def cmd_stats(args) -> int:
         """(relation, b code, c code, pos, neg) of each row, in relation and
         then sorted-label order."""
         for relation in relations:
-            rows = counts.rows[relation]
+            name, rows = relation.value, counts.rows[relation]
             for b in b_codes:
                 row, n = rows[b], occurrences[b]
                 for c in c_codes:
                     if c != b or args.include_self:
                         p = row.get(c, 0)
-                        yield relation.value, b, c, p, n - p
+                        yield name, b, c, p, n - p
 
     if args.format == "csv":
         # RFC 4180: a quote inside a quoted field is doubled
@@ -474,16 +396,12 @@ def cmd_stats(args) -> int:
         lines = ["relation,b,c,pos,neg"]
         lines += [f'{relation},"{names[b]}","{names[c]}",{pos},{neg}'
                   for relation, b, c, pos, neg in cells()]
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write(args, "\n".join(lines) + "\n")
         return EXIT_OK
     if args.pretty:
         names = [human_label(label) for label in labels]
-        _emit(args, None, _pretty_stats([(relation, names[b], names[c], pos, neg)
-                                         for relation, b, c, pos, neg in cells()]))
+        _write(args, pretty_stats((relation, names[b], names[c], pos, neg)
+                                  for relation, b, c, pos, neg in cells()))
         return EXIT_OK
     parts = [label.json_parts() for label in labels]
     _emit(args, {"rows": [{"relation": relation, "b": parts[b], "c": parts[c],
@@ -508,19 +426,13 @@ def cmd_gen_candidates(args) -> int:
         ],
         "skipped_labels": skipped,
     }
-    pretty = [f"{fn.description}" for fn in candidates]
-    pretty += [f"skipped: {s}" for s in skipped]
-    _emit(args, doc, "\n".join(pretty) + "\n")
+    _emit(args, doc, lambda: pretty_candidates(candidates, skipped))
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
     log = _load_base_log(args)
-    text = write_csv(log) if args.to == "csv" else write_xes_minimal(log)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(args, write_csv(log) if args.to == "csv" else write_xes_minimal(log))
     return EXIT_OK
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from typing import Container, Iterable
+from typing import Any, Container, Iterable
 
 from .gain import EntropyBreakdown, relative_information_gain
 from .model import EventLog, Label, local, time_zone
@@ -60,6 +60,24 @@ class EvaluationReport:
         labels = {label.parts: label
                   for t in self.tests for label in (t.context_label, *t.pair)}
         parts = {key: label.json_parts() for key, label in labels.items()}
+        return self.json_fields([
+            {"relation": t.relation.value,
+             "context": parts[t.context_label.parts],
+             "pair": [parts[t.pair[0].parts], parts[t.pair[1].parts]],
+             "table": {
+                 "a1": [t.table.col_a1.pos, t.table.col_a1.neg],
+                 "a2": [t.table.col_a2.pos, t.table.col_a2.neg],
+                 "parent": [t.table.parent_col.pos, t.table.parent_col.neg],
+             },
+             "p": t.p_value,
+             "significant": t.significant}
+            for t in self.tests
+        ])
+
+    def json_fields(self, tests: Any) -> dict:
+        """The report's JSON fields in output order, with ``tests`` as the
+        value of "tests": ``to_json_dict`` passes its test dicts, and
+        ``report.report_doc`` a writer of the same text."""
         return {
             "candidate": self.candidate_description,
             "split_pairs": [
@@ -69,19 +87,7 @@ class EvaluationReport:
             ],
             "m_tests": self.m_tests,
             "corrected_alpha": self.corrected_alpha,
-            "tests": [
-                {"relation": t.relation.value,
-                 "context": parts[t.context_label.parts],
-                 "pair": [parts[t.pair[0].parts], parts[t.pair[1].parts]],
-                 "table": {
-                     "a1": [t.table.col_a1.pos, t.table.col_a1.neg],
-                     "a2": [t.table.col_a2.pos, t.table.col_a2.neg],
-                     "parent": [t.table.parent_col.pos, t.table.parent_col.neg],
-                 },
-                 "p": t.p_value,
-                 "significant": t.significant}
-                for t in self.tests
-            ],
+            "tests": tests,
             "entropy": {
                 "total_before": self.entropy.total_before,
                 "total_after": self.entropy.total_after,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from labelsplit import EvaluationReport, cli
 from labelsplit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -249,6 +250,50 @@ def test_stats_unknown_label_names_are_refused(capsys, flag):
     assert f"error: unknown label(s) in {flag}: Bedroom motoin" in err.splitlines()
 
 
+def _write_named_sensors(path: Path) -> str:
+    """A three-trace log whose sensors are named ``a,b``, ``say "hi"``, ``a``
+    and ``c``."""
+    names = ["a,b", 'say "hi"', "a", "c"]
+    # each name at a different time of day in each trace, so scan splits it
+    rows = [f'{i},2020-01-0{1 + i // 4}T0{i % 4 + i // 4}:00:00,d{i // 4},'
+            f'"{name.replace(chr(34), 2 * chr(34))}"'
+            for i, name in enumerate(names * 3)]
+    path.write_text("id,timestamp,case,sensor\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("flag", ["--b-labels", "--c-labels"])
+@pytest.mark.parametrize("value, names", [
+    ('"a,b",c', {"a,b", "c"}),  # a quoted name holds a comma
+    ('"say ""hi""", "a,b"', {'say "hi"', "a,b"}),  # a doubled quote is a quote
+    (" a , c,", {"a", "c"}),  # plain names split as before
+])
+def test_stats_label_flags_read_one_csv_record(tmp_path, capsys, flag, value, names):
+    csv_path = _write_named_sensors(tmp_path / "named.csv")
+    code, out, err = run(capsys, "stats", "--csv", csv_path, "--base-label", "sensor",
+                         "--format", "json", "--include-self", flag, value)
+    assert code == 0, err
+    column = "b" if flag == "--b-labels" else "c"
+    assert {row[column][0] for row in json.loads(out)["rows"]} == names
+
+
+def test_label_flags_split_an_unquoted_comma(tmp_path, capsys):
+    csv_path = _write_named_sensors(tmp_path / "named.csv")
+    code, out, err = run(capsys, "stats", "--csv", csv_path, "--base-label", "sensor",
+                         "--b-labels", "a,b")
+    assert code == 1 and out == ""
+    assert "error: unknown label(s) in --b-labels: b" in err.splitlines()
+
+
+def test_context_labels_read_one_csv_record(tmp_path, capsys):
+    csv_path = _write_named_sensors(tmp_path / "named.csv")
+    code, out, err = run(capsys, "scan", "--csv", csv_path, "--base-label", "sensor",
+                         "--context-labels", '"a,b",c')
+    assert code == 0, err
+    contexts = {tuple(t["context"]) for r in json.loads(out)["candidates"] for t in r["tests"]}
+    assert contexts == {("a,b",), ("c",)}
+
+
 def test_stats_full_dump_row_count(capsys):
     code, out, _ = run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Activity")
     rows = json.loads(out)["rows"]
@@ -347,6 +392,16 @@ def test_runs_differ_only_in_generated_at(capsys):
     assert a == b
 
 
+@pytest.mark.parametrize("argv", [
+    ("scan", "--base-label", "Sensor"),
+    ("evaluate", "--base-label", "Sensor", "--refined-label", "Activity"),
+])
+def test_generated_at_is_the_last_key(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--csv", SMART_HOME)
+    assert code == 0
+    assert list(json.loads(out))[-1] == "generated_at"
+
+
 def test_seed_flag_changes_nothing(capsys):
     base = ("evaluate", "--csv", SMART_HOME, "--base-label", "Sensor",
             "--refined-label", "Activity", "--deterministic")
@@ -395,6 +450,23 @@ def test_pretty_output(capsys):
     assert code == 0
     assert "useful: yes" in out
     assert "directly_precedes" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("evaluate", "--refined-label", "Activity"),
+    ("scan",),
+    ("gen-candidates",),
+])
+def test_json_output_builds_no_pretty_text_and_no_report_dict(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("called without --pretty")
+
+    for name in ("pretty_report", "pretty_ranking", "pretty_candidates"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(EvaluationReport, "to_json_dict", refuse)
+    code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", "Sensor")
+    assert code == 0, err
+    assert json.loads(out)
 
 
 def test_stats_pretty_is_an_aligned_table(capsys):

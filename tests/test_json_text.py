@@ -1,13 +1,17 @@
-"""The CLI's JSON writer against ``json.dumps(indent=2)``."""
+"""The report JSON writer against ``json.dumps(indent=2)``, and the
+per-test template against the dict form of a report."""
 
 import json
 import math
-from datetime import date
+from datetime import date, datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from labelsplit.cli import json_text
+from labelsplit import (ContingencyTable, EntropyBreakdown, EvaluationReport, Label,
+                        OrderingCounts, OrderingRelation, SplitPair)
+from labelsplit.report import json_text, report_doc
+from labelsplit.stats import TestResult as FisherResult
 
 
 def round12(value):
@@ -46,3 +50,76 @@ def test_what_json_cannot_write_raises_type_error(doc):
         json.dumps(doc, ensure_ascii=False, indent=2)
     with pytest.raises(TypeError):
         json_text(doc)
+
+
+# --- the per-test template against the dict form -------------------------
+
+specials = st.sampled_from(['"', "\\", "+", ",", "\x00", "\n", "\x1f", "\x7f", "é", " ",
+                            "😀", "a"])
+texts = st.text(specials | st.characters(), max_size=6)
+zones = st.sampled_from([timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+                         timezone(timedelta(hours=-8))])
+parts = (texts | st.integers(min_value=-2 ** 70, max_value=2 ** 70) | st.dates() | st.times()
+         | st.datetimes(timezones=zones))
+labels = st.lists(parts, max_size=3).map(lambda values: Label(tuple(values)))
+report_floats = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 5e-324, 2.0 ** -1060, 1e-300])
+counts = st.builds(OrderingCounts, st.integers(0, 10 ** 7), st.integers(0, 10 ** 7))
+
+
+@st.composite
+def fisher_results(draw, labels):
+    relation = draw(st.sampled_from(OrderingRelation))
+    context, a1, a2, parent = (draw(labels) for _ in range(4))
+    table = ContingencyTable(relation, context, a1, a2, draw(counts), draw(counts),
+                             parent, draw(counts))
+    p, alpha = draw(report_floats), draw(report_floats)
+    return FisherResult(relation, context, (a1, a2), p, alpha, p < alpha, table)
+
+
+@st.composite
+def reports(draw):
+    # most labels come from a small pool, so they recur across records
+    pool = st.sampled_from(draw(st.lists(labels, min_size=1, max_size=6))) | labels
+    split_pairs = draw(st.lists(st.builds(
+        SplitPair, pool, st.lists(pool, min_size=2, max_size=4).map(tuple)), max_size=2))
+    tests = draw(st.lists(fisher_results(pool), max_size=8))
+    entropy = EntropyBreakdown((), draw(report_floats), draw(report_floats),
+                               draw(report_floats), draw(report_floats))
+    return EvaluationReport(draw(texts), tuple(split_pairs), tuple(tests), entropy,
+                            draw(st.booleans()), draw(report_floats),
+                            draw(st.integers(0, 10 ** 6)), draw(report_floats),
+                            draw(report_floats), tuple(draw(st.lists(texts, max_size=3))))
+
+
+def _report_of(tests):
+    entropy = EntropyBreakdown((), 0.0, 0.0, 0.0, 0.0)
+    return EvaluationReport("c", (), tuple(tests), entropy, False, 0.0, len(tests), 0.01, 0.01)
+
+
+def _test_of(context):
+    a1, a2 = Label("a", 1), Label("a", 2)
+    table = ContingencyTable(OrderingRelation.DIRECTLY_FOLLOWS, context, a1, a2,
+                             OrderingCounts(1, 2), OrderingCounts(3, 4), Label("a"),
+                             OrderingCounts(4, 6))
+    return FisherResult(table.relation, context, (a1, a2), 0.5, 0.01, False, table)
+
+
+# one instant in two zones: equal labels with different texts
+NOON_UTC = datetime(2021, 3, 28, 12, tzinfo=timezone.utc)
+NOON_IN_PARIS = NOON_UTC.astimezone(timezone(timedelta(hours=2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(reports())
+@example(_report_of([_test_of(Label(NOON_UTC)), _test_of(Label(NOON_IN_PARIS))]))
+def test_report_doc_writes_what_the_dict_form_writes(report):
+    assert json_text(report_doc(report)) == json_text(report.to_json_dict())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(reports(), max_size=3), st.lists(texts, max_size=2))
+def test_nested_report_docs_write_what_the_dict_forms_write(reports, skipped):
+    doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": skipped}
+    expected = {"candidates": [r.to_json_dict() for r in reports], "skipped_labels": skipped}
+    assert json_text(doc) == json_text(expected)
