@@ -29,7 +29,7 @@ from .model import EventLog, Label, MissingAttributeError, time_zone
 from .ordering import DEFAULT_RELATIONS, LogCounts, OrderingRelation
 from .relabel import (Projection, RefinementError, RuleBased, RuleError,
                       TimeThreshold, parse_time_of_day)
-from .report import (human_label, json_text, pretty_candidates, pretty_ranking,
+from .report import (StatsRows, human_label, json_text, pretty_candidates, pretty_ranking,
                      pretty_report, pretty_stats, report_doc)
 from .stats import CorrectionPolicy
 
@@ -290,6 +290,7 @@ def _refined_log(args, base_log: EventLog):
 
 
 def _relations(args) -> tuple[OrderingRelation, ...]:
+    """The relations named in --relations, each once, in first-named order."""
     if not args.relations:
         return DEFAULT_RELATIONS
     by_value = {r.value: r for r in OrderingRelation}
@@ -298,7 +299,7 @@ def _relations(args) -> tuple[OrderingRelation, ...]:
         if name not in by_value:
             raise UsageError(f"unknown relation {name!r}; valid: {sorted(by_value)}")
         out.append(by_value[name])
-    return tuple(out)
+    return tuple(dict.fromkeys(out))
 
 
 def _eval_config(args) -> EvaluationConfig:
@@ -403,10 +404,7 @@ def cmd_stats(args) -> int:
         _write(args, pretty_stats((relation, names[b], names[c], pos, neg)
                                   for relation, b, c, pos, neg in cells()))
         return EXIT_OK
-    parts = [label.json_parts() for label in labels]
-    _emit(args, {"rows": [{"relation": relation, "b": parts[b], "c": parts[c],
-                           "pos": pos, "neg": neg}
-                          for relation, b, c, pos, neg in cells()]})
+    _emit(args, {"rows": StatsRows(labels, cells())})
     return EXIT_OK
 
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 
 import itertools
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Container, Iterable
 
 from .gain import EntropyBreakdown, relative_information_gain
 from .model import EventLog, Label, local, time_zone
-from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OccurrenceBits,
-                       OrderingRelation, RefinementCounts, build_tables)
+from .ordering import (DEFAULT_RELATIONS, LogCounts, OccurrenceBits, OrderingRelation,
+                       PairTables, RefinementCounts, build_tables)
 from .relabel import Pairing, RelabelingFn, SplitPair, TimeThreshold
-from .stats import CorrectionPolicy, TestResult, fisher_test
+from .stats import CorrectionPolicy, PairTests, TestResult, fisher_exact_two_sided
 
 logger = logging.getLogger(__name__)
 
@@ -35,18 +36,25 @@ class EvaluationConfig:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        object.__setattr__(self, "relations", tuple(self.relations))
+        # a repeated relation or context label is dropped, so no table is
+        # tested twice
+        object.__setattr__(self, "relations", tuple(dict.fromkeys(self.relations)))
         if self.context_labels is not None:
-            object.__setattr__(self, "context_labels", tuple(self.context_labels))
+            object.__setattr__(self, "context_labels",
+                               tuple(dict.fromkeys(self.context_labels)))
 
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Everything the evaluation of one candidate produced."""
+    """Everything the evaluation of one candidate produced.
+
+    ``evaluate`` and ``rank_candidates`` give ``tests`` as ``PairTests``,
+    which build each ``TestResult`` on access.
+    """
 
     candidate_description: str
     split_pairs: tuple[SplitPair, ...]
-    tests: tuple[TestResult, ...]
+    tests: Sequence[TestResult]
     entropy: EntropyBreakdown
     useful: bool
     score: float
@@ -105,12 +113,12 @@ class _Collected:
 
     description: str
     split_pairs: tuple[SplitPair, ...]
-    pair_tables: list[tuple[tuple[Label, Label], list[ContingencyTable]]]
+    pair_tables: list[PairTables]
     notes: list[str]
 
     @property
     def m_tests(self) -> int:
-        return sum(len(tables) for _, tables in self.pair_tables)
+        return sum(map(len, self.pair_tables))
 
 
 def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
@@ -156,45 +164,47 @@ def _tabulate(split_pairs: tuple[SplitPair, ...], counts: RefinementCounts | Non
     if not split_pairs:
         notes.append("refinement is not strict")
 
-    pair_tables: list[tuple[tuple[Label, Label], list[ContingencyTable]]] = []
-    skipped = 0
-    for split in split_pairs:
-        for a1, a2 in itertools.combinations(split.children, 2):
-            tables = build_tables(counts, split, a1, a2,
-                                  relations=config.relations,
-                                  context_labels=config.context_labels,
-                                  notes=notes)
-            usable = [t for t in tables if t.parent_col.total > 0]
-            skipped += len(tables) - len(usable)
-            pair_tables.append(((a1, a2), usable))
-    if skipped:
-        logger.info("skipped %d degenerate table(s) with empty parent column", skipped)
-        notes.append(f"skipped {skipped} degenerate table(s)")
+    # no parent column is empty: a split's parent labels the base events
+    # its children label
+    pair_tables = [build_tables(counts, split, a1, a2, relations=config.relations,
+                                context_labels=config.context_labels, notes=notes)
+                   for split in split_pairs
+                   for a1, a2 in itertools.combinations(split.children, 2)]
     return _Collected(description, split_pairs, pair_tables, notes)
 
 
 def _finish(collected: _Collected, config: EvaluationConfig,
+            fisher: dict[tuple[int, int, int, int], float],
             family_m: int | None = None) -> EvaluationReport:
+    """Test and score every table, reading each pair's count arrays.
+
+    ``fisher`` memoises p by the four counts of a table, across the
+    candidates of one ``evaluate`` or ``rank_candidates`` call.
+    """
     m = collected.m_tests
     threshold = config.correction.threshold(config.alpha, family_m if family_m else m)
 
-    tests: list[TestResult] = []
+    p_values = []
     all_significant = bool(collected.split_pairs)
-    for _, tables in collected.pair_tables:
-        pair_significant = False
-        for table in tables:
-            result = fisher_test(table, threshold)
-            tests.append(result)
-            pair_significant = pair_significant or result.significant
-        all_significant = all_significant and pair_significant
+    for tables in collected.pair_tables:
+        n1, n2 = tables.n1, tables.n2
+        ps = []
+        for a1_pos, a2_pos in zip(tables.a1_pos, tables.a2_pos):
+            for x, y in zip(a1_pos, a2_pos):
+                key = (x, n1 - x, y, n2 - y)
+                p = fisher.get(key)
+                if p is None:
+                    p = fisher[key] = fisher_exact_two_sided(*key)
+                ps.append(p)
+        p_values.append(ps)
+        all_significant = all_significant and bool(ps) and min(ps) < threshold
 
-    entropy = relative_information_gain(
-        [t for _, tables in collected.pair_tables for t in tables])
+    entropy = relative_information_gain(collected.pair_tables)
     useful = all_significant
     return EvaluationReport(
         candidate_description=collected.description,
         split_pairs=collected.split_pairs,
-        tests=tuple(tests),
+        tests=PairTests(collected.pair_tables, p_values, (threshold,) * len(p_values)),
         entropy=entropy,
         useful=useful,
         score=entropy.relative_information_gain if useful else 0.0,
@@ -217,7 +227,7 @@ def evaluate(l1_log: EventLog, l2_log: EventLog,
     somewhere, and its score is then the relative information gain.
     """
     config = config or EvaluationConfig()
-    return _finish(_collect(l1_log, l2_log, config, description), config)
+    return _finish(_collect(l1_log, l2_log, config, description), config, {})
 
 
 def generate_median_time_candidates(
@@ -326,6 +336,7 @@ def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
     family_m = None
     if config.correction.family_scope == "per_candidate_set":
         family_m = sum(c.m_tests for c in collected)
-    reports = [_finish(c, config, family_m) for c in collected]
+    fisher: dict[tuple[int, int, int, int], float] = {}
+    reports = [_finish(c, config, fisher, family_m) for c in collected]
     reports.sort(key=lambda r: (-r.score, r.candidate_description))
     return reports

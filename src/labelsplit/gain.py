@@ -11,10 +11,11 @@ the before-split total.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .model import Label
-from .ordering import ContingencyTable, OrderingRelation
+from .ordering import ContingencyTable, OrderingRelation, PairBlocks, PairTables
 
 
 def binary_entropy(p: float) -> float:
@@ -34,16 +35,21 @@ def table_entropies(table: ContingencyTable) -> tuple[float, float]:
     child's share of the parent total.  A table whose parent column is
     empty contributes (0, 0); an empty child column contributes 0.
     """
-    parent_total = table.parent_col.total
-    if parent_total == 0:
+    a1, a2, parent = table.col_a1, table.col_a2, table.parent_col
+    return _entropies(parent.pos, parent.total, a1.pos, a1.total, a2.pos, a2.total)
+
+
+def _entropies(p: int, n: int, p1: int, n1: int, p2: int, n2: int) -> tuple[float, float]:
+    """``table_entropies`` of the table whose parent, a1 and a2 columns
+    have pos p, p1 and p2 out of n, n1 and n2."""
+    if n == 0:
         return 0.0, 0.0
-    h_before = binary_entropy(table.parent_col.pos / parent_total)
+    h_before = binary_entropy(p / n)
     h_after = 0.0
-    for col in (table.col_a1, table.col_a2):
-        if col.total == 0:
-            continue
-        weight = col.total / parent_total
-        h_after += weight * binary_entropy(col.pos / col.total)
+    if n1:
+        h_after += n1 / n * binary_entropy(p1 / n1)
+    if n2:
+        h_after += n2 / n * binary_entropy(p2 / n2)
     return h_before, h_after
 
 
@@ -57,44 +63,55 @@ class TableEntropy:
     weight_a2: float
 
 
+class TableEntropies(PairBlocks):
+    """The ``TableEntropy`` of each table of a run of PairTables, built on
+    access."""
+
+    __slots__ = ()
+
+    def _block_item(self, b: int, k: int) -> TableEntropy:
+        tables = self.blocks[b]
+        r, c = divmod(k, len(tables.contexts))
+        n, n1, n2 = tables.n, tables.n1, tables.n2
+        h_before, h_after = _entropies(tables.parent_pos[r][c], n, tables.a1_pos[r][c], n1,
+                                       tables.a2_pos[r][c], n2)
+        return TableEntropy(tables.relations[r], tables.contexts[c], h_before, h_after,
+                            n1 / n if n else 0.0, n2 / n if n else 0.0)
+
+
 @dataclass(frozen=True)
 class EntropyBreakdown:
     """Entropy accounting for one candidate refinement."""
 
-    per_table: tuple[TableEntropy, ...]
+    per_table: Sequence[TableEntropy]
     total_before: float
     total_after: float
     information_gain: float
     relative_information_gain: float
 
 
-def relative_information_gain(tables: list[ContingencyTable]) -> EntropyBreakdown:
+def relative_information_gain(tables: Iterable[ContingencyTable | PairTables]) -> EntropyBreakdown:
     """Aggregate the entropies of all tables of one candidate.
 
-    The relative information gain is (total_before - total_after) /
-    total_before, defined as 0 when there is no before-split entropy to
-    reduce.
+    Each item of ``tables`` is one table, or a PairTables that stands for
+    all of its tables.  The relative information gain is (total_before -
+    total_after) / total_before, defined as 0 when there is no
+    before-split entropy to reduce.
     """
-    per_table = []
+    blocks = [t if isinstance(t, PairTables) else PairTables.of(t) for t in tables]
     total_before = 0.0
     total_after = 0.0
-    for table in tables:
-        h_before, h_after = table_entropies(table)
-        parent_total = table.parent_col.total
-        per_table.append(TableEntropy(
-            relation=table.relation,
-            context_label=table.context_label,
-            h_before=h_before,
-            h_after=h_after,
-            weight_a1=table.col_a1.total / parent_total if parent_total else 0.0,
-            weight_a2=table.col_a2.total / parent_total if parent_total else 0.0,
-        ))
-        total_before += h_before
-        total_after += h_after
+    for block in blocks:
+        n, n1, n2 = block.n, block.n1, block.n2
+        for parent_pos, a1_pos, a2_pos in zip(block.parent_pos, block.a1_pos, block.a2_pos):
+            for p, p1, p2 in zip(parent_pos, a1_pos, a2_pos):
+                h_before, h_after = _entropies(p, n, p1, n1, p2, n2)
+                total_before += h_before
+                total_after += h_after
     gain = total_before - total_after
     rig = gain / total_before if total_before > 0.0 else 0.0
     return EntropyBreakdown(
-        per_table=tuple(per_table),
+        per_table=TableEntropies(blocks),
         total_before=total_before,
         total_after=total_after,
         information_gain=gain,

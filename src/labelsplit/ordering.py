@@ -18,15 +18,21 @@ occurrences.
 
 The 2x2-plus-margin contingency table compares two refined labels a1, a2
 against a context label b, alongside the same statistic for their common
-coarse label taken from the unrefined log.
+coarse label taken from the unrefined log.  ``build_tables`` gives a child
+pair's tables column by column (``PairTables``): one int array of pos
+counts per relation and column, read without building a table.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from itertools import accumulate, repeat
+from typing import Any, Iterable
 
 from .model import EventLog, InternedLog, Label
 from .relabel import Pairing, SplitPair
@@ -196,16 +202,23 @@ class LogCounts:
         A source absent from the log counts (0, 0); a context absent from it
         satisfies the relation nowhere, so b counts (0, occurrences of b).
         """
-        rows = self.rows[relation]
+        n, ((pos,),) = self.positives(b, (c,), (relation,))
+        return OrderingCounts(pos, n - pos)
+
+    def positives(self, b: Label, contexts: Sequence[Label],
+                  relations: Sequence[OrderingRelation]) -> tuple[int, tuple[list[int], ...]]:
+        """``column`` against many contexts at once: the occurrences of b,
+        and per relation the pos count of b against each context."""
         if self.sources is not None and b.parts not in self.sources:
             raise KeyError(f"source label {b} was not counted")
         codes = self.interned.codes
         b_code = codes.get(b.parts)
         if b_code is None:
-            return OrderingCounts(0, 0)
-        c_code = codes.get(c.parts)
-        p = 0 if c_code is None else rows[b_code].get(c_code, 0)
-        return OrderingCounts(p, self.interned.occurrences[b_code] - p)
+            return 0, tuple([0] * len(contexts) for _ in relations)
+        c_codes = [codes.get(c.parts) for c in contexts]  # None: never a row key
+        return self.interned.occurrences[b_code], tuple(
+            list(map(self.rows[relation][b_code].get, c_codes, repeat(0)))
+            for relation in relations)
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,19 +239,27 @@ class SplitCounts:
 
     def column(self, relation: OrderingRelation, b: Label, c: Label) -> OrderingCounts:
         """Counts of child b against context c, as ``LogCounts.column``."""
+        n, ((pos,),) = self.positives(b, (c,), (relation,))
+        return OrderingCounts(pos, n - pos)
+
+    def positives(self, b: Label, contexts: Sequence[Label],
+                  relations: Sequence[OrderingRelation]) -> tuple[int, tuple[list[int], ...]]:
+        """As ``LogCounts.positives``, one popcount per cell."""
         mask = self.masks.get(b.parts)
         if mask is None:
             raise KeyError(f"source label {b} was not counted")
-        c_code = self.codes.get(c.parts)
-        if c_code == self.parent:
-            raise KeyError(f"context label {c} is the split label")
-        hits = 0 if c_code is None else self.hits[relation].get(c_code, 0)
-        if relation is OrderingRelation.LENGTH_TWO_LOOP:
-            # the loop closes at the parent's next occurrence (bit k + 1),
-            # which must go to the same child
-            hits &= mask >> 1
-        pos = (hits & mask).bit_count()
-        return OrderingCounts(pos, mask.bit_count() - pos)
+        c_codes = [self.codes.get(c.parts) for c in contexts]
+        if self.parent in c_codes:
+            raise KeyError(f"context label {contexts[c_codes.index(self.parent)]} "
+                           "is the split label")
+        out = []
+        for relation in relations:
+            # a length-two loop closes at the parent's next occurrence (bit
+            # k + 1), which must go to the same child
+            keep = mask & mask >> 1 if relation is OrderingRelation.LENGTH_TWO_LOOP else mask
+            get = self.hits[relation].get
+            out.append([(get(c, 0) & keep).bit_count() for c in c_codes])
+        return mask.bit_count(), tuple(out)
 
 
 @dataclass(frozen=True)
@@ -388,6 +409,109 @@ class ContingencyTable:
     parent_col: OrderingCounts
 
 
+class LazySequence(Sequence):
+    """A read-only sequence whose items are built on each access from the
+    columns it holds.  It compares equal to any list, tuple or
+    LazySequence of equal items, and hashes as the tuple of its items."""
+
+    __slots__ = ()
+
+    def _item(self, i: int) -> Any:
+        """Item i, for 0 <= i < len(self)."""
+        raise NotImplementedError
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            return tuple(map(self._item, range(*index.indices(n))))
+        i = operator.index(index)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"{type(self).__name__} index out of range")
+        return self._item(i)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, LazySequence)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+class PairTables(LazySequence):
+    """The tables of one child pair (a1, a2), held column by column.
+
+    There is one table per relation and context label, relation by
+    relation and, within one, in the order of ``contexts``.  Item k of
+    ``a1_pos[r]`` is the pos count of a1 against ``contexts[k]`` on
+    ``relations[r]``; likewise ``a2_pos`` and, for ``parent`` in the base
+    log against the context's coarse label, ``parent_pos``.  pos + neg of a
+    column is always its label's occurrence count, so each neg is n1 - pos
+    (a1), n2 - pos (a2) or n - pos (parent).  A ``ContingencyTable`` is
+    built only when an item is read.
+    """
+
+    __slots__ = ("relations", "contexts", "a1", "a2", "parent", "n1", "n2", "n",
+                 "a1_pos", "a2_pos", "parent_pos")
+
+    def __init__(self, relations: tuple[OrderingRelation, ...], contexts: tuple[Label, ...],
+                 a1: Label, a2: Label, parent: Label, n1: int, n2: int, n: int,
+                 a1_pos: tuple[list[int], ...], a2_pos: tuple[list[int], ...],
+                 parent_pos: tuple[list[int], ...]):
+        self.relations, self.contexts = relations, contexts
+        self.a1, self.a2, self.parent = a1, a2, parent
+        self.n1, self.n2, self.n = n1, n2, n
+        self.a1_pos, self.a2_pos, self.parent_pos = a1_pos, a2_pos, parent_pos
+
+    @classmethod
+    def of(cls, table: ContingencyTable) -> "PairTables":
+        """A PairTables holding ``table`` alone."""
+        a1, a2, parent = table.col_a1, table.col_a2, table.parent_col
+        return cls((table.relation,), (table.context_label,), table.a1, table.a2,
+                   table.parent_label, a1.total, a2.total, parent.total,
+                   ([a1.pos],), ([a2.pos],), ([parent.pos],))
+
+    def __len__(self) -> int:
+        return len(self.relations) * len(self.contexts)
+
+    def _item(self, i: int) -> ContingencyTable:
+        r, k = divmod(i, len(self.contexts))
+        p1, p2, p = self.a1_pos[r][k], self.a2_pos[r][k], self.parent_pos[r][k]
+        return ContingencyTable(self.relations[r], self.contexts[k], self.a1, self.a2,
+                                OrderingCounts(p1, self.n1 - p1), OrderingCounts(p2, self.n2 - p2),
+                                self.parent, OrderingCounts(p, self.n - p))
+
+
+class PairBlocks(LazySequence):
+    """Items built on access, one per table of ``blocks`` (a run of
+    PairTables), block by block."""
+
+    __slots__ = ("blocks", "_ends")
+
+    def __init__(self, blocks: Iterable[PairTables]):
+        self.blocks = tuple(blocks)
+        self._ends = list(accumulate(map(len, self.blocks)))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def _item(self, i: int) -> Any:
+        b = bisect_right(self._ends, i)
+        return self._block_item(b, i - self._ends[b - 1] if b else i)
+
+    def _block_item(self, b: int, k: int) -> Any:
+        """Item k of block b."""
+        raise NotImplementedError
+
+
 def build_tables(
     counts: RefinementCounts,
     pair: SplitPair,
@@ -397,7 +521,7 @@ def build_tables(
     context_labels: Iterable[Label] | None = None,
     *,
     notes: list[str] | None = None,
-) -> list[ContingencyTable]:
+) -> PairTables:
     """One table per (relation, context label) for the child pair (a1, a2).
 
     Context labels default to the refined alphabet minus every child of the
@@ -431,17 +555,10 @@ def build_tables(
             if note not in notes:
                 notes.append(note)
 
-    tables = []
-    for relation in relations:
-        for b in contexts:
-            tables.append(ContingencyTable(
-                relation=relation,
-                context_label=b,
-                a1=a1,
-                a2=a2,
-                col_a1=counts.refined.column(relation, a1, b),
-                col_a2=counts.refined.column(relation, a2, b),
-                parent_label=pair.parent,
-                parent_col=counts.base.column(relation, pair.parent, coarse.get(b, b)),
-            ))
-    return tables
+    relations = tuple(relations)
+    n1, a1_pos = counts.refined.positives(a1, contexts, relations)
+    n2, a2_pos = counts.refined.positives(a2, contexts, relations)
+    n, parent_pos = counts.base.positives(pair.parent, [coarse.get(b, b) for b in contexts],
+                                          relations)
+    return PairTables(relations, tuple(contexts), a1, a2, pair.parent, n1, n2, n,
+                      a1_pos, a2_pos, parent_pos)

@@ -17,7 +17,7 @@ from typing import Any
 from .evaluate import EvaluationReport
 from .model import Label
 from .relabel import RelabelingFn
-from .stats import TestResult
+from .stats import PairTests, TestResult
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -73,14 +73,14 @@ def json_text(value: Any, pad: str = "\n") -> str:
 
 
 class _LabelTexts(dict):
-    """Label parts -> the JSON text of that label's parts at one indent,
+    """Key -> the JSON text of the parts of ``labels[key]`` at one indent,
     written on first use."""
 
-    def __init__(self, labels: dict[tuple, Label], pad: str):
+    def __init__(self, labels: dict[Any, Label], pad: str):
         super().__init__()
         self.labels, self.pad = labels, pad
 
-    def __missing__(self, key: tuple) -> str:
+    def __missing__(self, key: Any) -> str:
         text = self[key] = json_text(self.labels[key].json_parts(), self.pad)
         return text
 
@@ -88,12 +88,13 @@ class _LabelTexts(dict):
 class TestRecords:
     """A report's "tests" list as ``json_text`` writes the test dicts of
     ``EvaluationReport.to_json_dict``, from one template per test and with
-    no dict built."""
+    no dict or per-test object built: the counts and p-values are read
+    from the arrays of ``PairTests``."""
 
     __slots__ = ("tests",)
 
     def __init__(self, tests: Sequence[TestResult]):
-        self.tests = tests
+        self.tests = tests if isinstance(tests, PairTests) else PairTests.of(tests)
 
     def json_text(self, pad: str) -> str:
         tests = self.tests
@@ -101,26 +102,62 @@ class TestRecords:
             return "[]"
         end = pad + "  "  # closes each record
         i1, i2, i3 = end + "  ", end + "    ", end + "      "
-        # as in to_json_dict, labels of equal parts share the last one's text
-        labels = {label.parts: label for t in tests for label in (t.context_label, *t.pair)}
+        # as in to_json_dict, labels of equal parts share the last one's
+        # text: a block's last relation names all of its labels, its pair last
+        labels = {}
+        for block in tests.blocks:
+            if block:
+                labels.update((c.parts, c) for c in block.contexts)
+                labels[block.a1.parts], labels[block.a2.parts] = block.a1, block.a2
         contexts, members = _LabelTexts(labels, i1), _LabelTexts(labels, i2)
-        relations = {relation: encode_basestring(relation.value)
-                     for relation in {t.relation for t in tests}}
         records = []
-        for t in tests:
-            a, b = t.pair
-            table = t.table
-            a1, a2, parent = table.col_a1, table.col_a2, table.parent_col
-            records.append(
-                f'{{{i1}"relation": {relations[t.relation]},'
-                f'{i1}"context": {contexts[t.context_label.parts]},'
-                f'{i1}"pair": [{i2}{members[a.parts]},{i2}{members[b.parts]}{i1}],'
-                f'{i1}"table": {{{i2}"a1": [{i3}{a1.pos},{i3}{a1.neg}{i2}],'
-                f'{i2}"a2": [{i3}{a2.pos},{i3}{a2.neg}{i2}],'
-                f'{i2}"parent": [{i3}{parent.pos},{i3}{parent.neg}{i2}]{i1}}},'
-                f'{i1}"p": {_float_text(t.p_value)},'
-                f'{i1}"significant": {"true" if t.significant else "false"}{end}}}')
+        for block, ps, alpha in zip(tests.blocks, tests.p_values, tests.alphas):
+            if not block:
+                continue
+            pair = (f'{i1}"pair": [{i2}{members[block.a1.parts]},'
+                    f'{i2}{members[block.a2.parts]}{i1}],')
+            n1, n2, n = block.n1, block.n2, block.n
+            names = [contexts[c.parts] for c in block.contexts]
+            p_at = iter(ps)
+            for relation, a1_pos, a2_pos, parent_pos in zip(
+                    block.relations, block.a1_pos, block.a2_pos, block.parent_pos):
+                head = f'{{{i1}"relation": {encode_basestring(relation.value)},{i1}"context": '
+                for name, x, y, z, p in zip(names, a1_pos, a2_pos, parent_pos, p_at):
+                    records.append(
+                        f'{head}{name},{pair}'
+                        f'{i1}"table": {{{i2}"a1": [{i3}{x},{i3}{n1 - x}{i2}],'
+                        f'{i2}"a2": [{i3}{y},{i3}{n2 - y}{i2}],'
+                        f'{i2}"parent": [{i3}{z},{i3}{n - z}{i2}]{i1}}},'
+                        f'{i1}"p": {_float_text(p)},'
+                        f'{i1}"significant": {"true" if p < alpha else "false"}{end}}}')
         return f"[{end}{(',' + end).join(records)}{pad}]"
+
+
+class StatsRows:
+    """The "rows" list of ``stats --format json`` as ``json_text`` writes
+    the row dicts ``{"relation", "b", "c", "pos", "neg"}``, from one
+    template per row and with no dict built.
+
+    ``cells`` yields (relation name, b code, c code, pos, neg), the codes
+    indexing ``labels``; it is read once, so the rows are written once.
+    """
+
+    __slots__ = ("labels", "cells")
+
+    def __init__(self, labels: Sequence[Label], cells: Iterable[tuple[str, int, int, int, int]]):
+        self.labels, self.cells = labels, cells
+
+    def json_text(self, pad: str) -> str:
+        end = pad + "  "  # closes each row
+        i1 = end + "  "
+        labels = dict(enumerate(self.labels))
+        names = _LabelTexts(labels, i1)
+        rows = [f'{{{i1}"relation": {encode_basestring(relation)},{i1}"b": {names[b]},'
+                f'{i1}"c": {names[c]},{i1}"pos": {pos},{i1}"neg": {neg}{end}}}'
+                for relation, b, c, pos, neg in self.cells]
+        if not rows:
+            return "[]"
+        return f"[{end}{(',' + end).join(rows)}{pad}]"
 
 
 def report_doc(report: EvaluationReport) -> dict:

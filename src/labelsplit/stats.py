@@ -10,10 +10,11 @@ hypergeometric term ratio, so large counts cannot overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, replace
 
 from .model import Label
-from .ordering import ContingencyTable, OrderingRelation
+from .ordering import ContingencyTable, OrderingRelation, PairBlocks, PairTables
 
 # Relative slack when comparing point probabilities for the two-sided sum.
 _TIE_SLACK = 1e-7
@@ -135,3 +136,33 @@ def fisher_test(table: ContingencyTable, corrected_alpha: float) -> TestResult:
         significant=p < corrected_alpha,
         table=table,
     )
+
+
+class PairTests(PairBlocks):
+    """The ``TestResult`` of each table of a run of PairTables, built on
+    access: ``p_values[b][k]`` is the p of table k of block b, tested at
+    ``alphas[b]``."""
+
+    __slots__ = ("p_values", "alphas")
+
+    def __init__(self, blocks: Iterable[PairTables], p_values: Sequence[Sequence[float]],
+                 alphas: Sequence[float]):
+        super().__init__(blocks)
+        self.p_values, self.alphas = p_values, alphas
+
+    @classmethod
+    def of(cls, tests: Iterable[TestResult]) -> "PairTests":
+        """``tests``, each one block of its one table, named by the test's
+        relation, context label and pair (as ``to_json_dict`` names it)."""
+        tests = list(tests)
+        blocks = [PairTables.of(replace(t.table, relation=t.relation,
+                                        context_label=t.context_label, a1=t.pair[0],
+                                        a2=t.pair[1]))
+                  for t in tests]
+        return cls(blocks, [[t.p_value] for t in tests], [t.corrected_alpha for t in tests])
+
+    def _block_item(self, b: int, k: int) -> TestResult:
+        table = self.blocks[b][k]
+        p, alpha = self.p_values[b][k], self.alphas[b]
+        return TestResult(table.relation, table.context_label, (table.a1, table.a2), p, alpha,
+                          p < alpha, table)

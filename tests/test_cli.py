@@ -514,6 +514,46 @@ def test_relations_flag(capsys):
     assert "sideways" in err
 
 
+@pytest.mark.parametrize("argv, repeated, once", [
+    (("scan",), ("--context-labels", "Living room motion,Living room motion"),
+     ("--context-labels", "Living room motion")),
+    (("scan",), ("--relations", "directly_follows,directly_follows"),
+     ("--relations", "directly_follows")),
+    (("scan", "--family-scope", "per_candidate_set"),
+     ("--relations", "eventually_follows,directly_follows,eventually_follows"),
+     ("--relations", "eventually_follows,directly_follows")),
+    (("evaluate", "--refined-label", "Activity"),
+     ("--context-labels", "Living room motion,Bedroom motion,Living room motion"),
+     ("--context-labels", "Living room motion,Bedroom motion")),
+    (("evaluate", "--refined-label", "Activity"),
+     ("--relations", "directly_precedes,length_two_loop,directly_precedes"),
+     ("--relations", "directly_precedes,length_two_loop")),
+    (("stats",), ("--relations", "directly_follows,directly_follows"),
+     ("--relations", "directly_follows")),
+    (("stats", "--format", "csv"), ("--relations", "length_two_loop,length_two_loop"),
+     ("--relations", "length_two_loop")),
+    (("stats", "--pretty"), ("--relations", "directly_follows,directly_follows"),
+     ("--relations", "directly_follows")),
+])
+def test_a_repeated_relation_or_context_is_used_once(capsys, argv, repeated, once):
+    common = ("--csv", SMART_HOME, "--base-label", "Sensor", "--deterministic")
+    code, with_repeat, err = run(capsys, *argv, *common, *repeated)
+    assert code == 0, err
+    code, without, err = run(capsys, *argv, *common, *once)
+    assert code == 0, err
+    assert with_repeat == without
+
+
+def test_a_repeated_context_does_not_grow_the_test_family(capsys):
+    code, out, _ = run(capsys, "scan", "--csv", SMART_HOME, "--base-label", "Sensor",
+                       "--context-labels", "Living room motion,Living room motion")
+    assert code == 0
+    # the Living room motion split has no context left
+    reports = json.loads(out)["candidates"]
+    assert [(r["m_tests"], r["corrected_alpha"]) for r in reports] == [(4, 0.0025), (0, 0.01)]
+    assert reports[0]["candidate"].startswith("time_threshold[Bedroom motion@")
+
+
 def test_bad_alpha_is_usage_error(capsys):
     code, _, err = run(capsys, "evaluate", "--csv", SMART_HOME,
                        "--base-label", "Sensor", "--refined-label", "Activity",

@@ -1,10 +1,12 @@
 """The columnar CSV path against a row-by-row oracle, relabeling on columns
-against relabeling materialised events, and no Event built on the way."""
+against relabeling materialised events, and no Event built on the way, nor
+any table, test or entropy object up to the written output."""
 
 import csv
 import gc
 import io
 import tempfile
+from collections import Counter
 from datetime import time
 from pathlib import Path
 from unittest import mock
@@ -12,9 +14,10 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from labelsplit import (CsvFormatError, CsvSchema, Event, EventLog, Label,
-                        MissingAttributeError, Projection, RuleBased, RuleError, TimeThreshold,
-                        Trace, cli, ingest, parse_csv)
+from labelsplit import (ContingencyTable, CsvFormatError, CsvSchema, Event, EventLog, Label,
+                        MissingAttributeError, Projection, RuleBased, RuleError, TableEntropy,
+                        TimeThreshold, Trace, cli, ingest, parse_csv)
+from labelsplit.stats import TestResult as FisherResult
 from labelsplit.model import InternedLog
 
 from oracles import naive_csv_error, naive_csv_log
@@ -195,3 +198,35 @@ def test_cli_on_csv_builds_no_event(argv, tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert cli.main([*argv, "--csv", DEMO_CSV, "--deterministic", "--out", str(out)]) == 0
     assert seen == [before]
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "--base-label", "Sensor", "--refined-label", "Sensor,Activity"],
+    ["scan", "--base-label", "Sensor"],
+    ["scan", "--base-label", "Sensor", "--family-scope", "per_candidate_set",
+     "--context-labels", "Living room motion,Bedroom motion,Front door"],
+])
+def test_cli_builds_no_table_test_or_entropy_object(argv, tmp_path, monkeypatch):
+    # tables, tests and entropies are read from count arrays up to the
+    # written text; only --pretty reads them as objects
+    built = Counter()
+    for cls in (ContingencyTable, FisherResult, TableEntropy):
+        def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    emit, seen = cli._emit, []
+
+    def counting_emit(*args, **kwargs):
+        seen.append(dict(built))
+        return emit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", counting_emit)
+    out = tmp_path / "out"
+    assert cli.main([*argv, "--csv", DEMO_CSV, "--deterministic", "--out", str(out)]) == 0
+    assert seen == [{}]
+    assert built == Counter()
+    if argv[0] == "evaluate":  # its --pretty view lists the tests: the count works
+        assert cli.main([*argv, "--csv", DEMO_CSV, "--pretty", "--out", str(out)]) == 0
+        assert built["TestResult"] > 0

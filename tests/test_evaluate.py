@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -6,12 +7,15 @@ from datetime import datetime, time, timedelta, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from labelsplit import (DEFAULT_RELATIONS, CorrectionPolicy, Event, EvaluationConfig,
-                        EventLog, Label, NotARefinementError, OrderingRelation,
-                        RefinementCounts, TimeThreshold, Trace, check_refinement, evaluate,
-                        generate_median_time_candidates, rank_candidates)
-from conftest import log_from_rows
-from oracles import prefix_violations
+from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, CorrectionPolicy, Event,
+                        EvaluationConfig, EventLog, Label, NotARefinementError,
+                        OrderingCounts, OrderingRelation, Pairing, RefinementCounts,
+                        TableEntropy, TimeThreshold, Trace, binary_entropy, build_tables,
+                        check_refinement, evaluate, fisher_test,
+                        generate_median_time_candidates, rank_candidates, table_entropies)
+from labelsplit.report import json_text, pretty_report, report_doc
+from conftest import label_rows, log_from_rows
+from oracles import naive_count, prefix_violations
 
 
 def test_sample_evaluation_is_useful(sensor_log, activity_log):
@@ -31,6 +35,17 @@ def test_sample_evaluation_is_useful(sensor_log, activity_log):
         assert not by_relation[rel].significant
     assert report.useful
     assert report.score == 1.0
+
+
+def test_config_drops_repeated_relations_and_contexts(sensor_log, activity_log):
+    df, dp = OrderingRelation.DIRECTLY_FOLLOWS, OrderingRelation.DIRECTLY_PRECEDES
+    lrm, other = Label("Living room motion"), Label("Nowhere")
+    config = EvaluationConfig(relations=[dp, df, dp, dp], context_labels=[lrm, other, lrm])
+    assert config.relations == (dp, df)
+    assert config.context_labels == (lrm, other)
+    once = EvaluationConfig(relations=(dp, df), context_labels=(lrm, other))
+    assert evaluate(sensor_log, activity_log, config) == evaluate(sensor_log, activity_log, once)
+    assert evaluate(sensor_log, activity_log, config).m_tests == 4
 
 
 def test_sample_default_contexts_match_restricted(sensor_log, activity_log):
@@ -411,3 +426,129 @@ def test_check_refinement_agrees_with_evaluate(rows):
             evaluate(base, refined)
         with pytest.raises(NotARefinementError, match="observed under several coarse labels"):
             RefinementCounts.of(base, refined, DEFAULT_RELATIONS)
+
+
+# --- the columnar tables, tests and entropies against eager tuples ---------
+
+@st.composite
+def _refinements(draw):
+    """A log, a refinement of it splitting one or two labels k ways, and a
+    configuration whose relations and contexts may repeat."""
+    rows = draw(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=8),
+                         min_size=1, max_size=6))
+    present = sorted({name for row in rows for name in row})
+    split = draw(st.lists(st.sampled_from(present), min_size=1, max_size=2, unique=True))
+    ways = {name: draw(st.integers(2, 3)) for name in split}
+    refined = [[f"{name}_{draw(st.integers(1, ways[name]))}" if name in ways else name
+                for name in row] for row in rows]
+    relations = draw(st.lists(st.sampled_from(list(OrderingRelation)), min_size=1,
+                              max_size=6))
+    names = sorted({name for row in refined for name in row} | set(present) | {"absent"})
+    contexts = draw(st.none() | st.lists(st.sampled_from(names), max_size=5))
+    config = EvaluationConfig(
+        alpha=draw(st.sampled_from([0.01, 0.05, 0.5])), relations=relations,
+        correction=CorrectionPolicy("bonferroni",
+                                    draw(st.sampled_from(["per_candidate",
+                                                          "per_candidate_set"]))),
+        context_labels=None if contexts is None else [Label(name) for name in contexts])
+    return log_from_rows(rows), log_from_rows(refined), config, relations
+
+
+def _table_entropies(table):
+    """``table_entropies`` one column at a time: the float operations, in
+    their order, that the columnar entropies must repeat."""
+    parent_total = table.parent_col.total
+    if parent_total == 0:
+        return 0.0, 0.0
+    h_before = binary_entropy(table.parent_col.pos / parent_total)
+    h_after = 0.0
+    for col in (table.col_a1, table.col_a2):
+        if col.total == 0:
+            continue
+        weight = col.total / parent_total
+        h_after += weight * binary_entropy(col.pos / col.total)
+    return h_before, h_after
+
+
+def _eager(report, l1, l2, config):
+    """The report's tables, tests and table entropies built one object at a
+    time, with every cell counted by the quantifier-scan oracle."""
+    coarse = Pairing.of(l1, l2).coarse()
+    rows1, rows2 = label_rows(l1), label_rows(l2)
+    base_names = {name for row in rows1 for name in row}
+    pairs = []
+    for split in report.split_pairs:
+        siblings = set(split.children)
+        if config.context_labels is None:
+            contexts = [b for b in sorted(coarse, key=Label.sort_key) if b not in siblings]
+        else:
+            contexts = [b for b in config.context_labels if b not in siblings
+                        and (b in coarse or str(b) not in base_names)]
+        for a1, a2 in itertools.combinations(split.children, 2):
+            pairs.append((split, a1, a2, [ContingencyTable(
+                relation, b, a1, a2,
+                OrderingCounts(*naive_count(rows2, relation.value, str(a1), str(b))),
+                OrderingCounts(*naive_count(rows2, relation.value, str(a2), str(b))),
+                split.parent,
+                OrderingCounts(*naive_count(rows1, relation.value, str(split.parent),
+                                            str(coarse.get(b, b)))))
+                for relation in config.relations for b in contexts]))
+    tables = [t for *_, pair_tables in pairs for t in pair_tables]
+    tests = tuple(fisher_test(t, report.corrected_alpha) for t in tables)
+    per_table, before, after = [], 0.0, 0.0
+    for t in tables:
+        h_before, h_after = _table_entropies(t)
+        assert table_entropies(t) == (h_before, h_after)
+        n = t.parent_col.total
+        per_table.append(TableEntropy(t.relation, t.context_label, h_before, h_after,
+                                      t.col_a1.total / n if n else 0.0,
+                                      t.col_a2.total / n if n else 0.0))
+        before += h_before
+        after += h_after
+    return pairs, tests, tuple(per_table), before, after
+
+
+def _assert_lazy_equals(lazy, eager):
+    n = len(eager)
+    assert len(lazy) == n
+    for i in range(-n, n):
+        assert lazy[i] == eager[i]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            lazy[i]
+    assert list(lazy) == list(eager)
+    assert lazy[1:-1] == eager[1:-1]
+    assert lazy == eager and eager == lazy and lazy == list(eager)
+    assert not lazy != eager
+    assert hash(lazy) == hash(eager)
+    if n:
+        assert lazy != eager[:-1] and lazy != eager[:-1] + (None,)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_refinements())
+def test_lazy_tables_tests_and_entropies_equal_eager_tuples(inputs):
+    l1, l2, config, drawn_relations = inputs
+    assert config.relations == tuple(dict.fromkeys(drawn_relations))
+    report = evaluate(l1, l2, config)
+    candidates = generate_median_time_candidates(l1)
+    ranked = rank_candidates(l1, candidates, config)
+    by_description = {fn.description: fn for fn in candidates}
+    checked = [(report, l2)] + [(r, by_description[r.candidate_description].apply(l1))
+                                for r in ranked]
+    for report, refined in checked:
+        pairs, tests, per_table, before, after = _eager(report, l1, refined, config)
+        _assert_lazy_equals(report.tests, tests)
+        _assert_lazy_equals(report.entropy.per_table, per_table)
+        assert (report.entropy.total_before, report.entropy.total_after) == (before, after)
+        assert report.m_tests == len(tests)
+        eager_report = replace(report, tests=tests,
+                               entropy=replace(report.entropy, per_table=per_table))
+        assert report == eager_report
+        assert report.to_json_dict() == eager_report.to_json_dict()
+        assert json_text(report_doc(report)) == json_text(report_doc(eager_report))
+        assert pretty_report(report) == pretty_report(eager_report)
+        counts = RefinementCounts.of(l1, refined, config.relations)
+        for split, a1, a2, tables in pairs:
+            _assert_lazy_equals(build_tables(counts, split, a1, a2, config.relations,
+                                             config.context_labels), tuple(tables))

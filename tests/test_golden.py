@@ -23,6 +23,11 @@ CASES = {
     "scan-all-relations.json": ["scan", "--base-label", "Sensor", "--relations",
                                 "directly_follows,directly_precedes,eventually_follows,"
                                 "eventually_precedes,length_two_loop"],
+    # an explicit context that labels no event, one that names the split
+    # parent (left out with a note), and the candidate-set-wide threshold
+    "scan-contexts-family.json": ["scan", "--base-label", "Sensor",
+                                  "--family-scope", "per_candidate_set", "--context-labels",
+                                  "Living room motion,Bedroom motion,Front door"],
     "evaluate.json": ["evaluate", "--base-label", "Sensor",
                       "--refined-label", "Sensor,Activity"],
     "gen-candidates.json": ["gen-candidates", "--base-label", "Sensor"],

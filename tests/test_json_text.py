@@ -1,5 +1,5 @@
 """The report JSON writer against ``json.dumps(indent=2)``, and the
-per-test template against the dict form of a report."""
+per-test and per-stats-row templates against the dict forms they replace."""
 
 import json
 import math
@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from labelsplit import (ContingencyTable, EntropyBreakdown, EvaluationReport, Label,
                         OrderingCounts, OrderingRelation, SplitPair)
-from labelsplit.report import json_text, report_doc
+from labelsplit.report import StatsRows, json_text, report_doc
 from labelsplit.stats import TestResult as FisherResult
 
 
@@ -71,8 +71,13 @@ counts = st.builds(OrderingCounts, st.integers(0, 10 ** 7), st.integers(0, 10 **
 def fisher_results(draw, labels):
     relation = draw(st.sampled_from(OrderingRelation))
     context, a1, a2, parent = (draw(labels) for _ in range(4))
-    table = ContingencyTable(relation, context, a1, a2, draw(counts), draw(counts),
-                             parent, draw(counts))
+    # a hand-built result may name its table differently; the dict form
+    # writes the result's names
+    named = draw(st.booleans())
+    table = ContingencyTable(relation if named else draw(st.sampled_from(OrderingRelation)),
+                             context if named else draw(labels),
+                             a1 if named else draw(labels), a2 if named else draw(labels),
+                             draw(counts), draw(counts), parent, draw(counts))
     p, alpha = draw(report_floats), draw(report_floats)
     return FisherResult(relation, context, (a1, a2), p, alpha, p < alpha, table)
 
@@ -122,4 +127,31 @@ def test_report_doc_writes_what_the_dict_form_writes(report):
 def test_nested_report_docs_write_what_the_dict_forms_write(reports, skipped):
     doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": skipped}
     expected = {"candidates": [r.to_json_dict() for r in reports], "skipped_labels": skipped}
+    assert json_text(doc) == json_text(expected)
+
+
+# --- the stats row template against the dict form -------------------------
+
+@st.composite
+def stats_rows(draw):
+    """Labels, and (relation, b code, c code, pos, neg) cells over them."""
+    row_labels = draw(st.lists(labels, min_size=1, max_size=5))
+    code = st.integers(0, len(row_labels) - 1)
+    count = st.integers(0, 10 ** 7)
+    relation = st.sampled_from([r.value for r in OrderingRelation])
+    cells = draw(st.lists(st.tuples(relation, code, code, count, count), max_size=12))
+    return row_labels, cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(stats_rows(), st.booleans())
+def test_stats_rows_write_what_the_dict_form_writes(rows, stamped):
+    row_labels, cells = rows
+    parts = [label.json_parts() for label in row_labels]
+    expected = {"rows": [{"relation": relation, "b": parts[b], "c": parts[c],
+                          "pos": pos, "neg": neg}
+                         for relation, b, c, pos, neg in cells]}
+    doc = {"rows": StatsRows(row_labels, iter(cells))}
+    if stamped:  # as the CLI writes it without --deterministic
+        expected["generated_at"] = doc["generated_at"] = "2021-03-28T12:00:00+00:00"
     assert json_text(doc) == json_text(expected)
