@@ -34,5 +34,6 @@ for trace in sensor_log:
 
 # projections can combine several attributes
 example = events[5]
+labelled = Projection(["Sensor", "Heart rate"]).apply(log)
 print("\nsensor+heart-rate label of event 6:",
-      Projection(["Sensor", "Heart rate"]).event_label(example).parts)
+      next(e.label.parts for trace in labelled for e in trace if e.id == example.id))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any
@@ -45,8 +45,8 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        # no abbreviated flags, so _apply_config sees every explicit flag
-        # written out in full
+        # no abbreviated flags: each flag given is written out in full, as
+        # a --config key is
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
@@ -66,32 +66,30 @@ def _read_kv_file(path: str) -> dict[str, str]:
     return out
 
 
-# flags that may appear in a --config file, with their coercions
-_CONFIG_COERCE = {
-    "csv": str, "xes": str, "csv-schema": str, "case-key": str,
-    "calendar-key": str, "timezone": str, "alpha": float, "relations": str,
-    "correction": str, "family-scope": str, "context-labels": str,
-    "base-label": str, "refined-label": str, "rules": str, "threshold": str,
-    "out": str, "seed": int,
-    "json": lambda v: v.lower() in ("1", "true", "yes"),
-    "pretty": lambda v: v.lower() in ("1", "true", "yes"),
-    "deterministic": lambda v: v.lower() in ("1", "true", "yes"),
-    "include-self": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
+                 ) -> argparse.Namespace:
+    """``args`` with the --config file's values as flag defaults: each
+    ``key=value`` is the subcommand's flag ``--key``, read by its own action
+    (1, true or yes set a store_true flag) ahead of the flags given, which
+    win.  A key no subcommand defines is an error; another's is ignored."""
     if not args.config:
-        return
-    explicit = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
+        return args
+    defined = {flag for command in parser.commands.values()
+               for flag in command._option_string_actions}
+    own = parser.commands[args.command]._option_string_actions
+    tokens = []
     for key, raw in _read_kv_file(args.config).items():
-        if key not in _CONFIG_COERCE:
+        flag = f"--{key}"
+        if flag not in defined or flag in ("--config", "--help"):
             raise UsageError(f"unknown config key {key!r}")
-        if f"--{key}" in explicit:
-            continue  # flags take precedence
-        dest = key.replace("-", "_")
-        if hasattr(args, dest):
-            setattr(args, dest, _CONFIG_COERCE[key](raw))
+        if flag not in own:
+            continue
+        if own[flag].nargs != 0:
+            tokens.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes"):
+            tokens.append(flag)
+    at = argv.index(args.command) + 1
+    return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -140,6 +138,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="labelsplit",
                      description="Statistical evaluation of event-label refinements.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.commands = sub.choices  # each subcommand's parser, by name
 
     p_eval = sub.add_parser("evaluate", help="score one candidate refinement",
                             parents=[], description="Evaluate one refinement.")
@@ -175,7 +174,7 @@ def build_parser() -> _Parser:
     p_conv = sub.add_parser("convert", help="convert between CSV and minimal XES")
     _add_shared_flags(p_conv)
     _add_labeling_flags(p_conv)
-    p_conv.add_argument("--to", choices=["csv", "xes"], required=True)
+    p_conv.add_argument("--to", choices=["csv", "xes"])  # required: see cmd_convert
 
     return parser
 
@@ -276,16 +275,21 @@ def _refined_log(args, base_log: EventLog):
         fn = RuleBased.from_text(Path(args.rules).read_text(encoding="utf-8"),
                                  name=Path(args.rules).name)
     else:
-        parts = args.threshold.split(",")
-        if len(parts) != 4:
+        fields = _label_names(args.threshold, "--threshold")
+        if len(fields) != 4:
             raise UsageError("--threshold expects BASE,HH:MM,LOW,HIGH")
-        base, at, low, high = (p.strip() for p in parts)
+        base, at, low, high = fields
         try:
             threshold = parse_time_of_day(at)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        fn = TimeThreshold(Label(base), threshold, Label(low), Label(high),
-                           timezone=args.timezone)
+        # BASE must label events; LOW or HIGH may be new names
+        named = [_labels_named(base_log.interned.labels, [name], "--threshold", k > 0)
+                 for k, name in enumerate((base, low, high))]
+        if any(len(labels) > 1 for labels in named):
+            raise UsageError("--threshold names a text that several labels share")
+        (base_label,), (low_label,), (high_label,) = named
+        fn = TimeThreshold(base_label, threshold, low_label, high_label, timezone=args.timezone)
     return fn.apply(base_log), fn.description
 
 
@@ -302,11 +306,13 @@ def _relations(args) -> tuple[OrderingRelation, ...]:
     return tuple(dict.fromkeys(out))
 
 
-def _eval_config(args) -> EvaluationConfig:
+def _eval_config(args, labels: Iterable[Label]) -> EvaluationConfig:
+    """The evaluation flags, with --context-labels named among ``labels``."""
     contexts = None
     if args.context_labels is not None:
-        contexts = tuple(Label(name)
-                         for name in _label_names(args.context_labels, "--context-labels"))
+        contexts = tuple(_labels_named(
+            labels, _label_names(args.context_labels, "--context-labels"),
+            "--context-labels", keep_absent=True))
     try:
         return EvaluationConfig(
             alpha=args.alpha,
@@ -340,7 +346,8 @@ def _write(args, text: str) -> None:
 def cmd_evaluate(args) -> int:
     base_log = _load_base_log(args)
     refined, description = _refined_log(args, base_log)
-    report = evaluate(base_log, refined, _eval_config(args), description)
+    config = _eval_config(args, (*base_log.interned.labels, *refined.interned.labels))
+    report = evaluate(base_log, refined, config, description)
     _emit(args, report_doc(report), lambda: pretty_report(report))
     return EXIT_OK
 
@@ -349,24 +356,36 @@ def cmd_scan(args) -> int:
     base_log = _load_base_log(args)
     skipped: list[str] = []
     candidates = generate_median_time_candidates(base_log, args.timezone, skipped)
-    reports = rank_candidates(base_log, candidates, _eval_config(args))
+    reports = rank_candidates(base_log, candidates, _eval_config(args, base_log.interned.labels))
     doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": skipped}
     _emit(args, doc, lambda: pretty_ranking(reports, skipped))
     return EXIT_OK
 
 
+def _labels_named(labels: Iterable[Label], names: Iterable[str], flag: str,
+                  keep_absent: bool = False) -> list[Label]:
+    """The labels called ``names`` in ``flag``, in the order named: a name
+    is a label's text, its parts joined by "+", and names every label of
+    ``labels`` with that text.  One that names none is a UsageError, or with
+    ``keep_absent`` a one-part label of no event."""
+    by_text: dict[str, list[Label]] = {}
+    for label in dict.fromkeys(labels):
+        by_text.setdefault(str(label), []).append(label)
+    names = list(dict.fromkeys(names))
+    unknown = [name for name in names if name not in by_text]
+    if unknown and not keep_absent:
+        raise UsageError(f"unknown label(s) in {flag}: {', '.join(unknown)}")
+    return [label for name in names for label in by_text.get(name, [Label(name)])]
+
+
 def _chosen_codes(labels: tuple[Label, ...], codes: list[int], names: str | None,
                   flag: str) -> list[int]:
-    """The codes whose label text is named in ``flag``'s value ``names``;
-    all of ``codes`` when no names are given."""
+    """The codes of the labels named in ``flag``'s value ``names``; all of
+    ``codes`` when no names are given."""
     if not names:
         return codes
-    wanted = dict.fromkeys(_label_names(names, flag))
-    known = {str(label) for label in labels}
-    unknown = [name for name in wanted if name not in known]
-    if unknown:
-        raise UsageError(f"unknown label(s) in {flag}: {', '.join(unknown)}")
-    return [code for code in codes if str(labels[code]) in wanted]
+    wanted = {label.parts for label in _labels_named(labels, _label_names(names, flag), flag)}
+    return [code for code in codes if labels[code].parts in wanted]
 
 
 def cmd_stats(args) -> int:
@@ -429,6 +448,8 @@ def cmd_gen_candidates(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    if args.to is None:  # not required by argparse, so that a --config file may give it
+        raise UsageError("the following arguments are required: --to")
     log = _load_base_log(args)
     _write(args, write_csv(log) if args.to == "csv" else write_xes_minimal(log))
     return EXIT_OK
@@ -451,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        _apply_config(args, argv)
+        args = _with_config(parser, args, argv)
         _time_zone(args.timezone)
         return _COMMANDS[args.command](args)
     except UsageError as exc:

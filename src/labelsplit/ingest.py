@@ -14,7 +14,6 @@ a warning.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import logging
 from bisect import bisect_right
@@ -141,19 +140,6 @@ class PartitionKeySpec:
             raise ValueError(f"unsupported calendar_key {self.calendar_key!r}")
         if not self.attribute_keys and self.calendar_key == "none":
             raise ValueError("at least one of attribute_keys or calendar_key required")
-
-    @functools.cached_property
-    def _tz(self) -> tzinfo:
-        return time_zone(self.timezone)
-
-    def key_of(self, event: Event) -> tuple:
-        parts = [event.attribute(name) for name in self.attribute_keys]
-        if self.calendar_key == "day":
-            # event timestamps are UTC already
-            tz = self._tz
-            local = event.timestamp if tz is timezone.utc else event.timestamp.astimezone(tz)
-            parts.append(local.date())
-        return tuple(parts)
 
 
 def _decode(data: bytes | str) -> str:
@@ -401,7 +387,7 @@ def _traces(key: PartitionKeySpec, ids: Sequence, times: Sequence[datetime],
                     raise MissingAttributeError(name, event_id)
     parts = [values[name] for name in names] if ids else []
     if key.calendar_key == "day":
-        parts.append(list(map(datetime.date, local(times, key._tz))))
+        parts.append(list(map(datetime.date, local(times, time_zone(key.timezone)))))
     keys = list(zip(*parts))
     # number the distinct keys in key order, then sort the rows by that
     # number: the stable sort keeps each trace's rows in row order

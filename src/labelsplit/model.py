@@ -184,9 +184,6 @@ class Event:
                 return value
         raise MissingAttributeError(name, self.id)
 
-    def has_attribute(self, name: str) -> bool:
-        return any(key == name for key, _ in self.attributes)
-
     def with_label(self, label: Label) -> "Event":
         """This event carrying ``label``.  Every other field is already
         normalised, so the copy skips ``__init__``."""

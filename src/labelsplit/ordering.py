@@ -237,11 +237,6 @@ class SplitCounts:
     hits: dict[OrderingRelation, dict[int, int]]
     masks: dict[tuple, int]
 
-    def column(self, relation: OrderingRelation, b: Label, c: Label) -> OrderingCounts:
-        """Counts of child b against context c, as ``LogCounts.column``."""
-        n, ((pos,),) = self.positives(b, (c,), (relation,))
-        return OrderingCounts(pos, n - pos)
-
     def positives(self, b: Label, contexts: Sequence[Label],
                   relations: Sequence[OrderingRelation]) -> tuple[int, tuple[list[int], ...]]:
         """As ``LogCounts.positives``, one popcount per cell."""

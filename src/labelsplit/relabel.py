@@ -15,15 +15,14 @@ each coarse label seen with two or more refined labels, and those labels.  ``eva
 
 from __future__ import annotations
 
-import functools
 import re
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from datetime import time, tzinfo
+from datetime import time
 from typing import Any, Iterator, NamedTuple
 
-from .model import MISSING, Event, EventLog, Label, local, time_zone
+from .model import MISSING, EventLog, Label, local, time_zone
 
 
 class RefinementError(ValueError):
@@ -45,23 +44,18 @@ class RuleError(ValueError):
 class RelabelingFn(ABC):
     """Base class for label rewriters.
 
-    Subclasses map a single event to its new label (``event_label``) and
-    a whole log to its new labels (``label_rows``, read from the log's
-    columns).  ``apply`` keeps ids, timestamps, attributes, and trace
-    shape: each trace keeps its events in order and only swaps their
-    labels.
+    Subclasses map a whole log to its new labels (``label_rows``, read
+    from the log's columns).  ``apply`` keeps ids, timestamps, attributes,
+    and trace shape: each trace keeps its events in order and only swaps
+    their labels.
     """
 
     description: str = ""
 
     @abstractmethod
-    def event_label(self, event: Event) -> Label:
-        ...
-
-    @abstractmethod
     def label_rows(self, log: EventLog) -> list[list[tuple]]:
         """Per trace of ``log``, each event's new label as its
-        ``Label.parts``: ``event_label`` of every event, in log order."""
+        ``Label.parts``, in log order."""
 
     def apply(self, log: EventLog) -> EventLog:
         return log.relabeled(self.label_rows(log))
@@ -81,9 +75,6 @@ class Projection(RelabelingFn):
     @property
     def description(self) -> str:
         return "projection[" + ",".join(self.attribute_names) + "]"
-
-    def event_label(self, event: Event) -> Label:
-        return Label(tuple(event.attribute(name) for name in self.attribute_names))
 
     def label_rows(self, log: EventLog) -> list[list[tuple]]:
         return log.columns.value_rows(self.attribute_names)
@@ -110,29 +101,18 @@ class TimeThreshold(RelabelingFn):
                 f"{self.threshold.isoformat(timespec='minutes')}"
                 f"->{self.low_label}/{self.high_label}]")
 
-    @functools.cached_property
-    def _zone(self) -> tzinfo:
-        return time_zone(self.timezone)
-
-    def event_label(self, event: Event) -> Label:
-        if event.label != self.base_label:
-            return event.label
-        if event.timestamp.astimezone(self._zone).time() < self.threshold:
-            return self.low_label
-        return self.high_label
-
     def _occurrences(self, log: EventLog) -> Iterator[tuple[list[int], list[bool]]]:
         """Per trace, the positions of ``base_label`` and whether each goes
         to ``low_label``."""
         code = log.interned.codes.get(self.base_label.parts)
-        threshold = self.threshold
+        threshold, zone = self.threshold, time_zone(self.timezone)
         for row, times in zip(log.interned.rows, log.columns.times):
             # count and index scan in C; a scan looks up every label this way
             at, i = [], -1
             for _ in range(row.count(code)):
                 i = row.index(code, i + 1)
                 at.append(i)
-            yield at, [t.time() < threshold for t in local([times[i] for i in at], self._zone)]
+            yield at, [t.time() < threshold for t in local([times[i] for i in at], zone)]
 
     def label_rows(self, log: EventLog) -> list[list[tuple]]:
         interned = log.interned
@@ -189,10 +169,6 @@ class Rule:
     value: str
     label: Label
 
-    def matches(self, event: Event) -> bool:
-        return self.matches_value(next((value for name, value in event.attributes
-                                        if name == self.attribute), MISSING))
-
     def matches_value(self, actual: Any) -> bool:
         """Whether an event whose value of the attribute is ``actual``
         (``MISSING`` when it has none) matches."""
@@ -223,14 +199,6 @@ class RuleBased(RelabelingFn):
     @property
     def description(self) -> str:
         return f"rule_file[{self.name}]"
-
-    def event_label(self, event: Event) -> Label:
-        for rule in self.rules:
-            if rule.matches(event):
-                return rule.label
-        if self.default is not None:
-            return self.default
-        raise RuleError(f"no rule matches event {event.id!r} and no default is set")
 
     def label_rows(self, log: EventLog) -> list[list[tuple]]:
         columns = [log.columns.attributes.get(rule.attribute) for rule in self.rules]

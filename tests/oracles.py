@@ -2,8 +2,10 @@
 
 Everything here recomputes results from first principles (exact rational
 arithmetic, direct quantifier scans over label sequences, a plain
-``csv.DictReader`` pass) and shares no code with the package, except that
-``naive_csv_log`` holds its rows in the package's ``Event`` type.
+``csv.DictReader`` pass, event-by-event relabeling) and shares no code
+with the package, except that ``naive_csv_log`` and ``naive_relabel`` hold
+events in the package's ``Event`` type, and ``naive_relabel`` reads a
+relabeling's public fields and raises the package's errors.
 """
 
 from __future__ import annotations
@@ -11,11 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from datetime import datetime, timezone
+import re
+from datetime import datetime, timezone, tzinfo
 from fractions import Fraction
 from zoneinfo import ZoneInfo
 
-from labelsplit import Event, Label
+from labelsplit import (Event, EventLog, Label, MissingAttributeError, Projection, RuleBased,
+                        RuleError, TimeThreshold, Trace)
 
 # Relative slack applied when comparing point probabilities, mirroring the
 # two-sided definition under test but in exact arithmetic.
@@ -160,13 +164,94 @@ def naive_csv_log(text: str, label_columns: list[str], case_key: list[str],
                 if rows else []
     groups: dict[tuple, list] = {}
     for event in rows:
-        key = tuple(dict(event.attributes)[name] for name in case_key)
-        if calendar_day:
-            key += (event.timestamp.astimezone(zone).date(),)
-        groups.setdefault(key, []).append(event)
+        groups.setdefault(naive_case_key(event, case_key, calendar_day, zone), []).append(event)
     return [(key[0] if len(key) == 1 else key,
              sorted(groups[key], key=lambda e: (e.timestamp, _naive_id_key(e.id))))
             for key in sorted(groups)]
+
+
+def naive_case_key(event: Event, case_key: list[str], calendar_day: bool,
+                   zone: tzinfo) -> tuple:
+    """The trace key of ``event``: its values of ``case_key`` and, with
+    ``calendar_day``, the date of its timestamp in ``zone``."""
+    key = tuple(dict(event.attributes)[name] for name in case_key)
+    if calendar_day:
+        key += (event.timestamp.astimezone(zone).date(),)
+    return key
+
+
+def _naive_time_of_day(text: str) -> tuple[int, int, int] | None:
+    """H:MM or HH:MM[:SS] as (hour, minute, second), or None."""
+    m = re.fullmatch(r"(\d{1,2}):(\d{2})(?::(\d{2}))?", text)
+    if m is None:
+        return None
+    hour, minute, second = (int(group or 0) for group in m.groups())
+    return (hour, minute, second) if hour < 24 and minute < 60 and second < 60 else None
+
+
+def _naive_rule_matches(rule, event: Event) -> bool:
+    """Whether the first value ``event`` has of the rule's attribute
+    satisfies it: = and != compare text; < and >= compare times of day when
+    the rule's value is one, numbers otherwise, and fail when either side
+    is neither."""
+    values = [value for name, value in event.attributes if name == rule.attribute]
+    if not values:
+        return False
+    actual = str(values[0])
+    if rule.op == "=":
+        return actual == rule.value
+    if rule.op == "!=":
+        return actual != rule.value
+    if _naive_time_of_day(rule.value) is not None:
+        left, right = _naive_time_of_day(actual.strip()), _naive_time_of_day(rule.value)
+    else:
+        try:
+            left, right = float(actual), float(rule.value)
+        except ValueError:
+            return False
+    if left is None:
+        return False
+    return left < right if rule.op == "<" else left >= right
+
+
+def naive_relabel(fn, log: EventLog) -> EventLog:
+    """``log`` relabelled event by event, from the public fields of ``fn``,
+    a ``Projection``, ``TimeThreshold`` or ``RuleBased``.
+
+    A projection labels an event by its values of ``attribute_names``; a
+    time threshold gives each event labelled ``base_label`` the low label
+    when its local time of day is before the threshold, else the high one;
+    a rule list gives the label of the first rule the event matches, else
+    the default.  Events are relabelled in log order, so the error raised
+    is the first event's: MissingAttributeError for its first missing
+    projected attribute, or RuleError when no rule matches and no default
+    is set.
+    """
+    def label(event: Event) -> Label:
+        if isinstance(fn, Projection):
+            first: dict = {}
+            for name, value in event.attributes:
+                first.setdefault(name, value)
+            missing = [name for name in fn.attribute_names if name not in first]
+            if missing:
+                raise MissingAttributeError(missing[0], event.id)
+            return Label(tuple(first[name] for name in fn.attribute_names))
+        if isinstance(fn, TimeThreshold):
+            if event.label != fn.base_label:
+                return event.label
+            local = event.timestamp.astimezone(ZoneInfo(fn.timezone)).time()
+            return fn.low_label if local < fn.threshold else fn.high_label
+        assert isinstance(fn, RuleBased)
+        rule = next((rule for rule in fn.rules if _naive_rule_matches(rule, event)), None)
+        if rule is not None:
+            return rule.label
+        if fn.default is None:
+            raise RuleError(f"no rule matches event {event.id!r} and no default is set")
+        return fn.default
+
+    return EventLog(Trace(trace.case_id, [Event(e.id, e.timestamp, e.attributes, label(e))
+                                          for e in trace])
+                    for trace in log)
 
 
 def naive_csv_error(text: str) -> str | None:

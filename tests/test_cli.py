@@ -294,6 +294,75 @@ def test_context_labels_read_one_csv_record(tmp_path, capsys):
     assert contexts == {("a,b",), ("c",)}
 
 
+@pytest.mark.parametrize("multi, one", [
+    (["evaluate", "--threshold",
+      "Bedroom motion+Mountain Rd. 7,08:30,Tossing & turning,Getting up"],
+     ["evaluate", "--threshold", "Bedroom motion,08:30,Tossing & turning,Getting up"]),
+    (["scan", "--context-labels", "Living room motion+Mountain Rd. 7"],
+     ["scan", "--context-labels", "Living room motion"]),
+])
+def test_a_label_is_named_by_its_text(capsys, multi, one):
+    # the demo log has one address, so adding it to the base label names
+    # the same events; a label is named by its parts joined with "+"
+    def results(argv, base_label):
+        code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", base_label,
+                             "--deterministic")
+        assert code == 0, err
+        doc = json.loads(out)
+        return [(r["m_tests"], r["useful"], r["score"],
+                 [(t["relation"], t["table"], t["p"], t["significant"]) for t in r["tests"]])
+                for r in doc.get("candidates", [doc])]
+
+    expected = results(one, "Sensor")
+    assert any(tests for _, _, _, tests in expected)
+    assert results(multi, "Sensor,Address") == expected
+
+
+def test_a_threshold_base_that_labels_no_event_exits_one(capsys):
+    code, out, err = run(capsys, "evaluate", "--csv", SMART_HOME,
+                         "--base-label", "Sensor,Address",
+                         "--threshold", "Bedroom motion,08:30,Tossing & turning,Getting up")
+    assert code == 1 and out == ""
+    assert "error: unknown label(s) in --threshold: Bedroom motion" in err.splitlines()
+
+
+@pytest.mark.parametrize("base_label, bedroom, living", [
+    ("Sensor", "Bedroom motion", "Living room motion"),
+    ("Sensor,Address", "Bedroom motion+Mountain Rd. 7", "Living room motion+Mountain Rd. 7"),
+])
+def test_a_threshold_child_named_like_a_label_is_that_label(capsys, base_label, bedroom,
+                                                            living):
+    # splitting events off under another label's name merges the two
+    code, out, err = run(capsys, "evaluate", "--csv", SMART_HOME, "--base-label", base_label,
+                         "--threshold", f"{bedroom},08:30,{living},Getting up")
+    assert code == 3 and out == "", err
+    assert f"refined label {living} is observed under several coarse labels" in err
+
+
+def test_a_threshold_text_that_several_labels_share_exits_one(tmp_path, capsys):
+    # labels (a+b, c) and (a, b+c) are both written a+b+c
+    csv_path = tmp_path / "plus.csv"
+    csv_path.write_text("id,timestamp,case,s,t\n1,2020-01-01T00:00:00,c,a+b,c\n"
+                        "2,2020-01-01T01:00:00,c,a,b+c\n3,2020-01-01T02:00:00,c,z,z\n")
+    code, out, err = run(capsys, "evaluate", "--csv", str(csv_path), "--base-label", "s,t",
+                         "--threshold", "a+b+c,01:00,lo,hi")
+    assert code == 1 and out == ""
+    assert "error: --threshold names a text that several labels share" in err.splitlines()
+
+
+def test_threshold_reads_one_csv_record(tmp_path, capsys):
+    csv_path = _write_named_sensors(tmp_path / "named.csv")
+    code, out, err = run(capsys, "evaluate", "--csv", csv_path, "--base-label", "sensor",
+                         "--threshold", '"a,b", 01:30, early, late')
+    assert code == 0, err
+    assert json.loads(out)["split_pairs"] == [{"parent": ["a,b"],
+                                               "children": [["early"], ["late"]]}]
+    code, out, err = run(capsys, "evaluate", "--csv", csv_path, "--base-label", "sensor",
+                         "--threshold", "a,b,01:30,early,late")
+    assert code == 1 and out == ""
+    assert "--threshold expects BASE,HH:MM,LOW,HIGH" in err
+
+
 def test_stats_full_dump_row_count(capsys):
     code, out, _ = run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Activity")
     rows = json.loads(out)["rows"]
@@ -442,6 +511,92 @@ def test_unknown_config_key(tmp_path, capsys):
                        "--refined-label", "Activity", "--config", str(cfg))
     assert code == 1
     assert "frobnicate" in err
+
+
+def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
+    base = ("evaluate", "--csv", SMART_HOME, "--base-label", "Sensor",
+            "--refined-label", "Activity", "--deterministic")
+    _, plain, _ = run(capsys, *base)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=csv\nto=xes\ninclude-self=true\nb-labels=nope\n")
+    code, out, err = run(capsys, *base, "--config", str(cfg))
+    assert (code, out, err) == (0, plain, "")
+    # --config and --help are no config keys, nor is an abbreviation
+    for line in ("config=other.cfg", "help=true", "alph=0.5"):
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, *base, "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert f"unknown config key {line.split('=')[0]!r}" in err
+
+
+_RULES = "Activity = Getting up -> up\nSensor = Bedroom motion -> bed\ndefault -> living\n"
+_SCHEMA = ("timestamp_column=timestamp\nid_column=id\n"
+           "attribute_columns=case,Address,Sensor,Heart rate,Activity\n")
+
+
+def _option_values(tmp_path: Path) -> dict[str, str | None]:
+    """A value for each option of every subcommand, None for a switch, that
+    changes the output of the base runs of the config-form test, or that
+    would if the option had an effect."""
+    (tmp_path / "rules.txt").write_text(_RULES)
+    (tmp_path / "schema.cfg").write_text(_SCHEMA)
+    return {
+        "--csv": SMART_HOME, "--xes": str(DATA / "golden" / "convert.xes"),
+        "--csv-schema": str(tmp_path / "schema.cfg"), "--case-key": "Address",
+        "--calendar-key": "day", "--timezone": "Europe/Amsterdam", "--alpha": "0.2",
+        "--relations": "directly_follows,length_two_loop", "--correction": "none",
+        "--family-scope": "per_candidate_set",
+        "--context-labels": '"Living room motion",Front door',
+        "--json": None, "--pretty": None, "--deterministic": None, "--seed": "3",
+        "--out": str(tmp_path / "out.txt"), "--base-label": "Sensor",
+        "--refined-label": "Sensor,Activity", "--rules": str(tmp_path / "rules.txt"),
+        "--threshold": "Bedroom motion,05:00,early,late",
+        "--b-labels": "Bedroom motion", "--c-labels": "Living room motion",
+        "--include-self": None, "--format": "csv", "--to": "xes",
+    }
+
+
+# the flags of each subcommand's base run of the config-form test, and the
+# base flags an option replaces
+_BASE_FLAGS = {"--csv": SMART_HOME, "--base-label": "Sensor", "--deterministic": None}
+_COMMAND_FLAGS = {"evaluate": {"--threshold": "Bedroom motion,08:30,Tossing & turning,Getting up"},
+                  "convert": {"--to": "csv"}}
+_REPLACES = {"--xes": ("--csv", "--base-label"), "--refined-label": ("--threshold",),
+             "--rules": ("--threshold",)}
+
+
+def _argv(flags: dict[str, str | None]) -> list[str]:
+    return [token for flag, value in flags.items()
+            for token in ((flag,) if value is None else (flag, value))]
+
+
+def test_every_option_reads_the_same_from_a_config_file(tmp_path, capsys):
+    values = _option_values(tmp_path)
+    out_file, cfg = Path(values["--out"]), tmp_path / "run.cfg"
+
+    def output(command, flags, config=""):
+        cfg.write_text(config)
+        out_file.unlink(missing_ok=True)
+        code, out, err = run(capsys, command, *_argv(flags), "--config", str(cfg))
+        return code, out, out_file.read_text() if out_file.exists() else None
+
+    differ = []
+    for command, parser in cli.build_parser().commands.items():
+        for action in parser._actions:
+            for option in action.option_strings:
+                if option in ("-h", "--help", "--config"):
+                    continue
+                base = {**_BASE_FLAGS, **_COMMAND_FLAGS.get(command, {})}
+                for replaced in _REPLACES.get(option, ()):
+                    base.pop(replaced, None)
+                base.pop(option, None)
+                value = values[option]
+                flag_form = output(command, {**base, option: value})
+                assert flag_form[0] == 0, (command, option)
+                config = f"{option[2:]}={'true' if value is None else value}\n"
+                if output(command, base, config) != flag_form:
+                    differ.append(f"{command} {option}")
+    assert differ == []
 
 
 def test_pretty_output(capsys):

@@ -1,6 +1,7 @@
 """The columnar CSV path against a row-by-row oracle, relabeling on columns
-against relabeling materialised events, and no Event built on the way, nor
-any table, test or entropy object up to the written output."""
+against relabeling materialised events and against the event-by-event
+oracle, and no Event built on the way, nor any table, test or entropy
+object up to the written output."""
 
 import csv
 import gc
@@ -20,7 +21,7 @@ from labelsplit import (ContingencyTable, CsvFormatError, CsvSchema, Event, Even
 from labelsplit.stats import TestResult as FisherResult
 from labelsplit.model import InternedLog
 
-from oracles import naive_csv_error, naive_csv_log
+from oracles import naive_csv_error, naive_csv_log, naive_relabel
 
 DEMO_CSV = str(Path(__file__).parent.parent / "demos" / "data" / "smart_home.csv")
 
@@ -89,12 +90,9 @@ def _relabeled(fn, log: EventLog):
 
 
 def _event_by_event(fn, log: EventLog):
-    """``log`` relabelled by ``fn.event_label`` of each event, in log order,
-    or the error that raises."""
+    """``oracles.naive_relabel(fn, log)``, or the error it raises."""
     try:
-        return EventLog(Trace(t.case_id, [Event(e.id, e.timestamp, e.attributes,
-                                                fn.event_label(e)) for e in t])
-                        for t in log)
+        return naive_relabel(fn, log)
     except (MissingAttributeError, RuleError) as exc:
         return type(exc), str(exc)
 

@@ -1,10 +1,13 @@
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import pytest
 
 from labelsplit import (CsvFormatError, CsvSchema, PartitionKeySpec, Projection,
                         XesFormatError, parse_csv, parse_xes_minimal, partition,
                         write_csv, write_xes_minimal)
+
+from oracles import naive_case_key
 
 DATA = Path(__file__).parent / "data"
 
@@ -127,10 +130,9 @@ def test_partition_is_a_partition():
     ids = [e.id for t in log for e in t]
     assert sorted(ids) == sorted(e.id for e in events)
     assert len(set(ids)) == len(ids)
-    spec = PartitionKeySpec(("Address",), "day")
     for trace in log:
-        keys = {spec.key_of(e) for e in trace}
-        assert len(keys) == 1
+        keys = {naive_case_key(e, ["Address"], True, ZoneInfo("UTC")) for e in trace}
+        assert keys == {trace.case_id}
 
 
 def test_partition_missing_key_attribute():

@@ -15,26 +15,31 @@ from conftest import log_from_rows, sample_events
 UTC = timezone.utc
 
 
+def _label_of(fn, event: Event) -> Label:
+    """The label ``fn`` gives ``event``, relabelling a log of it alone."""
+    return fn.apply(EventLog([Trace("t", [event])])).traces[0].events[0].label
+
+
 def test_label_of_single_attribute():
     event = sample_events()[0]
-    assert Projection(["Sensor"]).event_label(event) == Label("Bedroom motion")
+    assert _label_of(Projection(["Sensor"]), event) == Label("Bedroom motion")
 
 
 def test_label_of_empty_projection():
     event = sample_events()[0]
-    assert Projection([]).event_label(event) == Label(())
+    assert _label_of(Projection([]), event) == Label(())
 
 
 def test_label_of_two_attributes():
     event = sample_events()[5]  # row id 6
-    assert (Projection(["Sensor", "Heart rate"]).event_label(event)
+    assert (_label_of(Projection(["Sensor", "Heart rate"]), event)
             == Label(("Living room motion", "79")))
 
 
 def test_label_of_missing_attribute_names_event():
     event = sample_events()[0]
     with pytest.raises(MissingAttributeError) as exc:
-        Projection(["NoSuch"]).event_label(event)
+        _label_of(Projection(["NoSuch"]), event)
     assert "NoSuch" in str(exc.value)
     assert "1" in str(exc.value)
     assert str(exc.value) == "event 1 has no attribute 'NoSuch'"
@@ -45,9 +50,7 @@ def test_log_alphabet_empty():
 
 
 def test_log_alphabet_sample_sensor_labels():
-    events = sample_events()
-    labeled = [e.with_label(Projection(["Sensor"]).event_label(e)) for e in events]
-    log = EventLog([Trace("all", labeled)])
+    log = Projection(["Sensor"]).apply(EventLog([Trace("all", sample_events())]))
     assert log.alphabet == (Label("Bedroom motion"), Label("Living room motion"))
 
 
