@@ -29,8 +29,8 @@ from .model import EventLog, Label, MissingAttributeError, time_zone
 from .ordering import DEFAULT_RELATIONS, LogCounts, OrderingRelation
 from .relabel import (Projection, RefinementError, RuleBased, RuleError,
                       TimeThreshold, parse_time_of_day)
-from .report import (StatsRows, human_label, json_text, pretty_candidates, pretty_ranking,
-                     pretty_report, pretty_stats, report_doc)
+from .report import (StatsRows, csv_label, human_label, json_text, pretty_candidates,
+                     pretty_ranking, pretty_report, pretty_stats, report_doc)
 from .stats import CorrectionPolicy
 
 EXIT_OK = 0
@@ -410,9 +410,7 @@ def cmd_stats(args) -> int:
                         yield name, b, c, p, n - p
 
     if args.format == "csv":
-        # RFC 4180: a quote inside a quoted field is doubled
-        names = ["+".join(str(p) for p in label.json_parts()).replace('"', '""')
-                 for label in labels]
+        names = [csv_label(label) for label in labels]
         lines = ["relation,b,c,pos,neg"]
         lines += [f'{relation},"{names[b]}","{names[c]}",{pos},{neg}'
                   for relation, b, c, pos, neg in cells()]

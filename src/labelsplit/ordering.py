@@ -10,6 +10,13 @@ equals the number of occurrences of b in the log.  The relations:
   eventually_follows(b, c)   b at position i, c at some j < i
   length_two_loop(b, c)      b at i, c at i+1, b at i+2, with b != c
 
+``LogCounts.of`` counts one relation in one pass per trace (``_hits``).
+The direct relations and length-two loops cost O(events).  The eventual
+ones cost O(length + distinct labels) big-int adds per trace: suffix sums
+over the trace's first occurrences, with one fixed-width field per source
+label packed into each Python int; a trace with few source occurrences
+instead adds the labels seen before each of them.
+
 A scan also keeps, for each candidate parent label, which of its
 occurrences satisfy each relation (``OccurrenceBits``, one Python-int bitset
 per relation and context).  A split of that one label then needs no refined
@@ -26,12 +33,14 @@ counts per relation and column, read without building a table.
 from __future__ import annotations
 
 import operator
+import sys
+from array import array
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from typing import Any, Iterable
 
 from .model import EventLog, InternedLog, Label
@@ -75,7 +84,11 @@ class OrderingCounts:
         return OrderingCounts(self.pos + other.pos, self.neg + other.neg)
 
 
-def _hits(rows: Iterable[Sequence[int]], size: int, relation: OrderingRelation,
+# the packed counts' field formats, narrowest first: (typecode, bits)
+_FIELDS = tuple((fmt, 8 * array(fmt).itemsize) for fmt in "BHIQ")
+
+
+def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
           sources: Sequence[int] | None = None) -> list[Counter | None]:
     """hits[b][c]: occurrences of code b that satisfy the relation against c.
 
@@ -85,13 +98,20 @@ def _hits(rows: Iterable[Sequence[int]], size: int, relation: OrderingRelation,
 
     eventually_precedes is eventually_follows on the reversed row.  An
     occurrence of b eventually follows c when it comes after c's first
-    occurrence, so a trace with more source occurrences than distinct
-    labels adds, per distinct c, the labels after c's first occurrence to
-    a column of c: O(distinct labels * |trace|), counted in C.  The columns
-    are moved into the source rows once per log.  Any other trace adds the
-    set of labels seen before each source occurrence to that source's row:
-    O(source occurrences * alphabet).  A trace without source occurrences
-    adds nothing.
+    occurrence.  A trace in which the sources occur more than 20 times, or
+    make up more than half of it, is counted by suffix sums over first
+    occurrences: from the last first occurrence back to the first, a
+    running count of the source occurrences after the current one gains
+    the segment up to the next first occurrence and is added to that
+    label's column.  The count is one Python int holding a field per
+    source of 8, 16, 32 or 64 bits, the narrowest that holds the log's
+    event count, so no field carries into the next: a trace costs
+    O(length + distinct labels) big-int adds.  The columns are unpacked
+    in C and moved into the source rows once per log.  Any other trace
+    adds the set of labels seen before each source occurrence to that
+    source's row: O(source occurrences * alphabet), which is cheaper for
+    few source occurrences (the break-even is measured; see the README's
+    cost model).  A trace without source occurrences adds nothing.
     """
     if sources is None:
         hits: list[Counter | None] = [Counter() for _ in range(size)]
@@ -101,16 +121,28 @@ def _hits(rows: Iterable[Sequence[int]], size: int, relation: OrderingRelation,
             hits[b] = Counter()
     if relation in (OrderingRelation.EVENTUALLY_FOLLOWS, OrderingRelation.EVENTUALLY_PRECEDES):
         backwards = relation is OrderingRelation.EVENTUALLY_PRECEDES
-        cols: defaultdict[int, Counter] = defaultdict(Counter)
+        fields = range(size) if sources is None else sources  # source code of each field
+        events = sum(map(len, rows))
+        fmt, width = next((fmt, width) for fmt, width in _FIELDS if not events >> width)
+        unit = [0] * size  # a source's 1 in its field; 0 for any other label
+        for k, b in enumerate(fields):
+            unit[b] = 1 << k * width
+        cols = [0] * size  # per context code, the packed pos counts of every source
         for row in rows:
             n_sources = len(row) if sources is None else sum(map(row.count, sources))
             if not n_sources:
                 continue
-            if n_sources > 1 and n_sources > len(set(row)):
+            if n_sources > 20 or 2 * n_sources > len(row):
                 if backwards:
                     row = row[::-1]
-                for c in dict.fromkeys(row):
-                    cols[c].update(row[row.index(c) + 1:])
+                end = len(row)
+                # each label's first position (the last write of a key wins)
+                firsts = dict(zip(reversed(row), range(end - 1, -1, -1))).values()
+                count = 0
+                for f in sorted(firsts, reverse=True):
+                    count += sum(map(unit.__getitem__, row[f + 1:end]))
+                    cols[row[f]] += count
+                    end = f + 1
                 continue
             seen: set[int] = set()
             for b in reversed(row) if backwards else row:
@@ -118,11 +150,16 @@ def _hits(rows: Iterable[Sequence[int]], size: int, relation: OrderingRelation,
                 if hit is not None:
                     hit.update(seen)
                 seen.add(b)
-        for c, col in cols.items():
-            for b, k in col.items():
-                hit = hits[b]
-                if hit is not None:
-                    hit[c] += k
+        if not any(cols):  # no trace took the packed walk
+            return hits
+        # one run of fields per context code, so field k's counts against
+        # every context are the slice [k::len(fields)]
+        n_bytes = len(fields) * width // 8
+        table = array(fmt, b"".join(col.to_bytes(n_bytes, sys.byteorder) for col in cols))
+        contexts = range(size)
+        for k, b in enumerate(fields):
+            column = table[k::len(fields)]
+            hits[b].update(dict(zip(compress(contexts, column), compress(column, column))))
         return hits
     pairs: Counter[tuple[int, int]] = Counter()
     for row in rows:

@@ -85,6 +85,17 @@ class _LabelTexts(dict):
         return text
 
 
+class _FloatTexts(dict):
+    """Float -> its text as ``_float_text`` writes it, written on first use.
+    A zero is not kept: 0.0 and -0.0 are equal keys of different texts."""
+
+    def __missing__(self, value: float) -> str:
+        text = _float_text(value)
+        if value:
+            self[value] = text
+        return text
+
+
 class TestRecords:
     """A report's "tests" list as ``json_text`` writes the test dicts of
     ``EvaluationReport.to_json_dict``, from one template per test and with
@@ -110,6 +121,7 @@ class TestRecords:
                 labels.update((c.parts, c) for c in block.contexts)
                 labels[block.a1.parts], labels[block.a2.parts] = block.a1, block.a2
         contexts, members = _LabelTexts(labels, i1), _LabelTexts(labels, i2)
+        p_texts = _FloatTexts()  # a scan's tests share many p-values
         records = []
         for block, ps, alpha in zip(tests.blocks, tests.p_values, tests.alphas):
             if not block:
@@ -128,7 +140,7 @@ class TestRecords:
                         f'{i1}"table": {{{i2}"a1": [{i3}{x},{i3}{n1 - x}{i2}],'
                         f'{i2}"a2": [{i3}{y},{i3}{n2 - y}{i2}],'
                         f'{i2}"parent": [{i3}{z},{i3}{n - z}{i2}]{i1}}},'
-                        f'{i1}"p": {_float_text(p)},'
+                        f'{i1}"p": {p_texts[p]},'
                         f'{i1}"significant": {"true" if p < alpha else "false"}{end}}}')
         return f"[{end}{(',' + end).join(records)}{pad}]"
 
@@ -166,10 +178,22 @@ def report_doc(report: EvaluationReport) -> dict:
     return report.json_fields(TestRecords(report.tests))
 
 
+def _joined(parts: list[str]) -> str:
+    """Label part texts joined by "+", each one quoted when some part holds
+    a "+", so that no two labels read the same."""
+    if any("+" in part for part in parts):
+        return "+".join(f'"{part}"' for part in parts)
+    return "+".join(parts)
+
+
 def human_label(label: Label) -> str:
-    if any("+" in str(part) for part in label.parts):
-        return "+".join(f'"{part}"' for part in label.parts)
-    return str(label)
+    return _joined([str(part) for part in label.parts])
+
+
+def csv_label(label: Label) -> str:
+    """A label's text in a quoted CSV field: its JSON parts joined as by
+    ``human_label``, with each quote doubled (RFC 4180)."""
+    return _joined([str(part) for part in label.json_parts()]).replace('"', '""')
 
 
 def pretty_stats(rows: Iterable[tuple[str, str, str, int, int]]) -> str:

@@ -402,6 +402,23 @@ def test_stats_csv_doubles_quotes_in_labels(tmp_path, capsys):
                         ["directly_follows", 'say "hi"', "a,b", "1", "1"]]
 
 
+def test_stats_csv_tells_labels_holding_plus_apart(tmp_path, capsys):
+    # labels (a+b, c) and (a, b+c) both join to a+b+c
+    csv_path = tmp_path / "plus.csv"
+    csv_path.write_text("id,timestamp,s,t\n"
+                        "1,2015-03-11T01:00:00,a+b,c\n"
+                        "2,2015-03-11T02:00:00,z,z\n"
+                        "3,2015-03-11T03:00:00,a,b+c\n")
+    code, out, _ = run(capsys, "stats", "--csv", str(csv_path), "--base-label", "s,t",
+                       "--relations", "directly_precedes", "--c-labels", "z+z",
+                       "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1:] == [["directly_precedes", '"a"+"b+c"', "z+z", "0", "1"],
+                        ["directly_precedes", '"a+b"+"c"', "z+z", "1", "0"]]
+    assert out.splitlines()[1] == 'directly_precedes,"""a""+""b+c""","z+z",0,1'
+
+
 def test_gen_candidates(capsys):
     code, out, _ = run(capsys, "gen-candidates", "--csv", SMART_HOME,
                        "--base-label", "Sensor")

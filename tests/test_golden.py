@@ -32,6 +32,10 @@ CASES = {
                       "--refined-label", "Sensor,Activity"],
     "gen-candidates.json": ["gen-candidates", "--base-label", "Sensor"],
     "stats.csv": ["stats", "--base-label", "Sensor", "--format", "csv"],
+    "stats-all-relations.csv": ["stats", "--base-label", "Sensor", "--format", "csv",
+                                "--include-self", "--relations",
+                                "directly_follows,directly_precedes,eventually_follows,"
+                                "eventually_precedes,length_two_loop"],
     "stats.json": ["stats", "--base-label", "Sensor", "--format", "json", "--include-self",
                    "--relations", "directly_follows,directly_precedes,eventually_follows,"
                                   "eventually_precedes,length_two_loop",

@@ -102,12 +102,12 @@ def _report_of(tests):
     return EvaluationReport("c", (), tuple(tests), entropy, False, 0.0, len(tests), 0.01, 0.01)
 
 
-def _test_of(context):
+def _test_of(context, p=0.5):
     a1, a2 = Label("a", 1), Label("a", 2)
     table = ContingencyTable(OrderingRelation.DIRECTLY_FOLLOWS, context, a1, a2,
                              OrderingCounts(1, 2), OrderingCounts(3, 4), Label("a"),
                              OrderingCounts(4, 6))
-    return FisherResult(table.relation, context, (a1, a2), 0.5, 0.01, False, table)
+    return FisherResult(table.relation, context, (a1, a2), p, 0.01, p < 0.01, table)
 
 
 # one instant in two zones: equal labels with different texts
@@ -128,6 +128,19 @@ def test_nested_report_docs_write_what_the_dict_forms_write(reports, skipped):
     doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": skipped}
     expected = {"candidates": [r.to_json_dict() for r in reports], "skipped_labels": skipped}
     assert json_text(doc) == json_text(expected)
+
+
+def test_repeated_p_values_keep_their_own_texts():
+    # p-values are written from a memo keyed by the float, where 0.0 and
+    # -0.0 are one key and NaN is never found again
+    ps = [0.0, -0.0, 0.0, math.nan, 0.25, -0.0, 0.25, math.nan, 1e-300, 1e-300, 0.0]
+    report = _report_of([_test_of(Label("c", k), p) for k, p in enumerate(ps)])
+    text = json_text(report_doc(report))
+    assert text == json_text(report.to_json_dict())
+    written = [line.strip()[len('"p": '):-1] for line in text.splitlines()
+               if line.strip().startswith('"p": ')]
+    assert written == ["0.0", "-0.0", "0.0", "NaN", "0.25", "-0.0", "0.25", "NaN",
+                       "1e-300", "1e-300", "0.0"]
 
 
 # --- the stats row template against the dict form -------------------------

@@ -1,14 +1,16 @@
 import random
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import labelsplit
-from labelsplit import (DEFAULT_RELATIONS, EvaluationConfig, Label, LogCounts, OrderingCounts,
-                        NotARefinementError, OrderingRelation, RefinementCounts, build_tables,
-                        cli, evaluate, extract_split_set, generate_median_time_candidates,
-                        ordering, rank_candidates, relation_counts)
+from labelsplit import (DEFAULT_RELATIONS, EvaluationConfig, EventLog, Label, LogCounts,
+                        OrderingCounts, NotARefinementError, OrderingRelation, RefinementCounts,
+                        build_tables, cli, evaluate, extract_split_set,
+                        generate_median_time_candidates, ordering, rank_candidates,
+                        relation_counts)
 
 from conftest import label_rows, log_from_rows
 from oracles import naive_count
@@ -238,6 +240,40 @@ def test_restricted_counts_match_dense_counts(rows, data):
                 expected = OrderingCounts(*naive_count(rows, relation.value, str(b), str(c)))
                 assert counts.column(relation, b, c) == expected
                 assert dense.get((b, c), OrderingCounts(0, n)) == expected
+
+
+def _one_label_log(n):
+    """One trace of n events, every one labelled a, built from columns."""
+    start = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    return EventLog.of_rows([("t", range(n))], range(n), [start] * n, ("act",),
+                            {"act": ["a"] * n}, ("act",))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 65535, 65536, 65537])
+def test_eventual_counts_of_one_repeated_label_fill_their_field(n):
+    # the eventual counts are packed in fields of 8, 16, 32 or 64 bits
+    # sized by the event count; every a but the first eventually follows
+    # an a and every a but the last eventually precedes one, so each cell
+    # is n - 1, at the edge of a field
+    counts = LogCounts.of(_one_label_log(n), (EF, EP))
+    a = Label("a")
+    assert counts.column(EF, a, a) == counts.column(EP, a, a) == OrderingCounts(n - 1, 1)
+
+
+def test_eventual_counts_past_one_byte_match_naive_scan():
+    # 300 events, of which 262 are a: several cells of a pass 255, within
+    # one trace (251 of EF(a, a)) and summed over both
+    rows = [(["a"] * 9 + ["b"]) * 28, ["b", "a", "a", "b"] * 5]
+    log = log_from_rows(rows)
+    a, b, absent = Label("a"), Label("b"), Label("zz")
+    assert LogCounts.of(log, (EF,)).column(EF, a, a) == OrderingCounts(260, 2)
+    for sources in (None, [a], [b, absent]):
+        counts = LogCounts.of(log, ALL_RELATIONS, sources)
+        for relation in ALL_RELATIONS:
+            for source in [a, b] if sources is None else sources:
+                for c in (a, b, absent):
+                    expected = naive_count(rows, relation.value, str(source), str(c))
+                    assert counts.column(relation, source, c) == OrderingCounts(*expected)
 
 
 def test_restricted_counts_refuse_an_uncounted_source(activity_log):
