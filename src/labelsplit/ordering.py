@@ -12,10 +12,12 @@ equals the number of occurrences of b in the log.  The relations:
 
 ``LogCounts.of`` counts one relation in one pass per trace (``_hits``).
 The direct relations and length-two loops cost O(events).  The eventual
-ones cost O(length + distinct labels) big-int adds per trace: suffix sums
-over the trace's first occurrences, with one fixed-width field per source
-label packed into each Python int; a trace with few source occurrences
-instead adds the labels seen before each of them.
+ones cost O(length + distinct labels) adds of O(sources) machine words per
+trace: suffix sums over the trace's first occurrences, with one
+fixed-width field per source label packed into each Python int.  A trace
+with few source occurrences, and every trace of a log whose packed columns
+would hold more than 2**20 fields (sources * alphabet), instead adds the
+labels seen before each source occurrence.
 
 A scan also keeps, for each candidate parent label, which of its
 occurrences satisfy each relation (``OccurrenceBits``, one Python-int bitset
@@ -86,6 +88,10 @@ class OrderingCounts:
 
 # the packed counts' field formats, narrowest first: (typecode, bits)
 _FIELDS = tuple((fmt, 8 * array(fmt).itemsize) for fmt in "BHIQ")
+# the most fields (one per source and context) the packed columns may hold;
+# past it, the dense adds and unpack cost more than the per-occurrence walk
+# (see the README's cost model)
+_PACKED_FIELDS = 1 << 20
 
 
 def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
@@ -105,13 +111,18 @@ def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
     the segment up to the next first occurrence and is added to that
     label's column.  The count is one Python int holding a field per
     source of 8, 16, 32 or 64 bits, the narrowest that holds the log's
-    event count, so no field carries into the next: a trace costs
-    O(length + distinct labels) big-int adds.  The columns are unpacked
-    in C and moved into the source rows once per log.  Any other trace
-    adds the set of labels seen before each source occurrence to that
-    source's row: O(source occurrences * alphabet), which is cheaper for
-    few source occurrences (the break-even is measured; see the README's
-    cost model).  A trace without source occurrences adds nothing.
+    event count, so no field carries into the next.  A trace costs
+    O(length + distinct labels) adds, and each add O(sources) machine
+    words, since the fields are dense in the sources.  The nonzero columns
+    are unpacked in C and moved into the source rows once per log, so the
+    unpack is dense too: O(sources * alphabet).  Packing is therefore used
+    only while the columns hold at most ``_PACKED_FIELDS`` (2**20) fields,
+    sources * alphabet: every label of a 1 024-label alphabet, at most
+    8 MiB.  Any other trace, and every trace of a log past that bound, adds
+    the set of labels seen before each source occurrence to that source's
+    row: O(source occurrences * alphabet), cheaper for few source
+    occurrences (both break-evens are measured; see the README's cost
+    model).  A trace without source occurrences adds nothing.
     """
     if sources is None:
         hits: list[Counter | None] = [Counter() for _ in range(size)]
@@ -124,15 +135,17 @@ def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
         fields = range(size) if sources is None else sources  # source code of each field
         events = sum(map(len, rows))
         fmt, width = next((fmt, width) for fmt, width in _FIELDS if not events >> width)
+        packs = len(fields) * size <= _PACKED_FIELDS
         unit = [0] * size  # a source's 1 in its field; 0 for any other label
-        for k, b in enumerate(fields):
-            unit[b] = 1 << k * width
+        if packs:
+            for k, b in enumerate(fields):
+                unit[b] = 1 << k * width
         cols = [0] * size  # per context code, the packed pos counts of every source
         for row in rows:
             n_sources = len(row) if sources is None else sum(map(row.count, sources))
             if not n_sources:
                 continue
-            if n_sources > 20 or 2 * n_sources > len(row):
+            if packs and (n_sources > 20 or 2 * n_sources > len(row)):
                 if backwards:
                     row = row[::-1]
                 end = len(row)
@@ -152,11 +165,11 @@ def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
                 seen.add(b)
         if not any(cols):  # no trace took the packed walk
             return hits
-        # one run of fields per context code, so field k's counts against
-        # every context are the slice [k::len(fields)]
+        contexts = [c for c, col in enumerate(cols) if col]
+        # one run of fields per nonzero context, so field k's counts against
+        # those contexts are the slice [k::len(fields)]
         n_bytes = len(fields) * width // 8
-        table = array(fmt, b"".join(col.to_bytes(n_bytes, sys.byteorder) for col in cols))
-        contexts = range(size)
+        table = array(fmt, b"".join(cols[c].to_bytes(n_bytes, sys.byteorder) for c in contexts))
         for k, b in enumerate(fields):
             column = table[k::len(fields)]
             hits[b].update(dict(zip(compress(contexts, column), compress(column, column))))

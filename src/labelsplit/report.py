@@ -179,10 +179,11 @@ def report_doc(report: EvaluationReport) -> dict:
 
 
 def _joined(parts: list[str]) -> str:
-    """Label part texts joined by "+", each one quoted when some part holds
-    a "+", so that no two labels read the same."""
+    """Label part texts joined by "+".  When some part holds a "+", each
+    part is quoted with its own quotes doubled, so that no two labels of
+    the same number of parts (as all labels of one log are) read the same."""
     if any("+" in part for part in parts):
-        return "+".join(f'"{part}"' for part in parts)
+        return "+".join('"' + part.replace('"', '""') + '"' for part in parts)
     return "+".join(parts)
 
 

@@ -419,6 +419,26 @@ def test_stats_csv_tells_labels_holding_plus_apart(tmp_path, capsys):
     assert out.splitlines()[1] == 'directly_precedes,"""a""+""b+c""","z+z",0,1'
 
 
+def test_stats_csv_and_pretty_tell_labels_holding_quotes_and_plus_apart(tmp_path, capsys):
+    # quoting each part alone joins (x"+"y, z+) and (x, y"+"z+) both to
+    # "x"+"y"+"z+"; the quotes inside a part are doubled
+    csv_path = tmp_path / "quotes.csv"
+    csv_path.write_text("id,timestamp,s,t\n"
+                        '1,2015-03-11T01:00:00,"x""+""y",z+\n'
+                        "2,2015-03-11T02:00:00,w,w\n"
+                        '3,2015-03-11T03:00:00,x,"y""+""z+"\n')
+    flags = ["stats", "--csv", str(csv_path), "--base-label", "s,t",
+             "--relations", "directly_precedes", "--c-labels", "w+w"]
+    code, out, _ = run(capsys, *flags, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1:] == [["directly_precedes", '"x"+"y""+""z+"', "w+w", "0", "1"],
+                        ["directly_precedes", '"x""+""y"+"z+"', "w+w", "1", "0"]]
+    code, out, _ = run(capsys, *flags, "--pretty")
+    assert code == 0
+    assert '"x"+"y""+""z+"' in out and '"x""+""y"+"z+"' in out
+
+
 def test_gen_candidates(capsys):
     code, out, _ = run(capsys, "gen-candidates", "--csv", SMART_HOME,
                        "--base-label", "Sensor")

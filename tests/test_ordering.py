@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -274,6 +275,66 @@ def test_eventual_counts_past_one_byte_match_naive_scan():
                 for c in (a, b, absent):
                     expected = naive_count(rows, relation.value, str(source), str(c))
                     assert counts.column(relation, source, c) == OrderingCounts(*expected)
+
+
+def _wide_rows():
+    """5 000 labels, each in one of 900 short traces, and 20 longer traces
+    of 60 hot labels, 30 events each, that repeat their labels."""
+    rnd = random.Random(5)
+    cold = [f"l{i}" for i in range(5000)] + [f"l{rnd.randrange(5000)}" for _ in range(400)]
+    rnd.shuffle(cold)
+    hot = [f"l{i}" for i in range(60)]
+    return ([cold[i:i + 6] for i in range(0, len(cold), 6)]
+            + [rnd.choices(hot, k=30) for _ in range(20)])
+
+
+def _naive_rows(rows, relation):
+    """Per source label, its nonzero pos counts by context label, summed
+    over traces by ``naive_count`` on each trace alone (a label absent from
+    a trace adds no pos)."""
+    out = {}
+    for row in rows:
+        for b in set(row):
+            for c in set(row):
+                pos, _ = naive_count([row], relation.value, b, c)
+                if pos:
+                    cell = out.setdefault(b, {})
+                    cell[c] = cell.get(c, 0) + pos
+    return out
+
+
+@pytest.mark.parametrize("sources", ["all", "hot", "few"])
+def test_eventual_counts_of_a_wide_alphabet_match_naive_scan(sources):
+    # every label as a source is 25 million packed fields, past the bound,
+    # so every trace takes the per-occurrence walk; the 60 hot labels (and
+    # an absent one) as sources pack the hot traces, which they fill
+    rows = _wide_rows()
+    log = log_from_rows(rows)
+    wanted = {"all": None, "hot": [Label(f"l{i}") for i in range(60)] + [Label("zz")],
+              "few": [Label("l7"), Label("l4999")]}[sources]
+    counts = LogCounts.of(log, (EF, EP), wanted)
+    interned = counts.interned
+    assert len(interned.labels) == 5000
+    for relation in (EF, EP):
+        expected = _naive_rows(rows, relation)
+        for b in interned.labels if wanted is None else wanted:
+            code = interned.codes.get(b.parts)
+            got = {} if code is None else {str(interned.labels[c]): k
+                                           for c, k in counts.rows[relation][code].items() if k}
+            assert got == expected.get(str(b), {}), (relation, b)
+
+
+def test_eventual_counts_of_a_wide_alphabet_stay_sparse():
+    # dense packed columns of 5 000 labels would take 50 MB per copy
+    log = log_from_rows(_wide_rows())
+    log.interned  # interned before tracing: only the count is measured
+    tracemalloc.start()
+    try:
+        LogCounts.of(log, (EF, EP))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_restricted_counts_refuse_an_uncounted_source(activity_log):
