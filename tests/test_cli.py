@@ -402,41 +402,29 @@ def test_stats_csv_doubles_quotes_in_labels(tmp_path, capsys):
                         ["directly_follows", 'say "hi"', "a,b", "1", "1"]]
 
 
-def test_stats_csv_tells_labels_holding_plus_apart(tmp_path, capsys):
-    # labels (a+b, c) and (a, b+c) both join to a+b+c
-    csv_path = tmp_path / "plus.csv"
-    csv_path.write_text("id,timestamp,s,t\n"
-                        "1,2015-03-11T01:00:00,a+b,c\n"
-                        "2,2015-03-11T02:00:00,z,z\n"
-                        "3,2015-03-11T03:00:00,a,b+c\n")
-    code, out, _ = run(capsys, "stats", "--csv", str(csv_path), "--base-label", "s,t",
-                       "--relations", "directly_precedes", "--c-labels", "z+z",
-                       "--format", "csv")
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[1:] == [["directly_precedes", '"a"+"b+c"', "z+z", "0", "1"],
-                        ["directly_precedes", '"a+b"+"c"', "z+z", "1", "0"]]
-    assert out.splitlines()[1] == 'directly_precedes,"""a""+""b+c""","z+z",0,1'
-
-
-def test_stats_csv_and_pretty_tell_labels_holding_quotes_and_plus_apart(tmp_path, capsys):
+@pytest.mark.parametrize("cells, c_label, rows", [
+    # (a+b, c) and (a, b+c) both join to a+b+c
+    (["a+b,c", "z,z", "a,b+c"], "z+z",
+     [['"a"+"b+c"', "0", "1"], ['"a+b"+"c"', "1", "0"]]),
     # quoting each part alone joins (x"+"y, z+) and (x, y"+"z+) both to
     # "x"+"y"+"z+"; the quotes inside a part are doubled
-    csv_path = tmp_path / "quotes.csv"
-    csv_path.write_text("id,timestamp,s,t\n"
-                        '1,2015-03-11T01:00:00,"x""+""y",z+\n'
-                        "2,2015-03-11T02:00:00,w,w\n"
-                        '3,2015-03-11T03:00:00,x,"y""+""z+"\n')
+    (['"x""+""y",z+', "w,w", 'x,"y""+""z+"'], "w+w",
+     [['"x"+"y""+""z+"', "0", "1"], ['"x""+""y"+"z+"', "1", "0"]]),
+], ids=["plus", "quotes"])
+def test_stats_csv_and_pretty_tell_labels_holding_plus_apart(tmp_path, capsys, cells,
+                                                              c_label, rows):
+    csv_path = tmp_path / "labels.csv"
+    csv_path.write_text("id,timestamp,s,t\n" + "".join(
+        f"{i},2015-03-11T0{i}:00:00,{cell}\n" for i, cell in enumerate(cells, 1)))
     flags = ["stats", "--csv", str(csv_path), "--base-label", "s,t",
-             "--relations", "directly_precedes", "--c-labels", "w+w"]
+             "--relations", "directly_precedes", "--c-labels", c_label]
     code, out, _ = run(capsys, *flags, "--format", "csv")
     assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[1:] == [["directly_precedes", '"x"+"y""+""z+"', "w+w", "0", "1"],
-                        ["directly_precedes", '"x""+""y"+"z+"', "w+w", "1", "0"]]
+    assert list(csv.reader(io.StringIO(out)))[1:] == [
+        ["directly_precedes", b, c_label, pos, neg] for b, pos, neg in rows]
     code, out, _ = run(capsys, *flags, "--pretty")
     assert code == 0
-    assert '"x"+"y""+""z+"' in out and '"x""+""y"+"z+"' in out
+    assert all(b in out for b, _, _ in rows)
 
 
 def test_gen_candidates(capsys):
