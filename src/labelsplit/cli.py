@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from collections.abc import Callable, Iterable
 from datetime import datetime, timezone
@@ -134,7 +135,10 @@ def _add_labeling_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated attributes forming the base label")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing reads it
+    and changes nothing in it."""
     parser = _Parser(prog="labelsplit",
                      description="Statistical evaluation of event-label refinements.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

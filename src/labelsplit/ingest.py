@@ -2,7 +2,9 @@
 
 CSV input is UTF-8 with a header row and RFC-4180 quoting.  ``read_csv``
 reads it into columns (ids, UTC timestamps and each attribute column's
-values, row by row) and makes every check; ``CsvColumns.log`` groups and
+values, row by row) and makes every check: chunks of quote-free lines are
+split in bulk, and a file with any other chunk is read by csv.reader, with
+the same result.  ``CsvColumns.log`` groups and
 orders the rows into a columnar EventLog without building an Event, and
 ``CsvColumns.events`` builds one Event per row, which is what ``parse_csv``
 returns.  ``partition`` groups Event objects by the same rules.  XES support
@@ -80,19 +82,38 @@ def _is_utc(tz: tzinfo) -> bool:
 def _utc_times(texts: Sequence[str], fmt: str | None, tz: tzinfo) -> list[datetime]:
     """``parse_timestamp`` of every text, each step mapped over all texts
     at once; a ValueError when any text does not parse."""
+    iso = fmt is None or fmt == "iso8601"
+    if iso and _is_utc(tz) and "Z" not in "".join(texts):
+        # naive ISO texts read in UTC, the common case: parsed as they are,
+        # in one pass.  With no Z (which fromisoformat also takes for the
+        # date-time separator) and every result naive, this is what
+        # stripping and parsing each text gives.  Parsing text + "+00:00"
+        # is not: fromisoformat reads "2024-01-01+00:00" as naive and
+        # accepts malformed times before an offset, as in "00:00:+00:00"
+        try:
+            parsed = list(map(datetime.fromisoformat, texts))
+        except ValueError:
+            parsed = None
+        if parsed is not None and not any(map(attrgetter("tzinfo"), parsed)):
+            return _in_utc(parsed)
     stripped = map(str.strip, texts)
-    if fmt is None or fmt == "iso8601":
+    if iso:
         parsed = list(map(datetime.fromisoformat,
                           map(methodcaller("replace", "Z", "+00:00"), stripped)))
     else:
         parsed = list(map(datetime.strptime, stripped, repeat(fmt)))
     zones = set(map(attrgetter("tzinfo"), parsed))
     if zones == {None} and _is_utc(tz):
-        return list(map(datetime.combine, map(datetime.date, parsed), map(datetime.time, parsed),
-                        repeat(timezone.utc)))
+        return _in_utc(parsed)
     if zones == {timezone.utc}:
         return parsed
     return [_to_utc(p, tz) for p in parsed]
+
+
+def _in_utc(naive: list[datetime]) -> list[datetime]:
+    """The naive datetimes as the same wall-clock times in UTC."""
+    return list(map(datetime.combine, map(datetime.date, naive), map(datetime.time, naive),
+                    repeat(timezone.utc)))
 
 
 @dataclass(frozen=True)
@@ -157,10 +178,26 @@ def _column_names(header_row: list[str]) -> list[str]:
     return [cell.strip() for cell in header_row]
 
 
+def _reader(lines: Iterable[str], delimiter: str):
+    """A csv.reader of ``lines`` that refuses what RFC 4180 does not allow:
+    a quote left open at the end of the input, or text after a closing
+    quote, such as ``"ab"c``."""
+    return csv.reader(lines, delimiter=delimiter, strict=True)
+
+
+def _records(reader) -> Iterator[list[str]]:
+    """The reader's rows; a csv.Error (such as a field longer than
+    ``csv.field_size_limit()``) raises CsvFormatError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def csv_header(data: bytes | str, delimiter: str) -> list[str]:
     """Column names of the header row, unquoted as RFC-4180 says and
     stripped of surrounding whitespace; [] when the input is empty."""
-    return _column_names(next(csv.reader(io.StringIO(_decode(data)), delimiter=delimiter), []))
+    return _column_names(next(_records(_reader(io.StringIO(_decode(data)), delimiter)), []))
 
 
 class CsvColumns(NamedTuple):
@@ -208,17 +245,19 @@ def read_csv(data: bytes | str, schema: CsvSchema,
     names are stripped of surrounding whitespace, as ``csv_header`` does,
     before the schema's columns are looked up.  Synthesized ids are the
     1-based data-row index.  Raises CsvFormatError on ragged rows,
-    unparseable timestamps, or duplicate explicit ids, naming the line.  A
+    unparseable timestamps, duplicate explicit ids, or text that is not
+    RFC-4180 CSV (a quote left open at the end, text after a closing
+    quote, a field over ``csv.field_size_limit()``), naming the line.  A
     label column that is not an attribute column raises
     MissingAttributeError for the first row's event, once every row has
     parsed.  A header that names a column twice raises CsvFormatError:
     neither cell could be told from the other.
     """
     text = _decode(data)
-    reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
-    try:
-        header = next(reader)
-    except StopIteration:
+    lines = io.StringIO(text)
+    reader = _reader(lines, schema.delimiter)
+    header = next(_records(reader), None)
+    if header is None:
         raise CsvFormatError("empty input: missing header row")
 
     columns: dict[str, int] = {}
@@ -237,67 +276,127 @@ def read_csv(data: bytes | str, schema: CsvSchema,
     width = len(header)
     id_at = None if schema.id_column == SYNTHESIZE else columns[schema.id_column]
     label_names = schema.attribute_columns if label_columns is None else tuple(label_columns)
-    # each row's timestamp, explicit id and attribute cells as one tuple
+    # the columns read: each row's timestamp, explicit id and attribute cells
     at = list(dict.fromkeys([columns[schema.timestamp_column],
                              *([] if id_at is None else [id_at]),
                              *(columns[name] for name in schema.attribute_columns)]))
+    kept = [at.index(columns[name]) for name in schema.attribute_columns]
+    id_k = None if id_at is None else at.index(id_at)
+    if width > 1 and schema.delimiter.isascii() and schema.delimiter not in '"\r\n\0':
+        try:
+            return _read_chunks(_split_chunks(lines, width, at, schema.delimiter), [],
+                                text, schema, id_k, kept, label_names)
+        except _NotSplittable:
+            # start over with csv.reader, from the first data row
+            reader = _reader(io.StringIO(text), schema.delimiter)
+            next(reader)
+    blanks: list[int] = []
     take = itemgetter(*at) if len(at) > 1 else itemgetter(at[0], at[0])
-    kept = {at.index(columns[name]): [] for name in schema.attribute_columns}
+    return _read_chunks(_row_chunks(reader, width, take, blanks), blanks,
+                        text, schema, id_k, kept, label_names)
+
+
+def _read_chunks(chunks: Iterable[Sequence[Sequence[str]]], blanks: list[int], text: str,
+                 schema: CsvSchema, id_at: int | None, kept: list[int],
+                 label_names: tuple[str, ...]) -> CsvColumns:
+    """The data rows read a chunk at a time, and checked.
+
+    A chunk holds the cells of each column read: the timestamps first,
+    the ids at ``id_at`` (None: synthesized) and the schema's attribute
+    columns at ``kept``.  ``blanks`` lists the blank lines met so far, as
+    ``_row_chunks`` records them.
+    """
+    values: list[list[str]] = [[] for _ in kept]
     # one string object per distinct value of each attribute column
-    memos: dict[int, dict[str, str]] = {k: {} for k in kept}
+    memos: list[dict[str, str]] = [{} for _ in kept]
     ids: list = []
     times: list[datetime] = []
     seen: set = set()
-    blanks: list[int] = []
-    for rows in _row_chunks(reader, width, take, blanks):
-        chunk = list(zip(*rows))
+    for chunk in chunks:
         if not chunk:
             continue
         chunk_ids, chunk_times = _check(text, schema, chunk[0], len(ids), blanks,
-                                        None if id_at is None else (chunk[at.index(id_at)], seen))
+                                        None if id_at is None else (chunk[id_at], seen))
         ids.extend(chunk_ids)
         times.extend(chunk_times)
-        for k, column in kept.items():
-            column.extend(map(memos[k].setdefault, chunk[k], chunk[k]))
+        for column, memo, k in zip(values, memos, kept):
+            column.extend(map(memo.setdefault, chunk[k], chunk[k]))
     missing = [name for name in label_names if name not in schema.attribute_columns]
     if missing and ids:
         raise MissingAttributeError(missing[0], ids[0])
-    return CsvColumns(ids, times, {name: kept[at.index(columns[name])]
-                                   for name in schema.attribute_columns},
+    return CsvColumns(ids, times, dict(zip(schema.attribute_columns, values)),
                       schema.attribute_columns, label_names)
 
 
-_CHUNK = 4096
+_CHUNK = 1024
+
+
+class _NotSplittable(Exception):
+    """A chunk of lines that only csv.reader reads as RFC 4180 says."""
+
+
+def _split_chunks(lines: Iterator[str], width: int, at: list[int], delimiter: str
+                  ) -> Iterator[list[list[str]]]:
+    """The cells of columns ``at`` of the data rows, ``_CHUNK`` lines at a
+    time, each chunk split at once.
+
+    A chunk is split on its delimiters and line ends only when csv.reader
+    would read it so: it holds no quote, CR or NUL, every line has exactly
+    ``width`` - 1 delimiters (so no line is blank or ragged), and no line
+    is longer than ``csv.field_size_limit()``.  At the first chunk that
+    does not, raises _NotSplittable.  No list or tuple per row is built.
+    ``delimiter`` is one ASCII character other than a quote, CR, LF or NUL.
+    """
+    limit = csv.field_size_limit()
+    row = (delimiter * (width - 1) + "\n").encode()
+    # every byte but a delimiter, LF, quote, CR or NUL: what is left of a
+    # chunk's UTF-8 text is its rows' skeleton
+    drop = bytes(sorted(set(range(256)).difference(row, b'"\r\0')))
+    while chunk := list(islice(lines, _CHUNK)):
+        body = "".join(chunk)
+        if not body.endswith("\n"):
+            body += "\n"  # the last line, as csv.reader reads it
+        if (body.encode("utf-8", "surrogatepass").translate(None, drop) != row * len(chunk)
+                or len(body) > limit and max(map(len, chunk)) > limit):
+            raise _NotSplittable
+        chunk.clear()  # no line is alive next to its cells
+        body = body.replace("\n", delimiter)
+        cells = body.split(delimiter)
+        del body
+        cells.pop()  # the empty text after the last line end
+        yield [cells[k::width] for k in at]
 
 
 def _row_chunks(reader, width: int, take: Callable[[list[str]], tuple[str, ...]],
                 blanks: list[int]) -> Iterator[list[tuple[str, ...]]]:
-    """The data rows, each as the tuple of cells ``take`` picks, up to
-    ``_CHUNK`` rows at a time.
+    """The cells of the data rows, ``_CHUNK`` rows at a time, as one tuple
+    per column ``take`` picks.
 
     A blank line is skipped; ``blanks`` records how many rows came before
-    it.  A row of the wrong width raises CsvFormatError once the rows before
-    it have been yielded, so that their errors come first.  Tuples of
-    strings, unlike the row lists, leave the garbage collector's care at
-    its next pass.
+    it.  A row of the wrong width, or text csv.reader refuses, raises
+    CsvFormatError once the rows before it have been yielded, so that
+    their errors come first.  Tuples of strings, unlike the row lists,
+    leave the garbage collector's care at its next pass.
     """
     rows: list[tuple[str, ...]] = []
     done = 0
-    for row in reader:
-        if len(row) != width:
-            if not row:
-                blanks.append(done + len(rows))
-                continue
-            ragged = CsvFormatError(
-                f"line {reader.line_num}: expected {width} fields, got {len(row)}")
-            yield rows
-            raise ragged
-        rows.append(take(row))
-        if len(rows) == _CHUNK:
-            yield rows
-            done += len(rows)
-            rows = []
-    yield rows
+    try:
+        for row in _records(reader):
+            if len(row) != width:
+                if not row:
+                    blanks.append(done + len(rows))
+                    continue
+                raise CsvFormatError(
+                    f"line {reader.line_num}: expected {width} fields, got {len(row)}")
+            rows.append(take(row))
+            if len(rows) == _CHUNK:
+                yield list(zip(*rows))
+                done += len(rows)
+                rows = []
+    except CsvFormatError:
+        yield list(zip(*rows))
+        raise
+    yield list(zip(*rows))
 
 
 def _check(text: str, schema: CsvSchema, stamps: Sequence[str], start: int,
@@ -343,7 +442,7 @@ def _check(text: str, schema: CsvSchema, stamps: Sequence[str], start: int,
             break
     # the line on which that row ends, read again up to it
     row = start + k
-    reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)
+    reader = _reader(io.StringIO(text), schema.delimiter)
     for _ in islice(reader, row + bisect_right(blanks, row) + 2):
         pass
     raise CsvFormatError(f"line {reader.line_num}: {message}")

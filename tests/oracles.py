@@ -257,23 +257,29 @@ def naive_relabel(fn, log: EventLog) -> EventLog:
 def naive_csv_error(text: str) -> str | None:
     """The first row error of a CSV file with a ``timestamp`` column and an
     optional ``id`` column, as "line N: ...", or None; rows are checked one
-    by one, in order: field count, then repeated id, then timestamp."""
-    reader = csv.reader(io.StringIO(text))
-    header = [name.strip() for name in next(reader)]
-    seen = set()
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(header):
-            return f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-        record = dict(zip(header, row))
-        if "id" in record:
-            if record["id"] in seen:
-                return f"line {reader.line_num}: duplicate event id {record['id']!r}"
-            seen.add(record["id"])
-        stamp = record["timestamp"].strip()
-        try:
-            datetime.fromisoformat(stamp.replace("Z", "+00:00"))
-        except ValueError:
-            return f"line {reader.line_num}: unparseable timestamp {stamp!r}"
+    by one, in order: field count, then repeated id, then timestamp.  Text
+    that a strict ``csv.reader`` refuses (a quote open at the end, text
+    after a closing quote, a field over ``csv.field_size_limit()``) is an
+    error of the line the reader stopped on."""
+    reader = csv.reader(io.StringIO(text), strict=True)
+    try:
+        header = [name.strip() for name in next(reader)]
+        seen = set()
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                return f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+            record = dict(zip(header, row))
+            if "id" in record:
+                if record["id"] in seen:
+                    return f"line {reader.line_num}: duplicate event id {record['id']!r}"
+                seen.add(record["id"])
+            stamp = record["timestamp"].strip()
+            try:
+                datetime.fromisoformat(stamp.replace("Z", "+00:00"))
+            except ValueError:
+                return f"line {reader.line_num}: unparseable timestamp {stamp!r}"
+    except csv.Error as exc:
+        return f"line {reader.line_num}: {exc}"
     return None

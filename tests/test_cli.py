@@ -554,6 +554,38 @@ def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
         assert f"unknown config key {line.split('=')[0]!r}" in err
 
 
+def test_one_parser_serves_every_call_as_a_fresh_one(tmp_path, capsys):
+    # main builds its parser once per process; calls of different
+    # subcommands, with and without --config, interleaved, read as each
+    # does with a parser of its own
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=0.5\nformat=csv\nto=xes\ninclude-self=true\n"
+                   "b-labels=Bedroom motion\n")
+    calls = [
+        ("stats", "--base-label", "Sensor", "--config", str(cfg)),
+        ("evaluate", "--base-label", "Sensor", "--refined-label", "Activity"),
+        ("convert", "--base-label", "Sensor", "--config", str(cfg)),
+        ("stats", "--base-label", "Sensor"),
+        ("evaluate", "--base-label", "Sensor", "--refined-label", "Activity",
+         "--config", str(cfg)),
+        ("scan", "--base-label", "Sensor", "--alph", "0.5"),
+        ("gen-candidates", "--base-label", "Sensor", "--config", str(cfg)),
+        ("convert", "--base-label", "Sensor", "--to", "csv"),
+        ("stats", "--base-label", "Sensor", "--config", str(cfg), "--format", "json"),
+        ("scan", "--base-label", "Sensor", "--config", str(cfg)),
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv, "--csv", SMART_HOME, "--deterministic"))
+    cli.build_parser.cache_clear()
+    for order in (calls, calls[::-1]):
+        shared = [run(capsys, *argv, "--csv", SMART_HOME, "--deterministic") for argv in order]
+        assert shared == (fresh if order is calls else fresh[::-1])
+    assert cli.build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
+
+
 _RULES = "Activity = Getting up -> up\nSensor = Bedroom motion -> bed\ndefault -> living\n"
 _SCHEMA = ("timestamp_column=timestamp\nid_column=id\n"
            "attribute_columns=case,Address,Sensor,Heart rate,Activity\n")

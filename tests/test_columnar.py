@@ -8,7 +8,7 @@ import gc
 import io
 import tempfile
 from collections import Counter
-from datetime import time
+from datetime import time, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -36,7 +36,10 @@ _ZONES = ["", "Z", "+00:00", "+02:00", "-05:00"]
 
 @st.composite
 def csv_inputs(draw):
-    """CSV text plus the CLI flags to read it with."""
+    """CSV text plus the CLI flags to read it with.  Lines end in LF or
+    CRLF, the last one or not; body cells may be quoted and blank lines
+    may come between rows: the text csv.reader reads.  Other texts are
+    split in bulk."""
     has_id = draw(st.booleans())
     has_case = draw(st.booleans())
     names = ["timestamp", "home", "sensor", "act"] + (["case"] if has_case else [])
@@ -44,6 +47,8 @@ def csv_inputs(draw):
         names.insert(draw(st.integers(0, len(names))), "id")
     quoted = [draw(st.booleans()) for _ in names]
     header = ",".join(f'"{name}"' if q else name for name, q in zip(names, quoted))
+    quoted_cells = draw(st.booleans())
+    blank_lines = draw(st.booleans())
     n = draw(st.integers(0, 14))
     ids = draw(st.lists(st.one_of(st.integers(0, 30).map(str),
                                   st.sampled_from(["x1", "a", "b7", "zz", "07"])),
@@ -56,16 +61,18 @@ def csv_inputs(draw):
                  "sensor": draw(st.sampled_from(["a", "b", "c"])),
                  "act": draw(st.sampled_from(["x", "y"])),
                  "case": draw(st.sampled_from(["c1", "c2", "c3"]))}
-        if draw(st.integers(0, 5)) == 0:
+        if blank_lines and draw(st.integers(0, 3)) == 0:
             lines.append("")  # a blank line still takes a row index
-        lines.append(",".join(cells[name] for name in names))
+        lines.append(",".join(f'"{cells[name]}"' if quoted_cells and draw(st.booleans())
+                              else cells[name] for name in names))
     flags = {
         "case_key": draw(st.sampled_from([[], ["home"], ["sensor", "home"]])),
         "calendar_day": draw(st.booleans()),
         "tz": draw(st.sampled_from(["UTC", "Europe/Amsterdam"])),
         "label": draw(st.sampled_from([["sensor"], ["sensor", "act"]])),
     }
-    return "\n".join(lines) + "\n", flags
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else ""), flags
 
 
 def _cli_log(text: str, flags: dict) -> EventLog:
@@ -98,11 +105,49 @@ def _event_by_event(fn, log: EventLog):
 
 
 # rows are read a chunk at a time; small chunks put chunk ends anywhere
-_CHUNKS = st.sampled_from([1, 2, 3, ingest._CHUNK])
+_CHUNK_SIZES = [1, 2, 3, ingest._CHUNK]
+_CHUNKS = st.sampled_from(_CHUNK_SIZES)
+
+# a quote-free LF text is split in bulk; a quoted cell, CRLF or a blank line
+# sends the whole text to csv.reader
+_SPLIT_TEXT = ("timestamp,id,home,sensor,act\n2021-03-28T02:30:00,3,h1,a,x\n"
+               "2021-03-28T00:30:00Z,07,h2,b,y\n2021-10-31T02:30:00+02:00,x1,h1,c,x\n"
+               "2021-03-27T23:30:00,b7,h2,a,y\n")
+_READER_TEXTS = [_SPLIT_TEXT.replace(",h2,", ',"h2",'), _SPLIT_TEXT.replace("\n", "\r\n"),
+                 _SPLIT_TEXT.replace("y\n2021", "y\n\n2021")]
+_FLAGS = {"case_key": ["home"], "calendar_day": True, "tz": "Europe/Amsterdam",
+          "label": ["sensor", "act"]}
+
+
+def _reads_with_csv_reader(text: str, delimiter: str = ",") -> bool:
+    """Whether ``parse_csv`` hands ``text`` to csv.reader past its header,
+    read with every column but the timestamp an attribute (with none, the
+    timestamp)."""
+    names = next(csv.reader(io.StringIO(text), delimiter=delimiter))
+    schema = CsvSchema(timestamp_column="timestamp",
+                       attribute_columns=[name for name in names if name != "timestamp"]
+                       or ["timestamp"], delimiter=delimiter)
+    with mock.patch.object(ingest, "_row_chunks", wraps=ingest._row_chunks) as rows:
+        try:
+            parse_csv(text, schema)
+        except CsvFormatError:
+            pass
+    return rows.called
+
+
+def _every_chunk_size(*cases):
+    """Hypothesis examples: each case read at each chunk size."""
+    def decorate(test):
+        for case in reversed(cases):
+            for chunk in reversed(_CHUNK_SIZES):
+                test = example(case, chunk)(test)
+        return test
+    return decorate
 
 
 @settings(max_examples=150, deadline=None)
 @given(csv_inputs(), _CHUNKS)
+@_every_chunk_size((_SPLIT_TEXT, _FLAGS), *((text, _FLAGS) for text in _READER_TEXTS))
 def test_cli_csv_log_matches_row_by_row_oracle(case, chunk):
     text, flags = case
     with mock.patch.object(ingest, "_CHUNK", chunk):
@@ -135,41 +180,153 @@ def test_cli_csv_log_matches_row_by_row_oracle(case, chunk):
 @st.composite
 def faulty_csv(draw):
     """CSV text whose rows may be ragged, repeat an id, carry a bad
-    timestamp or span several lines."""
+    timestamp, span several lines, hold a cell over the field size limit,
+    carry text after a closing quote or leave a quote open at the end,
+    with LF or CRLF line ends, the last one or not; whether it has an id
+    column, and the field size limit to read it under (None: the
+    default)."""
     has_id = draw(st.booleans())
     lines = [("id," if has_id else "") + "timestamp,sensor"]
     for _ in range(draw(st.integers(0, 8))):
         cells = [draw(st.sampled_from(["1", "2", "x", "10"]))] if has_id else []
         cells.append(draw(st.sampled_from(["2021-03-28 02:30", "2021-03-28T01:00Z",
                                            " 2021-03-28 01:00+02:00 ", "not-a-date", ""])))
-        cells.append(draw(st.sampled_from(["a", '"multi\nline"', '"b,c"'])))
+        cells.append(draw(st.sampled_from(["a", '"multi\nline"', '"b,c"', "y" * 45, '"ab"c'])))
         if draw(st.integers(0, 6)) == 0:
             cells.append("extra")
         if draw(st.integers(0, 6)) == 0:
             lines.append("")
         lines.append(",".join(cells))
-    return "\n".join(lines) + "\n", has_id
+    if draw(st.integers(0, 5)) == 0:
+        lines.append(("1," if has_id else "") + '2021-03-28 02:30,"open')
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return text, has_id, draw(st.sampled_from([None, 40]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(faulty_csv(), _CHUNKS)
-@example(("id,timestamp,sensor\n1,2021-03-28 02:30,a\n\n1,2021-03-28 02:30,a\n", True), 1)
-@example(("timestamp,sensor\n\n2021-03-28 02:30,a\n\n\nx,a\n", False), 2)
+@example(("id,timestamp,sensor\n1,2021-03-28 02:30,a\n\n1,2021-03-28 02:30,a\n", True, None), 1)
+@example(("timestamp,sensor\n\n2021-03-28 02:30,a\n\n\nx,a\n", False, None), 2)
+@_every_chunk_size(
+    # split in bulk: a repeated id, then a bad timestamp in a later chunk
+    ("id,timestamp,sensor\n1,2021-03-28 02:30,a\n2,2021-03-28 02:31,a\n"
+     "1,2021-03-28 02:32,a\n3,bad,a\n", True, None),
+    # a later chunk goes to csv.reader: a quote open at the end, after a
+    # ragged row
+    ("timestamp,sensor\n2021-03-28 02:30,a\n2021-03-28 02:31,a,b\n"
+     '2021-03-28 02:32,"open\n2021-03-28 02:33,a\n', False, None),
+    # a cell over the field size limit
+    ("timestamp,sensor\n2021-03-28 02:30,a\n2021-03-28 02:31," + "y" * 45 + "\n",
+     False, 40),
+    # no error: CRLF line ends, then a last line with none
+    ("id,timestamp,sensor\r\n1,2021-03-28 02:30,a\r\n2,2021-03-28 02:31,b\r\n"
+     "3,2021-03-28 02:32,c", True, None))
 def test_csv_errors_name_the_first_faulty_line(case, chunk):
-    text, has_id = case
+    text, has_id, limit = case
     schema = CsvSchema(timestamp_column="timestamp", attribute_columns=("sensor",),
                        id_column="id" if has_id else "synthesize")
-    expected = naive_csv_error(text)
-    if expected is None:
-        # synthesized ids are row numbers that count blank lines too
-        rows = list(csv.reader(io.StringIO(text)))[1:]
-        ids = [row[0] if has_id else k for k, row in enumerate(rows, 1) if row]
-        with mock.patch.object(ingest, "_CHUNK", chunk):
-            assert [e.id for e in parse_csv(text, schema)] == ids
-    else:
-        with mock.patch.object(ingest, "_CHUNK", chunk), pytest.raises(CsvFormatError) as info:
-            parse_csv(text, schema)
-        assert str(info.value) == expected
+    default = csv.field_size_limit()
+    csv.field_size_limit(limit or default)
+    try:
+        expected = naive_csv_error(text)
+        if expected is None:
+            # synthesized ids are row numbers that count blank lines too
+            rows = list(csv.reader(io.StringIO(text)))[1:]
+            expected = [(row[0] if has_id else k, (("sensor", row[-1]),))
+                        for k, row in enumerate(rows, 1) if row]
+            with mock.patch.object(ingest, "_CHUNK", chunk):
+                assert [(e.id, e.attributes) for e in parse_csv(text, schema)] == expected
+        else:
+            with mock.patch.object(ingest, "_CHUNK", chunk), \
+                    pytest.raises(CsvFormatError) as info:
+                parse_csv(text, schema)
+            assert str(info.value) == expected
+    finally:
+        csv.field_size_limit(default)
+
+
+@pytest.mark.parametrize("text, delimiter, by_reader", [
+    (_SPLIT_TEXT, ",", False),
+    (_SPLIT_TEXT.rstrip("\n"), ",", False),  # no final line end
+    (_SPLIT_TEXT.replace(",", "\t"), "\t", False),
+    (_SPLIT_TEXT.replace(",", "\u00a6"), "\u00a6", True),  # not ASCII
+    *((text, ",", True) for text in _READER_TEXTS),
+    (_SPLIT_TEXT + '2021-03-28T02:30:00,9,h1,"a,b",x\n', ",", True),  # in a later line
+    (_SPLIT_TEXT + "2021-03-28T02:30:00,9,h1,a\x00b,x\n", ",", True),  # NUL
+    (_SPLIT_TEXT + "2021-03-28T02:30:00,9,h1,a,x,extra\n", ",", True),  # ragged
+    (_SPLIT_TEXT + "2021-03-28T02:30:00,9,h1,a,x" + "y" * 131072 + "\n", ",", True),  # long
+    ("timestamp,sensor\n", ",", False),  # no data row
+    ("timestamp\n2021-03-28T02:30:00\n", ",", True),  # one column
+])
+def test_quote_free_lf_rows_are_split_without_csv_reader(text, delimiter, by_reader):
+    assert _reads_with_csv_reader(text, delimiter) == by_reader
+
+
+@pytest.mark.parametrize("chunk", _CHUNK_SIZES)
+def test_a_chunk_that_csv_reader_must_read_restarts_the_whole_text(chunk):
+    # the quote comes after the first chunks were split: every row is read
+    # again by csv.reader, and read the same
+    text = _SPLIT_TEXT + '2021-03-28T02:40:00,9,h1,"a,b",x\n'
+    schema = CsvSchema(timestamp_column="timestamp", attribute_columns=("home", "sensor", "act"),
+                       id_column="id")
+    with mock.patch.object(ingest, "_CHUNK", chunk), \
+            mock.patch.object(ingest, "_split_chunks", wraps=ingest._split_chunks) as split:
+        events = parse_csv(text, schema)
+    assert split.called
+    assert [(e.id, e.attributes) for e in events] == [
+        (row["id"], tuple((name, row[name]) for name in ("home", "sensor", "act")))
+        for row in csv.DictReader(io.StringIO(text))]
+
+
+_DATES = ["2021-03-28", "2024-02-29", "2021-10-31", "1999-12-31"]
+
+
+@st.composite
+def timestamp_texts(draw):
+    """ISO-8601 texts: a date alone or with a time (T or space, minutes,
+    seconds, a fraction), a zone (none, Z, an offset), surrounding spaces;
+    or a near miss that does not parse."""
+    text = draw(st.sampled_from(_DATES))
+    if draw(st.integers(0, 3)):
+        text += draw(st.sampled_from(["T", " "])) + draw(st.sampled_from(["00", "23", "02"]))
+        text += draw(st.sampled_from(["", ":30", ":59:59", ":00:00"]))
+        if text.count(":") == 2 and draw(st.booleans()):
+            text += "." + draw(st.text("0123456789", min_size=1, max_size=6))
+        text += draw(st.sampled_from(["", "", "Z", "+00:00", "+02:00", "-05:30", "+0000"]))
+    text = draw(st.sampled_from(["", " ", "  "])) + text + draw(st.sampled_from(["", " ", "\t"]))
+    if not draw(st.integers(0, 7)):
+        # fromisoformat reads some of these when a zone follows them, and
+        # reads a Z as the date-time separator
+        text = draw(st.sampled_from(["2021-03-28 00:00:", "2021-03-28 00:005", "20210328T000",
+                                     "2021-03-28T02:30 +02:00", "2021-03-28Z00:00",
+                                     "2021-03-28T", "2021-02-30", "2021-03-28T24:00"]))
+    return text
+
+
+def _parsed_one_by_one(texts, tz):
+    try:
+        return [ingest.parse_timestamp(text, None, tz) for text in texts]
+    except ValueError:
+        return ValueError
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(timestamp_texts(), min_size=1, max_size=5),
+       st.sampled_from(["UTC", "Europe/Amsterdam", None]))
+@example(["2024-01-01"], None)
+@example(["2024-01-01", "2024-01-01T10:00"], "UTC")
+@example(["2021-03-28 00:00:"], None)
+def test_utc_times_parse_each_text_as_parse_timestamp_does(texts, zone):
+    tz = timezone.utc if zone is None else ingest.time_zone(zone)
+    try:
+        times = ingest._utc_times(texts, None, tz)
+    except ValueError:
+        times = ValueError
+    expected = _parsed_one_by_one(texts, tz)
+    assert times == expected
+    if expected is not ValueError:
+        assert all(t.tzinfo is timezone.utc for t in times)
 
 
 def _live_events() -> int:

@@ -6,10 +6,13 @@ results; regenerate a file only when that is intended, and record why in
 CHANGES.md.
 """
 
+import csv
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from labelsplit import ingest
 from labelsplit.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -61,3 +64,18 @@ def test_csv_conversion_reproduces_itself(tmp_path):
     argv = [*CASES["convert.csv"], "--csv", str(GOLDEN / "convert.csv"), "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / "convert.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["stats.csv", "evaluate.json", "scan.json"])
+def test_quoted_crlf_copy_of_the_demo_csv_gives_the_golden_output(name, tmp_path):
+    # every cell quoted and every line ended by CRLF: csv.reader reads this
+    # copy, where the quote-free demo file is split in bulk
+    quoted = tmp_path / "quoted.csv"
+    with open(DEMO_CSV, encoding="utf-8", newline="") as src, \
+            quoted.open("w", encoding="utf-8", newline="") as dst:
+        csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(src))
+    out = tmp_path / name
+    with mock.patch.object(ingest, "_row_chunks", wraps=ingest._row_chunks) as rows:
+        assert main([*CASES[name], "--csv", str(quoted), "--deterministic", "--out", str(out)]) == 0
+    assert rows.called
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
