@@ -247,7 +247,10 @@ def _load_base_log(args) -> EventLog:
     base_label = tuple(_split_list(args.base_label)) if args.base_label else None
     if args.csv:
         try:
-            text = Path(args.csv).read_text(encoding="utf-8")
+            # newline="": line ends reach the CSV reader as written, so a
+            # quoted CRLF stays data and a lone CR stays inside its cell
+            with open(args.csv, encoding="utf-8", newline="") as f:
+                text = f.read()
         except OSError as exc:
             raise CsvFormatError(f"cannot read {args.csv}: {exc}") from exc
         schema = _resolve_schema(text, args)

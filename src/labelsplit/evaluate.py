@@ -18,8 +18,8 @@ from typing import Any, Container, Iterable
 
 from .gain import EntropyBreakdown, relative_information_gain
 from .model import EventLog, Label, local, time_zone
-from .ordering import (DEFAULT_RELATIONS, LogCounts, OccurrenceBits, OrderingRelation,
-                       PairTables, RefinementCounts, build_tables)
+from .ordering import (DEFAULT_RELATIONS, LogCounts, OrderingRelation, PairTables,
+                       RefinementCounts, build_tables, split_counts)
 from .relabel import Pairing, RelabelingFn, SplitPair, TimeThreshold
 from .stats import CorrectionPolicy, PairTests, TestResult, fisher_exact_two_sided
 
@@ -141,17 +141,10 @@ def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
     return _tabulate(split_pairs, counts, config, description)
 
 
-def _collect_split(l1_log: EventLog, fn: TimeThreshold, config: EvaluationConfig,
-                   bits: OccurrenceBits) -> _Collected:
-    """``_collect`` for a time split whose two children are distinct and
-    name no event of ``l1_log`` but the parent's.
-
-    Such a split always refines the base labeling, so no refined log is
-    built, paired or counted: the child columns are the parent's
-    occurrence bitsets masked by the occurrences each child takes.
-    """
-    counts = bits.refinement(fn.base_label, fn.low_label, fn.high_label,
-                             fn.occurrence_mask(l1_log))
+def _collect_split(fn: TimeThreshold, counts: RefinementCounts | None,
+                   config: EvaluationConfig) -> _Collected:
+    """``_collect`` for a time split counted by ``split_counts``: no refined
+    log is built, paired or counted."""
     split_pairs = (() if counts is None
                    else (SplitPair(fn.base_label, (fn.low_label, fn.high_label)),))
     return _tabulate(split_pairs, counts, config, fn.description)
@@ -314,24 +307,27 @@ def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
     candidates' tests.  The base log is counted once for all candidates.
 
     A time split whose two children are distinct and name no event of the
-    base log but the parent's changes only the parent's label.  Such
-    candidates share one pass over the base log that records, per parent,
-    relation and context, which parent occurrences satisfy the relation
-    (``OccurrenceBits``); each gets its child columns from those bitsets
-    and its occurrence mask, with no refined log.  Every other candidate is
-    applied to the base log and evaluated as ``evaluate`` does, so it
-    raises the same errors.
+    base log but the parent's changes only the parent's label.  The first
+    such split of each parent is counted with no refined log: one pass
+    recodes every such parent occurrence as the child it goes to, and one
+    count per relation reads all their children (``split_counts``).  Every
+    other candidate is applied to the base log and evaluated as
+    ``evaluate`` does, so it raises the same errors.
     """
     config = config or EvaluationConfig()
     candidates = list(candidates)
     base = LogCounts.of(l1_log, config.relations)
     codes = base.interned.codes
-    fresh = [_splits_one_label(fn, codes) for fn in candidates]
-    bits = OccurrenceBits.of(base, [fn.base_label for fn, ok in zip(candidates, fresh) if ok])
+    first: dict[tuple, int] = {}  # each split parent's first such candidate
+    for k, fn in enumerate(candidates):
+        if _splits_one_label(fn, codes):
+            first.setdefault(fn.base_label.parts, k)
+    counted = dict(zip(first.values(), split_counts(
+        l1_log, base, [candidates[k] for k in first.values()])))
     collected = [
-        _collect_split(l1_log, fn, config, bits) if ok
+        _collect_split(fn, counted[k], config) if k in counted
         else _collect(l1_log, fn.apply(l1_log), config, fn.description, base)
-        for fn, ok in zip(candidates, fresh)
+        for k, fn in enumerate(candidates)
     ]
     family_m = None
     if config.correction.family_scope == "per_candidate_set":

@@ -10,20 +10,21 @@ equals the number of occurrences of b in the log.  The relations:
   eventually_follows(b, c)   b at position i, c at some j < i
   length_two_loop(b, c)      b at i, c at i+1, b at i+2, with b != c
 
-``LogCounts.of`` counts one relation in one pass per trace (``_hits``).
-The direct relations and length-two loops cost O(events).  The eventual
-ones cost O(length + distinct labels) adds of O(sources) machine words per
-trace: suffix sums over the trace's first occurrences, with one
-fixed-width field per source label packed into each Python int.  A trace
-with few source occurrences, and every trace of a log whose packed columns
-would hold more than 2**20 fields (sources * alphabet), instead adds the
-labels seen before each source occurrence.
+One kernel, ``_hits``, counts one relation in one pass per trace.  It
+reads a source row and a context row per trace: a log counted against
+itself (``LogCounts.of``) passes its code rows as both.  The direct
+relations and length-two loops cost O(events).  The eventual ones cost
+O(length + distinct labels) adds of O(sources) machine words per trace:
+suffix sums over the trace's first positions, with one fixed-width field
+per source label packed into each Python int.  A trace with few source
+occurrences, and every trace of a log whose packed columns would hold more
+than 2**20 fields (sources * alphabet), instead adds the contexts seen
+before each source occurrence.
 
-A scan also keeps, for each candidate parent label, which of its
-occurrences satisfy each relation (``OccurrenceBits``, one Python-int bitset
-per relation and context).  A split of that one label then needs no refined
-log: each child's count is a popcount of the bitset masked by the child's
-occurrences.
+A scan counts all its single-label time splits at once (``split_counts``):
+the source rows are the base log's rows with each split parent's
+occurrences recoded as the child they go to, and the context rows are the
+base log's own, so no refined log is built.
 
 The 2x2-plus-margin contingency table compares two refined labels a1, a2
 against a context label b, alongside the same statistic for their common
@@ -42,11 +43,11 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from typing import Any, Iterable
 
 from .model import EventLog, InternedLog, Label
-from .relabel import Pairing, SplitPair
+from .relabel import Pairing, SplitPair, TimeThreshold, time_split_rows
 
 
 class OrderingRelation(Enum):
@@ -95,35 +96,42 @@ _PACKED_FIELDS = 1 << 20
 
 
 def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
-          sources: Sequence[int] | None = None) -> list[Counter | None]:
+          sources: Sequence[int] | None = None,
+          contexts: Sequence[Sequence[int]] | None = None) -> list[Counter | None]:
     """hits[b][c]: occurrences of code b that satisfy the relation against c.
 
-    Only the codes in ``sources`` (every code when None) get a row; the row
-    of any other code is None, though its occurrences still count as
-    contexts of the others.
+    Position i of a trace holds source code ``rows[t][i]`` and context code
+    ``contexts[t][i]``; a log counted against itself passes no
+    ``contexts``, so each row is its own context row.  Codes are below
+    ``size``.  Only the codes in ``sources`` (every code when None) get a
+    row; the row of any other code is None.  A length-two loop at i needs
+    the same source at i and i+2 and a context at i+1 other than the one
+    at i.
 
-    eventually_precedes is eventually_follows on the reversed row.  An
+    eventually_precedes is eventually_follows on the reversed rows.  An
     occurrence of b eventually follows c when it comes after c's first
-    occurrence.  A trace in which the sources occur more than 20 times, or
+    position.  A trace in which the sources occur more than 20 times, or
     make up more than half of it, is counted by suffix sums over first
-    occurrences: from the last first occurrence back to the first, a
+    positions: from the last context's first position back to the first, a
     running count of the source occurrences after the current one gains
-    the segment up to the next first occurrence and is added to that
-    label's column.  The count is one Python int holding a field per
+    the segment up to the next first position and is added to that
+    context's column.  The count is one Python int holding a field per
     source of 8, 16, 32 or 64 bits, the narrowest that holds the log's
     event count, so no field carries into the next.  A trace costs
     O(length + distinct labels) adds, and each add O(sources) machine
     words, since the fields are dense in the sources.  The nonzero columns
     are unpacked in C and moved into the source rows once per log, so the
-    unpack is dense too: O(sources * alphabet).  Packing is therefore used
+    unpack is dense too: O(sources * size).  Packing is therefore used
     only while the columns hold at most ``_PACKED_FIELDS`` (2**20) fields,
-    sources * alphabet: every label of a 1 024-label alphabet, at most
+    sources * size: every label of a 1 024-label alphabet, at most
     8 MiB.  Any other trace, and every trace of a log past that bound, adds
-    the set of labels seen before each source occurrence to that source's
+    the set of contexts seen before each source occurrence to that source's
     row: O(source occurrences * alphabet), cheaper for few source
     occurrences (both break-evens are measured; see the README's cost
     model).  A trace without source occurrences adds nothing.
     """
+    if contexts is None:
+        contexts = rows
     if sources is None:
         hits: list[Counter | None] = [Counter() for _ in range(size)]
     else:
@@ -136,53 +144,56 @@ def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
         events = sum(map(len, rows))
         fmt, width = next((fmt, width) for fmt, width in _FIELDS if not events >> width)
         packs = len(fields) * size <= _PACKED_FIELDS
-        unit = [0] * size  # a source's 1 in its field; 0 for any other label
-        if packs:
-            for k, b in enumerate(fields):
+        unit = [0] * size  # a source's 1 in its field; 0 for any other code
+        is_source = bytearray(size)
+        for k, b in enumerate(fields):
+            is_source[b] = 1
+            if packs:
                 unit[b] = 1 << k * width
         cols = [0] * size  # per context code, the packed pos counts of every source
-        for row in rows:
-            n_sources = len(row) if sources is None else sum(map(row.count, sources))
+        for row, ctx in zip(rows, contexts):
+            n_sources = len(row) if sources is None else sum(map(is_source.__getitem__, row))
             if not n_sources:
                 continue
             if packs and (n_sources > 20 or 2 * n_sources > len(row)):
                 if backwards:
-                    row = row[::-1]
+                    row, ctx = row[::-1], ctx[::-1]
                 end = len(row)
-                # each label's first position (the last write of a key wins)
-                firsts = dict(zip(reversed(row), range(end - 1, -1, -1))).values()
+                # each context's first position (the last write of a key wins)
+                firsts = dict(zip(reversed(ctx), range(end - 1, -1, -1))).values()
                 count = 0
                 for f in sorted(firsts, reverse=True):
                     count += sum(map(unit.__getitem__, row[f + 1:end]))
-                    cols[row[f]] += count
+                    cols[ctx[f]] += count
                     end = f + 1
                 continue
             seen: set[int] = set()
-            for b in reversed(row) if backwards else row:
+            walk = zip(reversed(row), reversed(ctx)) if backwards else zip(row, ctx)
+            for b, c in walk:
                 hit = hits[b]
                 if hit is not None:
                     hit.update(seen)
-                seen.add(b)
+                seen.add(c)
         if not any(cols):  # no trace took the packed walk
             return hits
-        contexts = [c for c, col in enumerate(cols) if col]
+        nonzero = [c for c, col in enumerate(cols) if col]
         # one run of fields per nonzero context, so field k's counts against
         # those contexts are the slice [k::len(fields)]
         n_bytes = len(fields) * width // 8
-        table = array(fmt, b"".join(cols[c].to_bytes(n_bytes, sys.byteorder) for c in contexts))
+        table = array(fmt, b"".join(cols[c].to_bytes(n_bytes, sys.byteorder) for c in nonzero))
         for k, b in enumerate(fields):
             column = table[k::len(fields)]
-            hits[b].update(dict(zip(compress(contexts, column), compress(column, column))))
+            hits[b].update(dict(zip(compress(nonzero, column), compress(column, column))))
         return hits
     pairs: Counter[tuple[int, int]] = Counter()
-    for row in rows:
+    for row, ctx in zip(rows, contexts):
         if relation is OrderingRelation.DIRECTLY_PRECEDES:
-            pairs.update(zip(row, row[1:]))
+            pairs.update(zip(row, ctx[1:]))
         elif relation is OrderingRelation.DIRECTLY_FOLLOWS:
-            pairs.update(zip(row[1:], row))
+            pairs.update(zip(row[1:], ctx))
         elif relation is OrderingRelation.LENGTH_TWO_LOOP:
-            pairs.update((b, c) for b, c, again in zip(row, row[1:], row[2:])
-                         if b == again and c != b)
+            pairs.update((b, c) for b, x, c, again in zip(row, ctx, ctx[1:], row[2:])
+                         if b == again and c != x)
         else:
             raise ValueError(f"unknown relation {relation!r}")
     for (b, c), k in pairs.items():
@@ -273,130 +284,72 @@ class LogCounts:
 
 @dataclass(frozen=True, slots=True)
 class SplitCounts:
-    """The counts of the two children of one split label, read from the
-    parent's occurrence bitsets (``OccurrenceBits``) with no refined log.
+    """The counts of the two children of one split label, counted with no
+    refined log on the base log's child rows (``split_counts``).
 
-    ``hits[relation][c]`` is the parent's bitset against context code c and
-    ``masks`` maps each child's ``Label.parts`` to the parent occurrences it
-    takes.  A context must be a label the split leaves as it is; only the
-    children are sources.
+    ``rows[relation][child]`` counts, per base context code, the
+    occurrences of a child code that satisfy the relation; ``children``
+    maps each child's ``Label.parts`` to its code and ``occurrences``
+    counts each code's events.  A context must be a label the split leaves
+    as it is; only the children are sources.
     """
 
     codes: dict[tuple, int]
     parent: int
-    hits: dict[OrderingRelation, dict[int, int]]
-    masks: dict[tuple, int]
+    children: dict[tuple, int]
+    occurrences: Counter
+    rows: dict[OrderingRelation, list[Counter | None]]
 
     def positives(self, b: Label, contexts: Sequence[Label],
                   relations: Sequence[OrderingRelation]) -> tuple[int, tuple[list[int], ...]]:
-        """As ``LogCounts.positives``, one popcount per cell."""
-        mask = self.masks.get(b.parts)
-        if mask is None:
+        """As ``LogCounts.positives``, from the child's rows."""
+        child = self.children.get(b.parts)
+        if child is None:
             raise KeyError(f"source label {b} was not counted")
         c_codes = [self.codes.get(c.parts) for c in contexts]
         if self.parent in c_codes:
             raise KeyError(f"context label {contexts[c_codes.index(self.parent)]} "
                            "is the split label")
-        out = []
-        for relation in relations:
-            # a length-two loop closes at the parent's next occurrence (bit
-            # k + 1), which must go to the same child
-            keep = mask & mask >> 1 if relation is OrderingRelation.LENGTH_TWO_LOOP else mask
-            get = self.hits[relation].get
-            out.append([(get(c, 0) & keep).bit_count() for c in c_codes])
-        return mask.bit_count(), tuple(out)
+        return self.occurrences[child], tuple(
+            list(map(self.rows[relation][child].get, c_codes, repeat(0)))
+            for relation in relations)
 
 
-@dataclass(frozen=True)
-class OccurrenceBits:
-    """Which occurrences of each parent label satisfy each relation.
+def split_counts(log: EventLog, base: LogCounts,
+                 splits: Sequence[TimeThreshold]) -> list["RefinementCounts | None"]:
+    """The counts of each time split of ``log``, with no refined log; None
+    for a split that leaves a child no occurrence (it is not strict).
 
-    Bit k of ``bits[relation][a][c]`` is set when the k-th occurrence of
-    code a (in log order, trace by trace) satisfies the relation against
-    code c, so its popcount is ``base.rows[relation][a][c]``.  A split of a
-    into two children that label no other event changes no other label, so
-    each child column is this bitset masked by the child's occurrences.
+    ``base`` must be ``LogCounts.of(log)``.  The splits' parents must be
+    distinct, and each split's two children distinct labels that name no
+    event of ``log`` but the parent's.  One pass recodes each parent
+    occurrence as the child it goes to (``time_split_rows``), and one
+    ``_hits`` call per relation of ``base`` counts every child against the
+    base labels.  A split's refined alphabet is the base one with the
+    parent replaced by its children, each seen under the parent.
     """
-
-    base: LogCounts
-    bits: dict[OrderingRelation, dict[int, dict[int, int]]]
-
-    @classmethod
-    def of(cls, base: LogCounts, parents: Iterable[Label]) -> "OccurrenceBits":
-        """One pass over the base log's rows for the relations ``base``
-        counts; ``parents`` need not occur in the log.
-
-        As in ``_hits``, eventually_precedes is eventually_follows on the
-        reversed row: each parent occurrence sets its bit against every
-        label seen before it in its trace.
-        """
-        interned = base.interned
-        codes = interned.codes
-        wanted = {codes[label.parts] for label in parents if label.parts in codes}
-        bits: dict[OrderingRelation, dict[int, dict[int, int]]] = {
-            relation: {a: {} for a in wanted} for relation in base.rows}
-        done = dict.fromkeys(wanted, 0)  # occurrences of each parent so far
-        for row in interned.rows:
-            at = []  # the bit of each position's occurrence, 0 for other labels
-            for x in row:
-                k = done.get(x)
-                if k is None:
-                    at.append(0)
-                else:
-                    done[x] = k + 1
-                    at.append(1 << k)
-            if not any(at):
-                continue
-            for relation, hits in bits.items():
-                if relation in (OrderingRelation.EVENTUALLY_FOLLOWS,
-                                OrderingRelation.EVENTUALLY_PRECEDES):
-                    walk = (zip(row, at) if relation is OrderingRelation.EVENTUALLY_FOLLOWS
-                            else zip(reversed(row), reversed(at)))
-                    seen: set[int] = set()
-                    for x, bit in walk:
-                        if bit:
-                            out = hits[x]
-                            for c in seen:
-                                out[c] = out.get(c, 0) | bit
-                        seen.add(x)
-                    continue
-                if relation is OrderingRelation.DIRECTLY_PRECEDES:
-                    pairs = zip(row, row[1:], at)
-                elif relation is OrderingRelation.DIRECTLY_FOLLOWS:
-                    pairs = zip(row[1:], row, at[1:])
-                elif relation is OrderingRelation.LENGTH_TWO_LOOP:
-                    pairs = ((x, c, bit) for x, c, again, bit in zip(row, row[1:], row[2:], at)
-                             if x == again and c != x)
-                else:
-                    raise ValueError(f"unknown relation {relation!r}")
-                for x, c, bit in pairs:
-                    if bit:
-                        out = hits[x]
-                        out[c] = out.get(c, 0) | bit
-        return cls(base, bits)
-
-    def refinement(self, parent: Label, low: Label, high: Label,
-                   mask: int) -> "RefinementCounts | None":
-        """The counts of relabeling the occurrences of ``parent`` in
-        ``mask`` as ``low`` and the rest as ``high``; None when a child gets
-        no occurrence (the split is not strict).
-
-        ``parent`` must be one of the labels the bitsets were built for,
-        and the children must be distinct labels that name no event but
-        the parent's.  The refined alphabet is the base one with the parent
-        replaced by its children, each child seen under the parent.
-        """
-        interned = self.base.interned
-        a = interned.codes.get(parent.parts)
-        n = 0 if a is None else interned.occurrences[a]
-        full = (1 << n) - 1
-        if mask in (0, full):
-            return None
+    if not splits:
+        return []
+    interned = base.interned
+    size = len(interned.labels)
+    rows = time_split_rows(log, splits)
+    children = range(size, size + 2 * len(splits))
+    counted = {relation: _hits(rows, children.stop, relation, children, interned.rows)
+               for relation in base.rows}
+    occurrences = Counter(chain.from_iterable(rows))
+    out: list[RefinementCounts | None] = []
+    for low, fn in zip(children[::2], splits):
+        if not (occurrences[low] and occurrences[low + 1]):
+            out.append(None)
+            continue
+        parent = fn.base_label
         coarse = {label: label for label in interned.labels if label.parts != parent.parts}
-        coarse[low] = coarse[high] = parent
-        hits = {relation: rows[a] for relation, rows in self.bits.items()}
-        split = SplitCounts(interned.codes, a, hits, {low.parts: mask, high.parts: full ^ mask})
-        return RefinementCounts(self.base, split, coarse)
+        coarse[fn.low_label] = coarse[fn.high_label] = parent
+        split = SplitCounts(interned.codes, interned.codes[parent.parts],
+                            {fn.low_label.parts: low, fn.high_label.parts: low + 1},
+                            occurrences, counted)
+        out.append(RefinementCounts(base, split, coarse))
+    return out
 
 
 @dataclass(frozen=True)
@@ -407,7 +360,7 @@ class RefinementCounts:
 
     The refined counts hold only the rows of split children, the only
     refined sources a table reads: a refined log's ``LogCounts`` restricted
-    to them, or a single split's ``SplitCounts``.
+    to them, or a single split's ``SplitCounts`` (``split_counts``).
     """
 
     base: LogCounts
@@ -577,9 +530,9 @@ def build_tables(
     construction against a full parent column.  Such labels are named in a
     note appended to ``notes``, unless that note is already there.
     ``counts`` are the refinement's counts (``RefinementCounts.of`` for two
-    logs; a scan reads a single split's from the base log's
-    ``OccurrenceBits``) over at least ``relations``; the parent column
-    reads the base log against each context's coarse label.
+    logs; a scan counts its single-label splits with ``split_counts``)
+    over at least ``relations``; the parent column reads the base log
+    against each context's coarse label.
     """
     coarse = counts.coarse
     siblings = set(pair.children)

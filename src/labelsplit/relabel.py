@@ -18,9 +18,11 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import time
-from typing import Any, Iterator, NamedTuple
+from itertools import compress
+from typing import Any, NamedTuple
 
 from .model import MISSING, EventLog, Label, local, time_zone
 
@@ -101,38 +103,41 @@ class TimeThreshold(RelabelingFn):
                 f"{self.threshold.isoformat(timespec='minutes')}"
                 f"->{self.low_label}/{self.high_label}]")
 
-    def _occurrences(self, log: EventLog) -> Iterator[tuple[list[int], list[bool]]]:
-        """Per trace, the positions of ``base_label`` and whether each goes
-        to ``low_label``."""
-        code = log.interned.codes.get(self.base_label.parts)
-        threshold, zone = self.threshold, time_zone(self.timezone)
-        for row, times in zip(log.interned.rows, log.columns.times):
-            # count and index scan in C; a scan looks up every label this way
-            at, i = [], -1
-            for _ in range(row.count(code)):
-                i = row.index(code, i + 1)
-                at.append(i)
-            yield at, [t.time() < threshold for t in local([times[i] for i in at], zone)]
-
     def label_rows(self, log: EventLog) -> list[list[tuple]]:
-        interned = log.interned
-        parts = [label.parts for label in interned.labels]
-        children = (self.high_label.parts, self.low_label.parts)
-        out = []
-        for row, (at, low) in zip(interned.rows, self._occurrences(log)):
-            keys = list(map(parts.__getitem__, row))
-            for i, goes_low in zip(at, low):
-                keys[i] = children[goes_low]
-            out.append(keys)
-        return out
+        parts = [label.parts for label in log.interned.labels]
+        parts += (self.low_label.parts, self.high_label.parts)
+        return [list(map(parts.__getitem__, row)) for row in time_split_rows(log, [self])]
 
-    def occurrence_mask(self, log: EventLog) -> int:
-        """The occurrences of ``base_label`` that go to ``low_label``, as a
-        bitset: bit k is set when the label's k-th occurrence in ``log``
-        (in log order, trace by trace) is before the threshold."""
-        low = [bit for _, bits in self._occurrences(log) for bit in bits]
-        # most significant bit first, so the last occurrence leads
-        return int("0" + "".join(["1" if bit else "0" for bit in reversed(low)]), 2)
+
+def time_split_rows(log: EventLog, splits: Sequence[TimeThreshold]) -> list[list[int]]:
+    """Per trace of ``log``, its label codes with each occurrence of split
+    k's base label recoded as the child it goes to: size + 2k for the low
+    child, size + 2k + 1 for the high one, where size is the log's alphabet
+    size.
+
+    The splits' base labels must be distinct; one that labels no event
+    recodes nothing.  Each trace's times are converted once per time zone
+    of the splits.
+    """
+    interned = log.interned
+    size = len(interned.labels)
+    # per time zone name: parent code -> (threshold, low child's code)
+    zones: dict[str, dict[int, tuple[time, int]]] = {}
+    for k, fn in enumerate(splits):
+        code = interned.codes.get(fn.base_label.parts)
+        if code is not None:
+            zones.setdefault(fn.timezone, {})[code] = (fn.threshold, size + 2 * k)
+    by_zone = [(time_zone(name), split) for name, split in zones.items()]
+    out = []
+    for row, times in zip(interned.rows, log.columns.times):
+        row = list(row)
+        for zone, split in by_zone:
+            at = list(compress(range(len(row)), map(split.__contains__, row)))
+            for i, instant in zip(at, local([times[i] for i in at], zone)):
+                threshold, low = split[row[i]]
+                row[i] = low if instant.time() < threshold else low + 1
+        out.append(row)
+    return out
 
 
 _RULE_RE = re.compile(r"^(?P<attr>.+?)\s*(?P<op>!=|>=|=|<)\s*(?P<value>.*?)\s*->\s*(?P<label>.+)$")

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from labelsplit import EvaluationReport, cli
+from labelsplit.ingest import CsvFormatError, CsvSchema, read_csv
 from labelsplit.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -400,6 +401,31 @@ def test_stats_csv_doubles_quotes_in_labels(tmp_path, capsys):
     assert rows[0] == ["relation", "b", "c", "pos", "neg"]
     assert rows[1:] == [["directly_follows", "a,b", 'say "hi"', "1", "0"],
                         ["directly_follows", 'say "hi"', "a,b", "1", "1"]]
+
+
+def test_csv_file_line_ends_are_read_as_written(tmp_path, capsys):
+    # a quoted CRLF is data and a lone CR in an unquoted cell is an error,
+    # through the CLI as for read_csv on the file's raw text
+    header = "id,timestamp,s\r\n"
+    quoted = header + '1,2020-01-01 00:00:00,"a\r\nb"\r\n2,2020-01-01 00:01:00,c\r\n'
+    lone_cr = header + "1,2020-01-01 00:00:00,a\rb\r\n2,2020-01-01 00:01:00,c\r\n"
+    schema = CsvSchema("timestamp", ("s",), "id")
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(quoted.encode())
+    code, out, _ = run(capsys, "stats", "--csv", str(path), "--base-label", "s",
+                       "--format", "csv")
+    assert code == 0
+    labels = {row["b"] for row in csv.DictReader(io.StringIO(out, newline=""))}
+    expected = read_csv(quoted, schema, ("s",)).log(None).interned.labels
+    assert labels == {str(label) for label in expected} == {"a\r\nb", "c"}
+    path = tmp_path / "lone_cr.csv"
+    path.write_bytes(lone_cr.encode())
+    with pytest.raises(CsvFormatError) as raised:
+        read_csv(lone_cr, schema, ("s",))
+    code, _, err = run(capsys, "stats", "--csv", str(path), "--base-label", "s")
+    assert code == 2
+    assert str(raised.value).startswith("line 2: new-line character seen")
+    assert str(raised.value) in err
 
 
 @pytest.mark.parametrize("cells, c_label, rows", [

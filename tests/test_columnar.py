@@ -110,7 +110,7 @@ _CHUNKS = st.sampled_from(_CHUNK_SIZES)
 
 # read_csv splits a quote-free LF text in bulk; a quoted cell, CRLF or a
 # blank line sends the whole text to csv.reader (the CLI reads files with
-# universal newlines, so there CRLF alone does not)
+# their line ends as written, so a CRLF file does too)
 _SPLIT_TEXT = ("timestamp,id,home,sensor,act\n2021-03-28T02:30:00,3,h1,a,x\n"
                "2021-03-28T00:30:00Z,07,h2,b,y\n2021-10-31T02:30:00+02:00,x1,h1,c,x\n"
                "2021-03-27T23:30:00,b7,h2,a,y\n")

@@ -13,9 +13,10 @@ from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, CorrectionPolicy, E
                         TableEntropy, TimeThreshold, Trace, binary_entropy, build_tables,
                         check_refinement, evaluate, fisher_test,
                         generate_median_time_candidates, rank_candidates, table_entropies)
+from labelsplit import ordering
 from labelsplit.report import json_text, pretty_report, report_doc
 from conftest import label_rows, log_from_rows
-from oracles import naive_count, prefix_violations
+from oracles import naive_count, naive_relabel, prefix_violations
 
 
 def test_sample_evaluation_is_useful(sensor_log, activity_log):
@@ -237,7 +238,8 @@ def test_rank_candidates_matches_evaluate(sensor_log, activity_log):
 
 
 _ALPHABET = ("a", "b", "c")
-_DAY = datetime(2020, 1, 1, tzinfo=timezone.utc)
+# Europe/Amsterdam moves its clocks forward at 01:00 UTC on this day
+_DAY = datetime(2024, 3, 31, tzinfo=timezone.utc)
 
 
 @st.composite
@@ -245,8 +247,10 @@ def _scan_inputs(draw):
     """A log, split candidates for its labels and a configuration.
 
     Traces hold one or more events, repeated labels and a-c-a loops, at
-    random minutes of the day.  Each label gets one time split whose
-    threshold may put all, none or some occurrences low, and whose
+    random minutes of a day on which Europe/Amsterdam switches to summer
+    time.  Each label gets one time split and up to three labels a second
+    one, in random order.  A split's threshold may put all, none or some
+    occurrences low, its time zone is UTC or Europe/Amsterdam, and its
     children are fresh, named like the parent, equal to each other, or
     another label of the alphabet.
     """
@@ -265,15 +269,18 @@ def _scan_inputs(draw):
             events.append(Event(next_id, _DAY + timedelta(minutes=minute), {"act": name},
                                 label=Label(name)))
         traces.append(Trace(f"t{t_index}", events))
-    candidates = []
-    for name in _ALPHABET:
+    candidates = {}  # by description, which a scan needs to be distinct
+    for name in [*_ALPHABET, *draw(st.lists(label, max_size=3))]:
         minute = draw(st.integers(0, 1440))
         threshold = time(23, 59, 59) if minute == 1440 else time(*divmod(minute, 60))
         low, high = draw(st.sampled_from([
             (f"{name}_1", f"{name}_2"), (name, f"{name}_2"), (f"{name}_1", name),
             (f"{name}_1", f"{name}_1"), *((other, f"{name}_2") for other in _ALPHABET
                                           if other != name)]))
-        candidates.append(TimeThreshold(Label(name), threshold, Label(low), Label(high)))
+        fn = TimeThreshold(Label(name), threshold, Label(low), Label(high),
+                           timezone=draw(st.sampled_from(["UTC", "Europe/Amsterdam"])))
+        candidates.setdefault(fn.description, fn)
+    candidates = draw(st.permutations(list(candidates.values())))
     relations = draw(st.lists(st.sampled_from(list(OrderingRelation)), min_size=1,
                               unique=True))
     contexts = draw(st.none() | st.lists(st.sampled_from([*_ALPHABET, "a_1", "absent"]),
@@ -289,11 +296,16 @@ def _scan_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_scan_inputs())
 def test_mask_path_equals_materialised_refinement(inputs):
-    # rank_candidates reads fresh-child splits from the base log's
-    # occurrence bitsets; evaluate always builds the refined log
+    # rank_candidates counts the first fresh-child split of each parent on
+    # the base log's child rows, in one pass for all of them, and any other
+    # split (a repeated parent, a child naming another label) on its
+    # applied log; evaluate always builds the refined log
     base_log, candidates, config = inputs
     errors = []
     for fn in candidates:
+        # the relabeling converts each event's time as an event-by-event
+        # rebuild does, across the switch to summer time
+        assert label_rows(fn.apply(base_log)) == label_rows(naive_relabel(fn, base_log))
         try:
             evaluate(base_log, fn.apply(base_log), config, fn.description)
         except NotARefinementError as exc:
@@ -306,6 +318,25 @@ def test_mask_path_equals_materialised_refinement(inputs):
     with pytest.raises(NotARefinementError) as raised:
         rank_candidates(base_log, candidates, config)
     assert str(raised.value) == errors[0]
+
+
+def test_scan_counts_all_fresh_splits_at_once(monkeypatch):
+    # the children of every fresh split are counted by one kernel call per
+    # relation, however many candidates there are
+    rng = random.Random(5)
+    log = log_from_rows([[rng.choice("abcdef") for _ in range(12)] for _ in range(8)])
+    candidates = generate_median_time_candidates(log)
+    assert len(candidates) >= 5
+    calls = []
+    count = ordering._hits
+    monkeypatch.setattr(ordering, "_hits", lambda *args: calls.append(args[2]) or count(*args))
+    made = []
+    for n in (1, 5):
+        calls.clear()
+        reports = rank_candidates(log, candidates[:n])
+        assert all(report.split_pairs for report in reports)
+        made.append(len(calls))
+    assert made == [2 * len(DEFAULT_RELATIONS)] * 2
 
 
 def test_context_removed_by_the_refinement_is_left_out(sensor_log):

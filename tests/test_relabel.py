@@ -1,5 +1,6 @@
 import random
 from datetime import datetime, time, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,18 +56,22 @@ def test_time_threshold_only_depends_on_own_event(sensor_log):
         assert label_rows(solo)[0] == label_rows(whole)[keep]
 
 
-def test_occurrence_mask_marks_the_low_occurrences(sensor_log):
-    # bit k is set when the label's k-th occurrence, in log order, goes low
-    fn = TimeThreshold(Label("Bedroom motion"), time(8, 30), Label("lo"), Label("hi"),
+@pytest.mark.parametrize("at", [time(8, 30), time(9, 0)])
+def test_label_rows_send_the_occurrences_before_the_threshold_low(sensor_log, at):
+    # each occurrence's own local time decides its child; others keep
+    # labels.  At 09:00 the 08:34-08:52 UTC events go high only in local
+    # time (UTC+1).
+    fn = TimeThreshold(Label("Bedroom motion"), at, Label("lo"), Label("hi"),
                        timezone="Europe/Amsterdam")
-    mask = fn.occurrence_mask(sensor_log)
-    low = [str(e.label) == "lo" for t in fn.apply(sensor_log) for e in t
-           if str(e.label) in ("lo", "hi")]
+    zone = ZoneInfo("Europe/Amsterdam")
+    expected = [[(("lo",) if e.timestamp.astimezone(zone).time() < at else ("hi",))
+                 if str(e.label) == "Bedroom motion" else e.label.parts for e in t]
+                for t in sensor_log]
+    assert fn.label_rows(sensor_log) == expected
+    low = [parts == ("lo",) for row in expected for parts in row if parts in (("lo",), ("hi",))]
     assert len(low) == 21 and 0 < sum(low) < 21
-    assert [bool(mask >> k & 1) for k in range(len(low))] == low
-    assert mask >> len(low) == 0
-    absent = TimeThreshold(Label("nowhere"), time(8, 30), Label("lo"), Label("hi"))
-    assert absent.occurrence_mask(sensor_log) == 0
+    absent = TimeThreshold(Label("nowhere"), at, Label("lo"), Label("hi"))
+    assert absent.label_rows(sensor_log) == [[e.label.parts for e in t] for t in sensor_log]
 
 
 RULES = """
