@@ -20,7 +20,7 @@ from .gain import EntropyBreakdown, relative_information_gain
 from .model import EventLog, Label, local, time_zone
 from .ordering import (DEFAULT_RELATIONS, LogCounts, OrderingRelation, PairTables,
                        RefinementCounts, build_tables, split_counts)
-from .relabel import Pairing, RelabelingFn, SplitPair, TimeThreshold
+from .relabel import RelabelingFn, SplitPair, TimeThreshold
 from .stats import CorrectionPolicy, PairTests, TestResult, fisher_exact_two_sided
 
 logger = logging.getLogger(__name__)
@@ -48,8 +48,9 @@ class EvaluationConfig:
 class EvaluationReport:
     """Everything the evaluation of one candidate produced.
 
-    ``evaluate`` and ``rank_candidates`` give ``tests`` as ``PairTests``,
-    which build each ``TestResult`` on access.
+    ``split_pairs`` and every table come from the candidate's one
+    ``RefinementCounts``.  ``evaluate`` and ``rank_candidates`` give
+    ``tests`` as ``PairTests``, which build each ``TestResult`` on access.
     """
 
     candidate_description: str
@@ -121,49 +122,20 @@ class _Collected:
         return sum(map(len, self.pair_tables))
 
 
-def _collect(l1_log: EventLog, l2_log: EventLog, config: EvaluationConfig,
-             description: str, base: LogCounts | None = None) -> _Collected:
-    """Check the refinement and build every table of every split pair.
-
-    The logs are paired once (``Pairing``): that is the refinement check,
-    and it yields the split set and the one coarse label seen under each
-    refined label.  A refined label seen under two or more coarse labels
-    merges them, so its tables would not add up to the parent's: that
-    raises NotARefinementError.  Each log is counted once per relation;
-    ``base``, when given, holds the base log's counts shared by a whole
-    candidate scan.
-    """
-    pairing = Pairing.of(l1_log, l2_log)
-    pairing.coarse()  # NotARefinementError on a merge, split or not
-    split_pairs = pairing.split_pairs
-    counts = (RefinementCounts.of(l1_log, l2_log, config.relations, base, pairing)
-              if split_pairs else None)
-    return _tabulate(split_pairs, counts, config, description)
-
-
-def _collect_split(fn: TimeThreshold, counts: RefinementCounts | None,
-                   config: EvaluationConfig) -> _Collected:
-    """``_collect`` for a time split counted by ``split_counts``: no refined
-    log is built, paired or counted."""
-    split_pairs = (() if counts is None
-                   else (SplitPair(fn.base_label, (fn.low_label, fn.high_label)),))
-    return _tabulate(split_pairs, counts, config, fn.description)
-
-
-def _tabulate(split_pairs: tuple[SplitPair, ...], counts: RefinementCounts | None,
-              config: EvaluationConfig, description: str) -> _Collected:
+def _tabulate(counts: RefinementCounts, config: EvaluationConfig,
+              description: str) -> _Collected:
     """Build every table of every split pair from the refinement's counts."""
     notes: list[str] = []
-    if not split_pairs:
+    if not counts.split_pairs:
         notes.append("refinement is not strict")
 
     # no parent column is empty: a split's parent labels the base events
     # its children label
     pair_tables = [build_tables(counts, split, a1, a2, relations=config.relations,
                                 context_labels=config.context_labels, notes=notes)
-                   for split in split_pairs
+                   for split in counts.split_pairs
                    for a1, a2 in itertools.combinations(split.children, 2)]
-    return _Collected(description, split_pairs, pair_tables, notes)
+    return _Collected(description, counts.split_pairs, pair_tables, notes)
 
 
 def _finish(collected: _Collected, config: EvaluationConfig,
@@ -220,7 +192,8 @@ def evaluate(l1_log: EventLog, l2_log: EventLog,
     somewhere, and its score is then the relative information gain.
     """
     config = config or EvaluationConfig()
-    return _finish(_collect(l1_log, l2_log, config, description), config, {})
+    counts = RefinementCounts.of(l1_log, l2_log, config.relations)
+    return _finish(_tabulate(counts, config, description), config, {})
 
 
 def generate_median_time_candidates(
@@ -290,14 +263,6 @@ def _note_skip(skipped: list[str] | None, message: str) -> None:
         skipped.append(message)
 
 
-def _splits_one_label(fn: RelabelingFn, codes: Container[tuple]) -> bool:
-    """Whether ``fn`` is a time split whose two children are distinct and
-    name no event but the parent's in a log interned as ``codes``."""
-    return (isinstance(fn, TimeThreshold) and fn.low_label != fn.high_label
-            and all(child == fn.base_label or child.parts not in codes
-                    for child in (fn.low_label, fn.high_label)))
-
-
 def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
                     config: EvaluationConfig | None = None) -> list[EvaluationReport]:
     """Evaluate every candidate against the base log and sort by score.
@@ -306,28 +271,20 @@ def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
     Under per_candidate_set correction the Bonferroni family spans all
     candidates' tests.  The base log is counted once for all candidates.
 
-    A time split whose two children are distinct and name no event of the
-    base log but the parent's changes only the parent's label.  The first
-    such split of each parent is counted with no refined log: one pass
-    recodes every such parent occurrence as the child it goes to, and one
-    count per relation reads all their children (``split_counts``).  Every
-    other candidate is applied to the base log and evaluated as
-    ``evaluate`` does, so it raises the same errors.
+    Every candidate is tabulated from one ``RefinementCounts``.  A time
+    split that changes only its parent's label, the first of each parent,
+    is counted with no refined log: one count per relation reads the
+    children of all such splits at once (``split_counts``).  Every other
+    candidate is applied to the base log and counted as ``evaluate`` does,
+    so it raises the same errors.
     """
     config = config or EvaluationConfig()
     candidates = list(candidates)
     base = LogCounts.of(l1_log, config.relations)
-    codes = base.interned.codes
-    first: dict[tuple, int] = {}  # each split parent's first such candidate
-    for k, fn in enumerate(candidates):
-        if _splits_one_label(fn, codes):
-            first.setdefault(fn.base_label.parts, k)
-    counted = dict(zip(first.values(), split_counts(
-        l1_log, base, [candidates[k] for k in first.values()])))
     collected = [
-        _collect_split(fn, counted[k], config) if k in counted
-        else _collect(l1_log, fn.apply(l1_log), config, fn.description, base)
-        for k, fn in enumerate(candidates)
+        _tabulate(counts or RefinementCounts.of(l1_log, fn.apply(l1_log), config.relations, base),
+                  config, fn.description)
+        for fn, counts in zip(candidates, split_counts(l1_log, base, candidates))
     ]
     family_m = None
     if config.correction.family_scope == "per_candidate_set":

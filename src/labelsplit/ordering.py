@@ -18,13 +18,17 @@ O(length + distinct labels) adds of O(sources) machine words per trace:
 suffix sums over the trace's first positions, with one fixed-width field
 per source label packed into each Python int.  A trace with few source
 occurrences, and every trace of a log whose packed columns would hold more
-than 2**20 fields (sources * alphabet), instead adds the contexts seen
+than 2**20 fields (sources * contexts), instead adds the contexts seen
 before each source occurrence.
 
-A scan counts all its single-label time splits at once (``split_counts``):
-the source rows are the base log's rows with each split parent's
-occurrences recoded as the child they go to, and the context rows are the
-base log's own, so no refined log is built.
+A refinement's counts are one ``RefinementCounts``: the base log's
+``LogCounts``, the refined one's, restricted to the split children, and
+the split set.  ``RefinementCounts.of`` counts a refined log.  A scan
+counts all its single-label time splits at once (``split_counts``): the
+source rows are the base log's rows with each split parent's occurrences
+recoded as the child they go to, and the context rows are the base log's
+own, so no refined log is built.  Each split reads these shared counts as
+a ``LogCounts`` through its own code map.
 
 The 2x2-plus-margin contingency table compares two refined labels a1, a2
 against a context label b, alongside the same statistic for their common
@@ -47,7 +51,7 @@ from itertools import accumulate, chain, compress, repeat
 from typing import Any, Iterable
 
 from .model import EventLog, InternedLog, Label
-from .relabel import Pairing, SplitPair, TimeThreshold, time_split_rows
+from .relabel import Pairing, RelabelingFn, SplitPair, TimeThreshold, time_split_rows
 
 
 class OrderingRelation(Enum):
@@ -121,14 +125,14 @@ def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
     O(length + distinct labels) adds, and each add O(sources) machine
     words, since the fields are dense in the sources.  The nonzero columns
     are unpacked in C and moved into the source rows once per log, so the
-    unpack is dense too: O(sources * size).  Packing is therefore used
-    only while the columns hold at most ``_PACKED_FIELDS`` (2**20) fields,
-    sources * size: every label of a 1 024-label alphabet, at most
-    8 MiB.  Any other trace, and every trace of a log past that bound, adds
-    the set of contexts seen before each source occurrence to that source's
-    row: O(source occurrences * alphabet), cheaper for few source
-    occurrences (both break-evens are measured; see the README's cost
-    model).  A trace without source occurrences adds nothing.
+    unpack is dense too: O(sources * context codes).  Packing is therefore
+    used only while the columns hold at most ``_PACKED_FIELDS`` (2**20)
+    fields, sources * context codes: every label of a 1 024-label alphabet,
+    at most 8 MiB.  Any other trace, and every trace of a log past that
+    bound, adds the set of contexts seen before each source occurrence to
+    that source's row: O(source occurrences * alphabet), cheaper for few
+    source occurrences (both break-evens are measured; see the README's
+    cost model).  A trace without source occurrences adds nothing.
     """
     if contexts is None:
         contexts = rows
@@ -143,14 +147,16 @@ def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
         fields = range(size) if sources is None else sources  # source code of each field
         events = sum(map(len, rows))
         fmt, width = next((fmt, width) for fmt, width in _FIELDS if not events >> width)
-        packs = len(fields) * size <= _PACKED_FIELDS
+        # the packed columns hold one field per source and context code
+        span = 1 + max(map(max, filter(None, contexts)), default=-1)
+        packs = len(fields) * span <= _PACKED_FIELDS
         unit = [0] * size  # a source's 1 in its field; 0 for any other code
         is_source = bytearray(size)
         for k, b in enumerate(fields):
             is_source[b] = 1
             if packs:
                 unit[b] = 1 << k * width
-        cols = [0] * size  # per context code, the packed pos counts of every source
+        cols = [0] * span  # per context code, the packed pos counts of every source
         for row, ctx in zip(rows, contexts):
             n_sources = len(row) if sources is None else sum(map(is_source.__getitem__, row))
             if not n_sources:
@@ -282,109 +288,95 @@ class LogCounts:
             for relation in relations)
 
 
-@dataclass(frozen=True, slots=True)
-class SplitCounts:
-    """The counts of the two children of one split label, counted with no
-    refined log on the base log's child rows (``split_counts``).
-
-    ``rows[relation][child]`` counts, per base context code, the
-    occurrences of a child code that satisfy the relation; ``children``
-    maps each child's ``Label.parts`` to its code and ``occurrences``
-    counts each code's events.  A context must be a label the split leaves
-    as it is; only the children are sources.
-    """
-
-    codes: dict[tuple, int]
-    parent: int
-    children: dict[tuple, int]
-    occurrences: Counter
-    rows: dict[OrderingRelation, list[Counter | None]]
-
-    def positives(self, b: Label, contexts: Sequence[Label],
-                  relations: Sequence[OrderingRelation]) -> tuple[int, tuple[list[int], ...]]:
-        """As ``LogCounts.positives``, from the child's rows."""
-        child = self.children.get(b.parts)
-        if child is None:
-            raise KeyError(f"source label {b} was not counted")
-        c_codes = [self.codes.get(c.parts) for c in contexts]
-        if self.parent in c_codes:
-            raise KeyError(f"context label {contexts[c_codes.index(self.parent)]} "
-                           "is the split label")
-        return self.occurrences[child], tuple(
-            list(map(self.rows[relation][child].get, c_codes, repeat(0)))
-            for relation in relations)
-
-
 def split_counts(log: EventLog, base: LogCounts,
-                 splits: Sequence[TimeThreshold]) -> list["RefinementCounts | None"]:
-    """The counts of each time split of ``log``, with no refined log; None
-    for a split that leaves a child no occurrence (it is not strict).
+                 candidates: Sequence[RelabelingFn]) -> list["RefinementCounts | None"]:
+    """Each candidate's counts, with no refined log, when it changes only
+    one label; None for any other candidate.
 
-    ``base`` must be ``LogCounts.of(log)``.  The splits' parents must be
-    distinct, and each split's two children distinct labels that name no
-    event of ``log`` but the parent's.  One pass recodes each parent
-    occurrence as the child it goes to (``time_split_rows``), and one
-    ``_hits`` call per relation of ``base`` counts every child against the
-    base labels.  A split's refined alphabet is the base one with the
-    parent replaced by its children, each seen under the parent.
+    ``base`` must be ``LogCounts.of(log)``.  A candidate is counted here
+    when it is the first time split of its parent whose two children are
+    distinct labels that name no event of ``log`` but the parent's.  One
+    pass recodes each such parent's occurrences as the child they go to
+    (``time_split_rows``), and one ``_hits`` call per relation of ``base``
+    counts every child against the base labels.  Each split's refined
+    counts read these shared rows through the split's own code map: the
+    base codes with the parent replaced by its two children (two splits
+    may name their children alike).  A split that leaves a child no
+    occurrence is not strict, and its counts hold no split pair.
     """
-    if not splits:
-        return []
+    out: list[RefinementCounts | None] = [None] * len(candidates)
     interned = base.interned
+    first: dict[tuple, int] = {}  # each split parent's first such candidate
+    for k, fn in enumerate(candidates):
+        if (isinstance(fn, TimeThreshold) and fn.low_label != fn.high_label
+                and all(child == fn.base_label or child.parts not in interned.codes
+                        for child in (fn.low_label, fn.high_label))):
+            first.setdefault(fn.base_label.parts, k)
+    if not first:
+        return out
+    splits = [candidates[k] for k in first.values()]
     size = len(interned.labels)
     rows = time_split_rows(log, splits)
     children = range(size, size + 2 * len(splits))
     counted = {relation: _hits(rows, children.stop, relation, children, interned.rows)
                for relation in base.rows}
-    occurrences = Counter(chain.from_iterable(rows))
-    out: list[RefinementCounts | None] = []
-    for low, fn in zip(children[::2], splits):
-        if not (occurrences[low] and occurrences[low + 1]):
-            out.append(None)
-            continue
-        parent = fn.base_label
-        coarse = {label: label for label in interned.labels if label.parts != parent.parts}
-        coarse[fn.low_label] = coarse[fn.high_label] = parent
-        split = SplitCounts(interned.codes, interned.codes[parent.parts],
-                            {fn.low_label.parts: low, fn.high_label.parts: low + 1},
-                            occurrences, counted)
-        out.append(RefinementCounts(base, split, coarse))
+    seen = Counter(chain.from_iterable(rows))
+    occurrences = tuple(map(seen.__getitem__, range(children.stop)))
+    labels = interned.labels + tuple(chain.from_iterable(
+        (fn.low_label, fn.high_label) for fn in splits))
+    unsplit = {label: label for label in interned.labels}  # copied per split
+    for k, fn, low in zip(first.values(), splits, children[::2]):
+        parent, pair = fn.base_label, (fn.low_label, fn.high_label)
+        codes = dict(interned.codes)
+        codes.pop(parent.parts, None)  # None: the parent labels no event
+        codes[fn.low_label.parts], codes[fn.high_label.parts] = low, low + 1
+        coarse = dict(unsplit)
+        coarse.pop(parent, None)
+        coarse.update((child, parent) for child in pair if occurrences[codes[child.parts]])
+        strict = occurrences[low] and occurrences[low + 1]
+        out[k] = RefinementCounts(
+            base, LogCounts(InternedLog(labels, codes, rows, occurrences), counted,
+                            frozenset(child.parts for child in pair)),
+            coarse, (SplitPair(parent, pair),) if strict else ())
     return out
 
 
 @dataclass(frozen=True)
 class RefinementCounts:
     """Everything the tables of one refinement are built from, counted once:
-    both logs' counts and, for each refined label, the one coarse label seen
-    at its positions (``coarse``).
+    both logs' counts, for each refined label the one coarse label seen at
+    its positions (``coarse``), and the split set (``split_pairs``).
 
     The refined counts hold only the rows of split children, the only
     refined sources a table reads: a refined log's ``LogCounts`` restricted
-    to them, or a single split's ``SplitCounts`` (``split_counts``).
+    to them, or, for a time split counted by ``split_counts``, a
+    ``LogCounts`` of the scan's shared child-code rows read through that
+    split's own code map.
     """
 
     base: LogCounts
-    refined: LogCounts | SplitCounts
+    refined: LogCounts
     coarse: dict[Label, Label]
+    split_pairs: tuple[SplitPair, ...] = ()
 
     @classmethod
     def of(cls, l1_log: EventLog, l2_log: EventLog,
            relations: Iterable[OrderingRelation],
-           base: LogCounts | None = None,
-           pairing: Pairing | None = None) -> "RefinementCounts":
-        """Count both logs; ``base``, when given, must be LogCounts.of(l1_log)
-        over at least these relations (a scan shares it across candidates),
-        and ``pairing``, when given, Pairing.of(l1_log, l2_log).  Raises
-        NotARefinementError, as ``evaluate`` does, when a refined label is
-        seen under two or more coarse labels."""
-        relations = tuple(relations)
+           base: LogCounts | None = None) -> "RefinementCounts":
+        """Pair the logs (``Pairing.of``) and count both; ``base``, when
+        given, must be LogCounts.of(l1_log) over at least these relations (a
+        scan shares it across candidates).  Nothing is counted when the
+        refinement splits no label.  Raises NotARefinementError, as
+        ``evaluate`` does, when a refined label is seen under two or more
+        coarse labels."""
+        pairing = Pairing.of(l1_log, l2_log)
+        coarse = pairing.coarse()
+        relations = tuple(relations) if pairing.split_pairs else ()
         if base is None:
             base = LogCounts.of(l1_log, relations)
-        if pairing is None:
-            pairing = Pairing.of(l1_log, l2_log)
-        coarse = pairing.coarse()
         children = [child for split in pairing.split_pairs for child in split.children]
-        return cls(base, LogCounts.of(l2_log, relations, children), coarse)
+        return cls(base, LogCounts.of(l2_log, relations, children), coarse,
+                   pairing.split_pairs)
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, CorrectionPolicy, Event,
                         EvaluationConfig, EventLog, Label, NotARefinementError,
-                        OrderingCounts, OrderingRelation, Pairing, RefinementCounts,
-                        TableEntropy, TimeThreshold, Trace, binary_entropy, build_tables,
-                        check_refinement, evaluate, fisher_test,
+                        OrderingCounts, OrderingRelation, Pairing, Projection,
+                        RefinementCounts, TableEntropy, TimeThreshold, Trace, binary_entropy,
+                        build_tables, check_refinement, evaluate, fisher_test,
                         generate_median_time_candidates, rank_candidates, table_entropies)
 from labelsplit import ordering
 from labelsplit.report import json_text, pretty_report, report_doc
@@ -337,6 +337,43 @@ def test_scan_counts_all_fresh_splits_at_once(monkeypatch):
         assert all(report.split_pairs for report in reports)
         made.append(len(calls))
     assert made == [2 * len(DEFAULT_RELATIONS)] * 2
+
+
+def test_refinement_that_splits_nothing_counts_nothing(monkeypatch):
+    # a renaming splits no label: no table is built, so nothing is counted
+    l1 = log_from_rows([["a", "b", "a"], ["b", "c"]])
+    l2 = log_from_rows([["x", "b", "x"], ["b", "c"]])
+    calls = []
+    count = ordering._hits
+    monkeypatch.setattr(ordering, "_hits", lambda *args: calls.append(args[2]) or count(*args))
+    report = evaluate(l1, l2, EvaluationConfig(relations=tuple(OrderingRelation)))
+    assert calls == []
+    assert report.m_tests == 0 and report.split_pairs == ()
+    assert report.notes == ("refinement is not strict",)
+
+
+def test_scan_of_colliding_children_and_a_projection_matches_evaluate():
+    # the median splits of a and a_ both name their children a__1/a__2,
+    # so each split reads the shared child rows through its own codes; a
+    # projection onto a second attribute splits every label at once
+    rng = random.Random(11)
+    traces, next_id = [], 0
+    for t_index in range(6):
+        events = []
+        for minute in sorted(rng.sample(range(1440), 10)):
+            next_id += 1
+            name = rng.choice(["a", "a_", "a_1", "b"])
+            events.append(Event(next_id, _DAY + timedelta(minutes=minute),
+                                {"act": name, "room": rng.choice("xy")}, label=Label(name)))
+        traces.append(Trace(f"t{t_index}", events))
+    log = EventLog(traces)
+    candidates = generate_median_time_candidates(log)
+    children = [(str(fn.low_label), str(fn.high_label)) for fn in candidates]
+    assert len(candidates) == 4 and children.count(("a__1", "a__2")) == 2
+    candidates.append(Projection(("act", "room")))
+    config = EvaluationConfig(alpha=0.05, relations=tuple(OrderingRelation))
+    assert all(r.split_pairs for r in rank_candidates(log, candidates, config))
+    _assert_ranked_equals_evaluated(log, config, candidates)
 
 
 def test_context_removed_by_the_refinement_is_left_out(sensor_log):

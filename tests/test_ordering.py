@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -335,6 +336,32 @@ def test_eventual_counts_of_a_wide_alphabet_stay_sparse():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("packs", [True, False])
+def test_split_counts_match_naive_scan_on_both_sides_of_the_packing_bound(monkeypatch, packs):
+    # a scan packs its 6 child sources against the 3 base context codes
+    # only: 18 fields, although the child codes run to 9; every trace is
+    # all sources, so it packs whenever the bound allows it
+    rng = random.Random(3)
+    log = log_from_rows([[rng.choice("abc") for _ in range(30)] for _ in range(4)])
+    candidates = generate_median_time_candidates(log)
+    assert len(candidates) == 3
+    base = LogCounts.of(log, ALL_RELATIONS)
+    monkeypatch.setattr(ordering, "_PACKED_FIELDS", 18 if packs else 17)
+    unpacked = []  # the packed columns are unpacked through one array
+    monkeypatch.setattr(ordering, "array", lambda *args: unpacked.append(args) or array(*args))
+    counted = ordering.split_counts(log, base, candidates)
+    assert len(unpacked) == (2 if packs else 0)  # eventually_follows and _precedes
+    contexts = [Label(c) for c in "abc"]
+    for fn, counts in zip(candidates, counted):
+        rows = label_rows(fn.apply(log))
+        for child in (fn.low_label, fn.high_label):
+            n, pos = counts.refined.positives(child, contexts, ALL_RELATIONS)
+            for relation, got in zip(ALL_RELATIONS, pos):
+                expected = [naive_count(rows, relation.value, str(child), str(c))
+                            for c in contexts]
+                assert [(p, n - p) for p in got] == expected, (fn, child, relation)
 
 
 def test_restricted_counts_refuse_an_uncounted_source(activity_log):
