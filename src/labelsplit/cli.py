@@ -16,8 +16,9 @@ import argparse
 import csv
 import functools
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from datetime import datetime, timezone
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any
 
@@ -30,8 +31,8 @@ from .model import EventLog, Label, MissingAttributeError, time_zone
 from .ordering import DEFAULT_RELATIONS, LogCounts, OrderingRelation
 from .relabel import (Projection, RefinementError, RuleBased, RuleError,
                       TimeThreshold, parse_time_of_day)
-from .report import (StatsRows, csv_label, human_label, json_text, pretty_candidates,
-                     pretty_ranking, pretty_report, pretty_stats, report_doc)
+from .report import (StatsGroup, StatsRows, human_label, json_chunks, pretty_candidates,
+                     pretty_ranking, pretty_report, pretty_stats, report_doc, stats_csv)
 from .stats import CorrectionPolicy
 
 EXIT_OK = 0
@@ -335,19 +336,21 @@ def _emit(args, doc: Any, pretty: Callable[[], str] | None = None) -> None:
     """Write ``doc`` as JSON, ending with its run metadata unless
     --deterministic, or under --pretty the text ``pretty()`` builds."""
     if args.pretty and pretty is not None:
-        text = pretty()
-    else:
-        if isinstance(doc, dict) and not args.deterministic:
-            doc = {**doc, "generated_at": datetime.now(timezone.utc).isoformat()}
-        text = json_text(doc) + "\n"
-    _write(args, text)
+        _write(args, [pretty()])
+        return
+    if isinstance(doc, dict) and not args.deterministic:
+        doc = {**doc, "generated_at": datetime.now(timezone.utc).isoformat()}
+    _write(args, chain(json_chunks(doc), ["\n"]))
 
 
-def _write(args, text: str) -> None:
+def _write(args, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to --out, or to stdout, one at a time: no chunk is
+    joined to another, and a failure part way leaves what was written."""
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(args.out, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def cmd_evaluate(args) -> int:
@@ -403,32 +406,26 @@ def cmd_stats(args) -> int:
     b_codes = _chosen_codes(labels, codes, args.b_labels, "--b-labels")
     c_codes = _chosen_codes(labels, codes, args.c_labels, "--c-labels")
     counts = LogCounts.of(log, relations, [labels[b] for b in b_codes])
+    at = {c: k for k, c in enumerate(c_codes)}
 
-    def cells():
-        """(relation, b code, c code, pos, neg) of each row, in relation and
-        then sorted-label order."""
+    def groups() -> Iterator[StatsGroup]:
+        """The StatsGroup of each row, in relation and then sorted-label
+        order, its cells in sorted-label order."""
         for relation in relations:
             name, rows = relation.value, counts.rows[relation]
             for b in b_codes:
-                row, n = rows[b], occurrences[b]
-                for c in c_codes:
-                    if c != b or args.include_self:
-                        p = row.get(c, 0)
-                        yield name, b, c, p, n - p
+                k = at.get(b)
+                cs = c_codes if args.include_self or k is None else c_codes[:k] + c_codes[k + 1:]
+                yield name, b, occurrences[b], zip(cs, map(rows[b].get, cs, repeat(0)))
 
     if args.format == "csv":
-        names = [csv_label(label) for label in labels]
-        lines = ["relation,b,c,pos,neg"]
-        lines += [f'{relation},"{names[b]}","{names[c]}",{pos},{neg}'
-                  for relation, b, c, pos, neg in cells()]
-        _write(args, "\n".join(lines) + "\n")
-        return EXIT_OK
-    if args.pretty:
+        _write(args, stats_csv(labels, groups()))
+    elif args.pretty:
         names = [human_label(label) for label in labels]
-        _write(args, pretty_stats((relation, names[b], names[c], pos, neg)
-                                  for relation, b, c, pos, neg in cells()))
-        return EXIT_OK
-    _emit(args, {"rows": StatsRows(labels, cells())})
+        _write(args, [pretty_stats((relation, names[b], names[c], pos, n - pos)
+                                   for relation, b, n, cells in groups() for c, pos in cells)])
+    else:
+        _emit(args, {"rows": StatsRows(labels, groups())})
     return EXIT_OK
 
 
@@ -456,7 +453,7 @@ def cmd_convert(args) -> int:
     if args.to is None:  # not required by argparse, so that a --config file may give it
         raise UsageError("the following arguments are required: --to")
     log = _load_base_log(args)
-    _write(args, write_csv(log) if args.to == "csv" else write_xes_minimal(log))
+    _write(args, [write_csv(log) if args.to == "csv" else write_xes_minimal(log)])
     return EXIT_OK
 
 

@@ -103,11 +103,17 @@ def relative_information_gain(tables: Iterable[ContingencyTable | PairTables]) -
     total_after = 0.0
     for block in blocks:
         n, n1, n2 = block.n, block.n1, block.n2
+        # (p, p1, p2) -> its entropies, each computed once per block: the
+        # block fixes n, n1 and n2
+        entropies: dict[tuple[int, int, int], tuple[float, float]] = {}
         for parent_pos, a1_pos, a2_pos in zip(block.parent_pos, block.a1_pos, block.a2_pos):
-            for p, p1, p2 in zip(parent_pos, a1_pos, a2_pos):
-                h_before, h_after = _entropies(p, n, p1, n1, p2, n2)
-                total_before += h_before
-                total_after += h_after
+            for key in zip(parent_pos, a1_pos, a2_pos):
+                h = entropies.get(key)
+                if h is None:
+                    p, p1, p2 = key
+                    h = entropies[key] = _entropies(p, n, p1, n1, p2, n2)
+                total_before += h[0]
+                total_after += h[1]
     gain = total_before - total_after
     rig = gain / total_before if total_before > 0.0 else 0.0
     return EntropyBreakdown(

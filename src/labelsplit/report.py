@@ -1,16 +1,18 @@
 """Report text: the JSON documents and ``--pretty`` views the CLI writes.
 
-``json_text`` writes a JSON document in one pass.  A node in the document
-that has a ``json_text(pad)`` method writes itself: ``report_doc`` puts an
-evaluation report's tests in its document as such a node
-(``TestRecords``), which writes each test record from one template with
-no dict built per test.
+``json_chunks`` writes a JSON document in one pass, as a run of chunks
+that a caller can write out one by one; ``json_text`` joins them.  A node
+in the document that has a ``json_chunks(pad)`` method writes itself:
+``report_doc`` puts an evaluation report's tests in its document as such a
+node (``TestRecords``), which writes each test record from one template
+with no dict built per test, one chunk per child pair.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 from json.encoder import encode_basestring
 from typing import Any
 
@@ -37,25 +39,10 @@ def _float_text(value: float) -> str:
     return _NONFINITE.get(text, text)
 
 
-def json_text(value: Any, pad: str = "\n") -> str:
-    """``json.dumps(value, ensure_ascii=False, indent=2)``, written in one
-    pass with every float value fixed at 12 significant digits, so output
-    is reproducible.  ``pad`` is the newline and indent that close
-    ``value``: each container is one join of its items' texts.  Any other
-    value that has a ``json_text(pad)`` method is written by it."""
+def _scalar_text(value: Any) -> str | None:
+    """The text of a value that is neither a container nor a node, else None."""
     if isinstance(value, str):
         return encode_basestring(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = pad + "  "
-        return f"[{inner}{(',' + inner).join([json_text(v, inner) for v in value])}{pad}]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = pad + "  "
-        items = [f"{_key_text(k)}: {json_text(v, inner)}" for k, v in value.items()]
-        return f"{{{inner}{(',' + inner).join(items)}{pad}}}"
     if isinstance(value, float):
         return _float_text(value)
     if value is None:
@@ -66,10 +53,63 @@ def json_text(value: Any, pad: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    write = getattr(value, "json_text", None)
-    if write is not None:
-        return write(pad)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return None
+
+
+def json_chunks(value: Any, pad: str = "\n") -> Iterator[str]:
+    """The text of ``json.dumps(value, ensure_ascii=False, indent=2)``, with
+    every float value fixed at 12 significant digits so output is
+    reproducible, written in one pass as a run of chunks.  ``pad`` is the
+    newline and indent that close ``value``.  Any other value that has a
+    ``json_chunks(pad)`` method (a node) writes itself by it; the text
+    around nodes is gathered into one chunk before each node and one after
+    the last, so no container's text is built and copied into its parent's."""
+    held: list[str] = []
+    yield from _chunks(value, pad, held)
+    if held:
+        yield "".join(held)
+
+
+def _chunks(value: Any, pad: str, held: list[str]) -> Iterator[str]:
+    """Append ``value``'s text to ``held``; before a node's chunks, yield
+    what ``held`` holds as one chunk and empty it."""
+    if isinstance(value, (list, tuple)):
+        opening, closing, items = "[", "]", zip(repeat(""), value)
+    elif isinstance(value, dict):
+        opening, closing = "{", "}"
+        items = ((f"{_key_text(k)}: ", v) for k, v in value.items())
+    else:
+        text = _scalar_text(value)
+        if text is not None:
+            held.append(text)
+            return
+        write = getattr(value, "json_chunks", None)
+        if write is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if held:
+            yield "".join(held)
+            held.clear()
+        yield from write(pad)
+        return
+    if not value:
+        held.append(opening + closing)
+        return
+    inner = pad + "  "
+    sep = opening + inner
+    for head, v in items:
+        held.append(sep + head)
+        text = _scalar_text(v)
+        if text is None:
+            yield from _chunks(v, inner, held)
+        else:
+            held.append(text)
+        sep = "," + inner
+    held.append(pad + closing)
+
+
+def json_text(value: Any, pad: str = "\n") -> str:
+    """``json_chunks(value, pad)`` joined."""
+    return "".join(json_chunks(value, pad))
 
 
 class _LabelTexts(dict):
@@ -107,10 +147,13 @@ class TestRecords:
     def __init__(self, tests: Sequence[TestResult]):
         self.tests = tests if isinstance(tests, PairTests) else PairTests.of(tests)
 
-    def json_text(self, pad: str) -> str:
+    def json_chunks(self, pad: str) -> Iterator[str]:
+        """One chunk per child pair that has tables: its records, after
+        the list's opening or a separator."""
         tests = self.tests
         if not tests:
-            return "[]"
+            yield "[]"
+            return
         end = pad + "  "  # closes each record
         i1, i2, i3 = end + "  ", end + "    ", end + "      "
         # as in to_json_dict, labels of equal parts share the last one's
@@ -122,7 +165,7 @@ class TestRecords:
                 labels[block.a1.parts], labels[block.a2.parts] = block.a1, block.a2
         contexts, members = _LabelTexts(labels, i1), _LabelTexts(labels, i2)
         p_texts = _FloatTexts()  # a scan's tests share many p-values
-        records = []
+        sep = "[" + end
         for block, ps, alpha in zip(tests.blocks, tests.p_values, tests.alphas):
             if not block:
                 continue
@@ -130,19 +173,32 @@ class TestRecords:
                     f'{i2}{members[block.a2.parts]}{i1}],')
             n1, n2, n = block.n1, block.n2, block.n
             names = [contexts[c.parts] for c in block.contexts]
+            # (x, y, z) -> (p, the record's text from "table" on): n1, n2,
+            # n and alpha are the block's, and a table's p is its own
+            tails: dict[tuple[int, int, int], tuple[float, str]] = {}
             p_at = iter(ps)
+            records = []
             for relation, a1_pos, a2_pos, parent_pos in zip(
                     block.relations, block.a1_pos, block.a2_pos, block.parent_pos):
                 head = f'{{{i1}"relation": {encode_basestring(relation.value)},{i1}"context": '
                 for name, x, y, z, p in zip(names, a1_pos, a2_pos, parent_pos, p_at):
-                    records.append(
-                        f'{head}{name},{pair}'
-                        f'{i1}"table": {{{i2}"a1": [{i3}{x},{i3}{n1 - x}{i2}],'
-                        f'{i2}"a2": [{i3}{y},{i3}{n2 - y}{i2}],'
-                        f'{i2}"parent": [{i3}{z},{i3}{n - z}{i2}]{i1}}},'
-                        f'{i1}"p": {p_texts[p]},'
-                        f'{i1}"significant": {"true" if p < alpha else "false"}{end}}}')
-        return f"[{end}{(',' + end).join(records)}{pad}]"
+                    tail = tails.get((x, y, z))
+                    if tail is None or tail[0] is not p:
+                        tail = tails[x, y, z] = (p, (
+                            f'{i1}"table": {{{i2}"a1": [{i3}{x},{i3}{n1 - x}{i2}],'
+                            f'{i2}"a2": [{i3}{y},{i3}{n2 - y}{i2}],'
+                            f'{i2}"parent": [{i3}{z},{i3}{n - z}{i2}]{i1}}},'
+                            f'{i1}"p": {p_texts[p]},'
+                            f'{i1}"significant": {"true" if p < alpha else "false"}{end}}}'))
+                    records.append(f"{head}{name},{pair}{tail[1]}")
+            yield sep + f",{end}".join(records)
+            sep = "," + end
+        yield pad + "]"
+
+
+StatsGroup = tuple[str, int, int, Iterable[tuple[int, int]]]
+"""(relation name, b code, n, cells) of one source label b on one relation:
+n is b's occurrence count and each cell a (c code, pos) whose neg is n - pos."""
 
 
 class StatsRows:
@@ -150,26 +206,39 @@ class StatsRows:
     the row dicts ``{"relation", "b", "c", "pos", "neg"}``, from one
     template per row and with no dict built.
 
-    ``cells`` yields (relation name, b code, c code, pos, neg), the codes
-    indexing ``labels``; it is read once, so the rows are written once.
+    ``groups`` are ``StatsGroup``s, their codes indexing ``labels``; they
+    are read once, so the rows are written once.
     """
 
-    __slots__ = ("labels", "cells")
+    __slots__ = ("labels", "groups")
 
-    def __init__(self, labels: Sequence[Label], cells: Iterable[tuple[str, int, int, int, int]]):
-        self.labels, self.cells = labels, cells
+    def __init__(self, labels: Sequence[Label], groups: Iterable[StatsGroup]):
+        self.labels, self.groups = labels, groups
 
-    def json_text(self, pad: str) -> str:
+    def json_chunks(self, pad: str) -> Iterator[str]:
+        """One chunk per group that has cells."""
         end = pad + "  "  # closes each row
         i1 = end + "  "
-        labels = dict(enumerate(self.labels))
-        names = _LabelTexts(labels, i1)
-        rows = [f'{{{i1}"relation": {encode_basestring(relation)},{i1}"b": {names[b]},'
-                f'{i1}"c": {names[c]},{i1}"pos": {pos},{i1}"neg": {neg}{end}}}'
-                for relation, b, c, pos, neg in self.cells]
-        if not rows:
-            return "[]"
-        return f"[{end}{(',' + end).join(rows)}{pad}]"
+        names = _LabelTexts(dict(enumerate(self.labels)), i1)
+        sep = "[" + end
+        for relation, b, n, cells in self.groups:
+            head = f'{{{i1}"relation": {encode_basestring(relation)},{i1}"b": {names[b]},{i1}"c": '
+            rows = [f'{head}{names[c]},{i1}"pos": {pos},{i1}"neg": {n - pos}{end}}}'
+                    for c, pos in cells]
+            if rows:
+                yield sep + f",{end}".join(rows)
+                sep = "," + end
+        yield "[]" if sep[0] == "[" else pad + "]"
+
+
+def stats_csv(labels: Sequence[Label], groups: Iterable[StatsGroup]) -> Iterator[str]:
+    """``stats --format csv``: the header line, then one chunk of
+    ``relation,"b","c",pos,neg`` lines per ``StatsGroup``."""
+    yield "relation,b,c,pos,neg\n"
+    quoted = [f'"{csv_label(label)}",' for label in labels]
+    for relation, b, n, cells in groups:
+        head = f"{relation},{quoted[b]}"
+        yield "".join([f"{head}{quoted[c]}{pos},{n - pos}\n" for c, pos in cells])
 
 
 def report_doc(report: EvaluationReport) -> dict:

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -849,3 +851,72 @@ def test_unknown_time_zone_in_schema_is_usage_error(tmp_path, capsys):
                        "--base-label", "Sensor")
     assert code == 1
     assert "error: unknown time zone 'Not/AZone'" in err
+
+
+# --- the output sink: --out and stdout -------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["scan"],
+    ["scan", "--pretty"],
+    ["evaluate", "--refined-label", "Sensor,Activity"],
+    ["stats", "--format", "json"],
+    ["stats", "--format", "csv"],
+    ["stats", "--pretty"],
+    ["gen-candidates"],
+    ["convert", "--to", "csv"],
+    ["convert", "--to", "xes"],
+])
+def test_out_file_and_stdout_get_the_same_bytes(argv, tmp_path, capsys):
+    common = ["--csv", SMART_HOME, "--base-label", "Sensor", "--deterministic"]
+    code, out, err = run(capsys, *argv, *common)
+    assert code == 0, err
+    path = tmp_path / "out"
+    code, printed, err = run(capsys, *argv, *common, "--out", str(path))
+    assert code == 0 and printed == "", err
+    assert path.read_bytes() == out.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [["scan"], ["stats", "--format", "csv"],
+                                  ["convert", "--to", "xes"]])
+def test_out_into_a_missing_directory_is_an_error_that_creates_nothing(argv, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", "Sensor",
+                         "--out", str(missing / "out.json"))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _wide_csv(path: Path, labels: int = 40, days: int = 30, per_day: int = 40) -> str:
+    """A log of ``labels`` sensors, ``per_day`` random events a day."""
+    rng = random.Random(7)
+    lines = ["id,timestamp,case,Sensor"]
+    for day in range(days):
+        minutes = sorted(rng.sample(range(24 * 60), per_day))
+        for minute in minutes:
+            lines.append(f"{len(lines)},2020-01-{day + 1:02d} {minute // 60:02d}:{minute % 60:02d},"
+                         f"d{day},s{rng.randrange(labels)}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def test_scan_writes_its_report_without_holding_it(tmp_path, monkeypatch):
+    # the scan's report is written one child pair's records at a time, so
+    # writing it takes a small part of its size in memory
+    emit, peaks = cli._emit, []
+
+    def traced_emit(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            emit(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_emit", traced_emit)
+    out = tmp_path / "scan.json"
+    assert main(["scan", "--csv", _wide_csv(tmp_path / "wide.csv"), "--base-label", "Sensor",
+                 "--case-key", "case", "--deterministic", "--out", str(out)]) == 0
+    size = out.stat().st_size
+    assert len(json.loads(out.read_text(encoding="utf-8"))["candidates"]) == 40
+    assert len(peaks) == 1 and peaks[0] < size / 4, (peaks, size)

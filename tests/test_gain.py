@@ -6,6 +6,8 @@ from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, Label, OrderingCoun
                         OrderingRelation, RefinementCounts, binary_entropy, build_tables,
                         extract_split_set, relative_information_gain, table_entropies)
 
+from labelsplit.ordering import PairTables
+
 from conftest import label_rows, log_from_rows
 from oracles import naive_rig
 
@@ -106,6 +108,29 @@ def test_rig_independent_split_is_near_zero_and_matches_naive_oracle():
                          relations, contexts)
     assert breakdown.relative_information_gain == pytest.approx(expected, abs=1e-12)
     assert breakdown.relative_information_gain < 0.05
+
+
+def test_rig_of_blocks_sums_each_table_in_order():
+    # small counts, so that a block repeats (a1, a2) pos counts under other
+    # parent pos counts and two blocks share n1 and n2 under other n
+    rng = random.Random(23)
+    contexts = tuple(Label("c", k) for k in range(6))
+    for _ in range(200):
+        blocks = []
+        for _ in range(rng.randint(1, 3)):
+            n1, n2 = rng.randint(0, 2), rng.randint(0, 2)
+            n = n1 + n2 + rng.randint(0, 1)
+            blocks.append(PairTables(
+                DEFAULT_RELATIONS, contexts, Label("a1"), Label("a2"), Label("a"), n1, n2, n,
+                *(tuple([rng.randint(0, size) for _ in contexts] for _ in DEFAULT_RELATIONS)
+                  for size in (n1, n2, n))))
+        before = after = 0.0
+        for table in (t for block in blocks for t in block):
+            h_before, h_after = table_entropies(table)
+            before += h_before
+            after += h_after
+        breakdown = relative_information_gain(blocks)
+        assert (breakdown.total_before, breakdown.total_after) == (before, after)
 
 
 def test_h_after_bounded_by_h_before_on_additive_tables():

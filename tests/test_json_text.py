@@ -3,15 +3,21 @@ per-test and per-stats-row templates against the dict forms they replace."""
 
 import json
 import math
+import random
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from labelsplit import (ContingencyTable, EntropyBreakdown, EvaluationReport, Label,
-                        OrderingCounts, OrderingRelation, SplitPair)
-from labelsplit.report import StatsRows, json_text, report_doc
-from labelsplit.stats import TestResult as FisherResult
+                        OrderingCounts, OrderingRelation, SplitPair,
+                        generate_median_time_candidates, rank_candidates)
+from labelsplit.ordering import PairTables
+from labelsplit.report import (StatsRows, TestRecords as Records, csv_label, json_chunks,
+                               json_text, report_doc, stats_csv)
+from labelsplit.stats import PairTests, TestResult as FisherResult
+
+from conftest import log_from_rows
 
 
 def round12(value):
@@ -38,9 +44,14 @@ documents = st.recursive(
     max_leaves=25)
 
 
+def dumped(doc):
+    return json.dumps(round12(doc), ensure_ascii=False, indent=2)
+
+
 @given(documents)
 def test_writes_what_json_dumps_writes_after_rounding(doc):
-    assert json_text(doc) == json.dumps(round12(doc), ensure_ascii=False, indent=2)
+    assert json_text(doc) == dumped(doc)
+    assert "".join(json_chunks(doc)) == dumped(doc)
 
 
 @pytest.mark.parametrize("doc", [object(), {"a": [1, {2, 3}]}, [b"bytes"], {(1, 2): 3},
@@ -120,6 +131,7 @@ NOON_IN_PARIS = NOON_UTC.astimezone(timezone(timedelta(hours=2)))
 @example(_report_of([_test_of(Label(NOON_UTC)), _test_of(Label(NOON_IN_PARIS))]))
 def test_report_doc_writes_what_the_dict_form_writes(report):
     assert json_text(report_doc(report)) == json_text(report.to_json_dict())
+    assert "".join(json_chunks(report_doc(report))) == dumped(report.to_json_dict())
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,6 +140,7 @@ def test_nested_report_docs_write_what_the_dict_forms_write(reports, skipped):
     doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": skipped}
     expected = {"candidates": [r.to_json_dict() for r in reports], "skipped_labels": skipped}
     assert json_text(doc) == json_text(expected)
+    assert "".join(json_chunks(doc)) == dumped(expected)
 
 
 def test_repeated_p_values_keep_their_own_texts():
@@ -143,28 +156,117 @@ def test_repeated_p_values_keep_their_own_texts():
                        "1e-300", "1e-300", "0.0"]
 
 
+# --- tables that repeat within and across pair blocks ------------------
+
+# one pair of labels, so that equal tables of two blocks differ in n or alpha only
+A1, A2, PARENT = Label("a_1"), Label("a_2"), Label("a")
+
+
+@st.composite
+def pair_tests(draw):
+    """PairTests of small counts, so that a block holds equal (a1, a2) pos
+    counts under other parent pos counts and two blocks of equal n1 and n2
+    differ in n or alpha.  As ``evaluate`` does, every table of equal
+    four counts shares one p object."""
+    ps = {}
+    blocks, p_values, alphas = [], [], []
+    for _ in range(draw(st.integers(0, 4))):
+        relations = tuple(draw(st.lists(st.sampled_from(OrderingRelation), min_size=1,
+                                        max_size=3, unique=True)))
+        contexts = tuple(Label("c", k) for k in range(draw(st.integers(0, 4))))
+        n1, n2 = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        n = n1 + n2 + draw(st.integers(0, 1))
+        columns = [[draw(st.lists(st.integers(0, size), min_size=len(contexts),
+                                  max_size=len(contexts))) for _ in relations]
+                   for size in (n1, n2, n)]
+        block = PairTables(relations, contexts, A1, A2, PARENT, n1, n2, n, *map(tuple, columns))
+        block_ps = []
+        for x, y in zip((x for row in columns[0] for x in row),
+                        (y for row in columns[1] for y in row)):
+            key = (x, n1 - x, y, n2 - y)
+            if key not in ps:
+                ps[key] = draw(st.sampled_from([0.0, 1e-3, 0.02, 0.5, 1.0]))
+            block_ps.append(ps[key])
+        blocks.append(block)
+        p_values.append(block_ps)
+        alphas.append(draw(st.sampled_from([0.01, 0.05])))
+    return PairTests(blocks, p_values, alphas)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair_tests())
+@example(PairTests(  # one (a1, a2) pos pair under two parent pos counts
+    [PairTables((OrderingRelation.DIRECTLY_FOLLOWS,), (Label("c", 0), Label("c", 1)),
+                A1, A2, PARENT, 1, 1, 2, ([0, 0],), ([1, 1],), ([0, 1],))],
+    [[0.5, 0.5]], [0.01]))
+@example(PairTests(  # one table in two blocks of other n, then other alpha
+    [PairTables((OrderingRelation.DIRECTLY_FOLLOWS,), (Label("c", 0),),
+                A1, A2, PARENT, 1, 1, n, ([0],), ([1],), ([1],)) for n in (2, 3, 3)],
+    [[1e-3]] * 3, [0.01, 0.01, 1.0]))
+def test_repeated_tables_write_what_the_dict_form_writes(tests):
+    entropy = EntropyBreakdown((), 0.0, 0.0, 0.0, 0.0)
+    report = EvaluationReport("c", (), tests, entropy, False, 0.0, len(tests), 0.01, 0.01)
+    assert json_text(report_doc(report)) == dumped(report.to_json_dict())
+
+
+def test_a_scan_writes_one_pair_block_per_chunk():
+    rng = random.Random(3)
+    names = [f"s{k}" for k in range(12)]
+    log = log_from_rows([[rng.choice(names) for _ in range(rng.randint(4, 30))]
+                         for _ in range(60)])
+    reports = rank_candidates(log, generate_median_time_candidates(log))
+    doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": []}
+    chunks = list(json_chunks(doc))
+    assert "".join(chunks) == json_text(doc) == dumped(
+        {"candidates": [r.to_json_dict() for r in reports], "skipped_labels": []})
+    # the largest chunk is one pair's records, written as a one-pair list
+    # at the depth of a report's tests
+    one_block = max(
+        len(json_text(Records(PairTests([block], [ps], [alpha])), "\n      "))
+        for r in reports
+        for block, ps, alpha in zip(r.tests.blocks, r.tests.p_values, r.tests.alphas))
+    blocks = sum(len(r.tests.blocks) for r in reports)
+    assert blocks >= 10 and len(chunks) > blocks
+    assert max(map(len, chunks)) <= one_block < len(json_text(doc)) / 10
+
+
 # --- the stats row template against the dict form -------------------------
 
 @st.composite
 def stats_rows(draw):
-    """Labels, and (relation, b code, c code, pos, neg) cells over them."""
+    """Labels, and (relation, b code, n, [(c code, pos), ...]) groups over
+    them: each cell's neg is n - pos."""
     row_labels = draw(st.lists(labels, min_size=1, max_size=5))
     code = st.integers(0, len(row_labels) - 1)
     count = st.integers(0, 10 ** 7)
     relation = st.sampled_from([r.value for r in OrderingRelation])
-    cells = draw(st.lists(st.tuples(relation, code, code, count, count), max_size=12))
-    return row_labels, cells
+    groups = draw(st.lists(st.tuples(relation, code, count,
+                                     st.lists(st.tuples(code, count), max_size=4)),
+                           max_size=5))
+    return row_labels, groups
 
 
 @settings(max_examples=150, deadline=None)
 @given(stats_rows(), st.booleans())
 def test_stats_rows_write_what_the_dict_form_writes(rows, stamped):
-    row_labels, cells = rows
+    row_labels, groups = rows
     parts = [label.json_parts() for label in row_labels]
     expected = {"rows": [{"relation": relation, "b": parts[b], "c": parts[c],
-                          "pos": pos, "neg": neg}
-                         for relation, b, c, pos, neg in cells]}
-    doc = {"rows": StatsRows(row_labels, iter(cells))}
+                          "pos": pos, "neg": n - pos}
+                         for relation, b, n, cells in groups for c, pos in cells]}
+    doc = {"rows": StatsRows(row_labels, ((relation, b, n, iter(cells))
+                                          for relation, b, n, cells in groups))}
     if stamped:  # as the CLI writes it without --deterministic
         expected["generated_at"] = doc["generated_at"] = "2021-03-28T12:00:00+00:00"
-    assert json_text(doc) == json_text(expected)
+    assert json_text(doc) == json_text(expected) == dumped(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(stats_rows())
+def test_stats_csv_writes_one_line_per_cell(rows):
+    row_labels, groups = rows
+    names = [csv_label(label) for label in row_labels]
+    lines = ["relation,b,c,pos,neg"]
+    lines += [f'{relation},"{names[b]}","{names[c]}",{pos},{n - pos}'
+              for relation, b, n, cells in groups for c, pos in cells]
+    assert "".join(stats_csv(row_labels, groups)) == "\n".join(lines) + "\n"
