@@ -121,7 +121,14 @@ class _LabelTexts(dict):
         self.labels, self.pad = labels, pad
 
     def __missing__(self, key: Any) -> str:
-        text = self[key] = json_text(self.labels[key].json_parts(), self.pad)
+        parts = self.labels[key].json_parts()
+        texts = list(map(_scalar_text, parts))
+        if texts and None not in texts:  # a flat list of scalars, as json_text writes it
+            inner = self.pad + "  "
+            text = f"[{inner}{(',' + inner).join(texts)}{self.pad}]"
+        else:
+            text = json_text(parts, self.pad)
+        self[key] = text
         return text
 
 

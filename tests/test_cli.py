@@ -887,6 +887,26 @@ def test_out_into_a_missing_directory_is_an_error_that_creates_nothing(argv, tmp
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_write_that_fails_part_way_leaves_what_was_written(tmp_path, capsys, monkeypatch):
+    # output is streamed, so a label that stdout cannot encode fails the
+    # write part way: what was written stays, as with an OSError, and the
+    # command exits 1 with error:
+    path = tmp_path / "log.csv"
+    rows = [f"{k},2020-01-01 00:{k:02d},c,{s}" for k, s in enumerate(["a", "b", "Küche"] * 4)]
+    path.write_text("\n".join(["id,timestamp,case,Sensor", *rows]) + "\n", encoding="utf-8")
+    argv = ["stats", "--format", "csv", "--csv", str(path), "--base-label", "Sensor",
+            "--case-key", "case"]
+    code, full, err = run(capsys, *argv)
+    assert code == 0 and "Küche" in full, err
+    ascii_out = io.TextIOWrapper(io.BytesIO(), encoding="ascii", newline="")
+    monkeypatch.setattr("sys.stdout", ascii_out)
+    code, _, err = run(capsys, *argv)
+    ascii_out.flush()
+    written = ascii_out.buffer.getvalue().decode("ascii")
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+    assert written == "relation,b,c,pos,neg\n" and full.startswith(written)
+
+
 def _wide_csv(path: Path, labels: int = 40, days: int = 30, per_day: int = 40) -> str:
     """A log of ``labels`` sensors, ``per_day`` random events a day."""
     rng = random.Random(7)
