@@ -14,14 +14,14 @@ import itertools
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Container, Iterable
+from typing import Any, Container, Iterable, Iterator
 
 from .gain import EntropyBreakdown, relative_information_gain
 from .model import EventLog, Label, local, time_zone
 from .ordering import (DEFAULT_RELATIONS, LogCounts, OrderingRelation, PairTables,
                        RefinementCounts, build_tables, split_counts)
 from .relabel import RelabelingFn, SplitPair, TimeThreshold
-from .stats import CorrectionPolicy, PairTests, TestResult, fisher_exact_two_sided
+from .stats import CorrectionPolicy, PairTests, TestResult, fisher_p_values
 
 logger = logging.getLogger(__name__)
 
@@ -138,29 +138,38 @@ def _tabulate(counts: RefinementCounts, config: EvaluationConfig,
     return _Collected(description, counts.split_pairs, pair_tables, notes)
 
 
-def _finish(collected: _Collected, config: EvaluationConfig,
-            fisher: dict[tuple[int, int, int, int], float],
-            family_m: int | None = None) -> EvaluationReport:
-    """Test and score every table, reading each pair's count arrays.
+def _table_keys(tables: PairTables) -> Iterator[Iterator[tuple[int, int, int, int]]]:
+    """(a1_pos, a1_neg, a2_pos, a2_neg) of each of a pair's tables, one
+    iterator per relation."""
+    n1, n2 = tables.n1, tables.n2
+    for a1_pos, a2_pos in zip(tables.a1_pos, tables.a2_pos):
+        yield zip(a1_pos, map(n1.__sub__, a1_pos), a2_pos, map(n2.__sub__, a2_pos))
 
-    ``fisher`` memoises p by the four counts of a table, across the
-    candidates of one ``evaluate`` or ``rank_candidates`` call.
-    """
+
+def _p_values(collected: Iterable[_Collected]) -> dict[tuple[int, int, int, int], float]:
+    """p of every distinct table of the candidates, one engine call for all."""
+    keys: set[tuple[int, int, int, int]] = set()
+    for c in collected:
+        for tables in c.pair_tables:
+            for relation_keys in _table_keys(tables):
+                keys.update(relation_keys)
+    return fisher_p_values(keys)
+
+
+def _finish(collected: _Collected, config: EvaluationConfig,
+            p_of: dict[tuple[int, int, int, int], float],
+            family_m: int | None = None) -> EvaluationReport:
+    """Test and score every table, reading each pair's count arrays and
+    each table's p from ``p_of`` (``_p_values``)."""
     m = collected.m_tests
     threshold = config.correction.threshold(config.alpha, family_m if family_m else m)
 
     p_values = []
     all_significant = bool(collected.split_pairs)
     for tables in collected.pair_tables:
-        n1, n2 = tables.n1, tables.n2
         ps = []
-        for a1_pos, a2_pos in zip(tables.a1_pos, tables.a2_pos):
-            for x, y in zip(a1_pos, a2_pos):
-                key = (x, n1 - x, y, n2 - y)
-                p = fisher.get(key)
-                if p is None:
-                    p = fisher[key] = fisher_exact_two_sided(*key)
-                ps.append(p)
+        for relation_keys in _table_keys(tables):
+            ps.extend(map(p_of.__getitem__, relation_keys))
         p_values.append(ps)
         all_significant = all_significant and bool(ps) and min(ps) < threshold
 
@@ -193,7 +202,8 @@ def evaluate(l1_log: EventLog, l2_log: EventLog,
     """
     config = config or EvaluationConfig()
     counts = RefinementCounts.of(l1_log, l2_log, config.relations)
-    return _finish(_tabulate(counts, config, description), config, {})
+    collected = _tabulate(counts, config, description)
+    return _finish(collected, config, _p_values([collected]))
 
 
 def generate_median_time_candidates(
@@ -289,7 +299,7 @@ def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
     family_m = None
     if config.correction.family_scope == "per_candidate_set":
         family_m = sum(c.m_tests for c in collected)
-    fisher: dict[tuple[int, int, int, int], float] = {}
-    reports = [_finish(c, config, fisher, family_m) for c in collected]
+    p_of = _p_values(collected)
+    reports = [_finish(c, config, p_of, family_m) for c in collected]
     reports.sort(key=lambda r: (-r.score, r.candidate_description))
     return reports

@@ -20,9 +20,9 @@ import io
 import logging
 from bisect import bisect_right
 from dataclasses import dataclass
-from datetime import datetime, timezone, tzinfo
+from datetime import datetime, timedelta, timezone, tzinfo
 from itertools import groupby, islice, repeat
-from operator import attrgetter, eq, itemgetter, methodcaller
+from operator import attrgetter, eq, itemgetter, methodcaller, sub
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (MISSING, Event, EventLog, Label, MissingAttributeError, Trace, _id_key,
@@ -83,9 +83,9 @@ def _utc_times(texts: Sequence[str], fmt: str | None, tz: tzinfo) -> list[dateti
     """``parse_timestamp`` of every text, each step mapped over all texts
     at once; a ValueError when any text does not parse."""
     iso = fmt is None or fmt == "iso8601"
-    if iso and _is_utc(tz) and "Z" not in "".join(texts):
-        # naive ISO texts read in UTC, the common case: parsed as they are,
-        # in one pass.  With no Z (which fromisoformat also takes for the
+    if iso and "Z" not in "".join(texts):
+        # naive ISO texts, the common case: parsed as they are, in one
+        # pass.  With no Z (which fromisoformat also takes for the
         # date-time separator) and every result naive, this is what
         # stripping and parsing each text gives.  Parsing text + "+00:00"
         # is not: fromisoformat reads "2024-01-01+00:00" as naive and
@@ -95,7 +95,7 @@ def _utc_times(texts: Sequence[str], fmt: str | None, tz: tzinfo) -> list[dateti
         except ValueError:
             parsed = None
         if parsed is not None and not any(map(attrgetter("tzinfo"), parsed)):
-            return _in_utc(parsed)
+            return _naive_to_utc(parsed, tz)
     stripped = map(str.strip, texts)
     if iso:
         parsed = list(map(datetime.fromisoformat,
@@ -103,8 +103,8 @@ def _utc_times(texts: Sequence[str], fmt: str | None, tz: tzinfo) -> list[dateti
     else:
         parsed = list(map(datetime.strptime, stripped, repeat(fmt)))
     zones = set(map(attrgetter("tzinfo"), parsed))
-    if zones == {None} and _is_utc(tz):
-        return _in_utc(parsed)
+    if zones == {None}:
+        return _naive_to_utc(parsed, tz)
     if zones == {timezone.utc}:
         return parsed
     return [_to_utc(p, tz) for p in parsed]
@@ -114,6 +114,43 @@ def _in_utc(naive: list[datetime]) -> list[datetime]:
     """The naive datetimes as the same wall-clock times in UTC."""
     return list(map(datetime.combine, map(datetime.date, naive), map(datetime.time, naive),
                     repeat(timezone.utc)))
+
+
+def _naive_to_utc(naive: list[datetime], tz: tzinfo) -> list[datetime]:
+    """``_to_utc`` of each naive datetime, with one zone lookup per distinct
+    local hour rather than per datetime.
+
+    A time in an hour whose offset is the same at its first and last
+    microsecond is shifted by that offset.  A time in an hour where the
+    zone's offset changes is converted by ``_to_utc``.
+    """
+    if _is_utc(tz):
+        return _in_utc(naive)
+    offsets = list(map(_HourOffsets(tz).__getitem__,
+                       map(attrgetter("year", "month", "day", "hour"), naive)))
+    if None not in offsets:
+        return _in_utc(list(map(sub, naive, offsets)))
+    return [_to_utc(p, tz) if offset is None else (p - offset).replace(tzinfo=timezone.utc)
+            for p, offset in zip(naive, offsets)]
+
+
+class _HourOffsets(dict):
+    """The UTC offset of ``tz`` in each local hour, keyed by (year, month,
+    day, hour), or None where it changes within the hour.  Offsets are read
+    as ``_to_utc`` reads them: a naive time taken in ``tz`` with fold 0, so
+    an ambiguous time is the first of the two and a nonexistent one keeps
+    the offset from before the gap."""
+
+    def __init__(self, tz: tzinfo):
+        super().__init__()
+        self.tz = tz
+
+    def __missing__(self, key: tuple[int, int, int, int]) -> timedelta | None:
+        start = datetime(*key, tzinfo=self.tz)
+        first = start.utcoffset()
+        last = start.replace(minute=59, second=59, microsecond=999999).utcoffset()
+        offset = self[key] = first if first == last else None
+        return offset
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
-"""The CLI's --deterministic output on the demo CSV, byte for byte.
+"""The CLI's --deterministic output, byte for byte.
 
 Each file under data/golden/ holds the output of one command on
-demos/data/smart_home.csv.  A change that alters any of them alters
-results; regenerate a file only when that is intended, and record why in
-CHANGES.md.
+demos/data/smart_home.csv, except evaluate-walk.json, which holds the
+output on the log ``write_walk_log`` builds.  A change that alters any of
+them alters results; regenerate a file only when that is intended, and
+record why in CHANGES.md.
 """
 
 import csv
+import random
 from pathlib import Path
 from unittest import mock
 
@@ -79,3 +81,42 @@ def test_quoted_crlf_copy_of_the_demo_csv_gives_the_golden_output(name, tmp_path
         assert main([*CASES[name], "--csv", str(quoted), "--deterministic", "--out", str(out)]) == 0
     assert rows.called
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# the evaluation of write_walk_log's log, whose Fisher tables are too large
+# for the exact path and take the float walk
+WALK_ARGV = ["evaluate", "--base-label", "sensor", "--refined-label", "sensor,mode",
+             "--case-key", "case"]
+
+
+def write_walk_log(path, seed=23, events=3000, trace_length=500):
+    """Write a CSV log of ``events`` events in traces of ``trace_length``.
+
+    About 65 % of the events are labelled a, and their mode (x or y) leans
+    towards x after a b, so the split of a into (a, x) and (a, y) is
+    decided by tables of about 2 000 occurrences.  Every draw is
+    ``random.Random(seed).random()``, whose numbers are the same on every
+    Python version.
+    """
+    rng = random.Random(seed)
+    lines = ["id,timestamp,case,sensor,mode"]
+    previous = ""
+    for i in range(events):
+        case, minute = divmod(i, trace_length)
+        u = rng.random()
+        sensor = "a" if u < 0.65 else "b" if u < 0.8 else "c" if u < 0.92 else "d"
+        mode = "-"
+        if sensor == "a":
+            mode = "x" if rng.random() < (0.7 if previous == "b" else 0.45) else "y"
+        lines.append(f"{i + 1},2024-01-{case + 1:02d} {minute // 60:02d}:{minute % 60:02d}:00,"
+                     f"c{case},{sensor},{mode}")
+        previous = sensor
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_walk_side_output_matches_golden_file(tmp_path):
+    log = tmp_path / "walk.csv"
+    write_walk_log(log)
+    out = tmp_path / "evaluate-walk.json"
+    assert main([*WALK_ARGV, "--csv", str(log), "--deterministic", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "evaluate-walk.json").read_bytes()

@@ -1,10 +1,12 @@
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 from zoneinfo import ZoneInfo
 
 import pytest
 
 from labelsplit import (CsvFormatError, CsvSchema, PartitionKeySpec, Projection,
-                        XesFormatError, parse_csv, parse_xes_minimal, partition,
+                        XesFormatError, ingest, parse_csv, parse_xes_minimal, partition,
                         write_csv, write_xes_minimal)
 
 from oracles import naive_case_key
@@ -86,6 +88,40 @@ def test_write_csv_writes_each_column_once():
     header, row = write_csv(log).splitlines()
     assert header == "id,timestamp,case,Sensor,label"
     assert row == "1,2020-01-01T00:00:00+00:00,2020-01-01,a,a"
+
+
+@pytest.mark.parametrize("fmt", [None, "%Y-%m-%d %H:%M:%S"])
+@pytest.mark.parametrize("zone, start, mid_hour", [
+    # 2024: 02:00-03:00 does not exist on 31 March and occurs twice on 27 October
+    ("Europe/Amsterdam", datetime(2024, 3, 30, 23), False),
+    ("Europe/Amsterdam", datetime(2024, 10, 26, 23), False),
+    # on 1 January 1986 the clocks went from 00:00 to 00:15, mid-hour
+    ("Asia/Kathmandu", datetime(1985, 12, 31, 22), True),
+])
+def test_zone_offsets_per_local_hour_equal_to_utc_across_transitions(zone, start, mid_hour,
+                                                                     fmt):
+    tz = ZoneInfo(zone)
+    naive = [start + timedelta(minutes=7 * i, seconds=i % 2) for i in range(60)]
+    texts = [t.strftime("%Y-%m-%d %H:%M:%S") for t in naive]
+    with mock.patch.object(ingest, "_to_utc", wraps=ingest._to_utc) as to_utc:
+        times = ingest._utc_times(texts, fmt, tz)
+    # only a time in an hour where the offset changes is converted on its own
+    assert to_utc.called == mid_hour
+    assert times == [ingest._to_utc(t, tz) for t in naive]
+    assert all(t.tzinfo is timezone.utc for t in times)
+
+
+def test_zone_conversion_of_the_2024_amsterdam_switches():
+    tz = ZoneInfo("Europe/Amsterdam")
+    texts = ["2024-03-31 02:30", "2024-10-27 02:30", "2024-10-27 03:30"]
+    # the nonexistent 02:30 keeps the winter offset; the ambiguous one is
+    # the first, in summer time (fold 0)
+    assert ingest._utc_times(texts, None, tz) == [
+        datetime(2024, 3, 31, 1, 30, tzinfo=timezone.utc),
+        datetime(2024, 10, 27, 0, 30, tzinfo=timezone.utc),
+        datetime(2024, 10, 27, 2, 30, tzinfo=timezone.utc)]
+    assert ingest._utc_times(texts, None, tz) == [
+        ingest._to_utc(datetime.fromisoformat(text), tz) for text in texts]
 
 
 def test_parse_csv_custom_format_and_timezone():

@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from labelsplit import CorrectionPolicy, bonferroni_threshold, fisher_exact_two_sided
+from labelsplit import stats
+from labelsplit.stats import fisher_p_values
 
 from oracles import fisher_two_sided_bruteforce
 
@@ -32,6 +34,26 @@ def test_all_zero_table_is_one_by_convention():
 def test_negative_counts_rejected():
     with pytest.raises(ValueError):
         fisher_exact_two_sided(-1, 0, 0, 0)
+    # on both paths, whichever count is negative
+    big = stats._EXACT_TOTAL
+    for cells in [(3, -1, 2, 2), (1, 1, -1, 5), (2, 2, 2, -1), (big, 3, -1, big)]:
+        with pytest.raises(ValueError):
+            fisher_exact_two_sided(*cells)
+
+
+@pytest.mark.parametrize("cells", [(2.5, 3, 1, 4), (2, 3, 1, 4.5), (3.0, 3, 1, 4),
+                                   (1, "2", 3, 4), (400.5, 10, 10, 400)])
+def test_non_integer_counts_rejected(cells):
+    # 2.5 of 5.5 occurrences is no table, on either path
+    with pytest.raises(ValueError, match="integers"):
+        fisher_exact_two_sided(*cells)
+    with pytest.raises(ValueError, match="integers"):
+        fisher_p_values([tuple(cells)])
+
+
+def test_integer_like_counts_are_accepted():
+    # operator.index takes a bool as 0 or 1
+    assert fisher_exact_two_sided(True, 4, False, 5) == fisher_exact_two_sided(1, 4, 0, 5)
 
 
 def test_point_probability_bounds():
@@ -51,11 +73,11 @@ def test_point_probability_bounds():
 
 
 def test_matches_bruteforce_on_random_tables():
+    # every margin here is on the exact path: p is the exact rational p rounded once
     rng = random.Random(11)
     for _ in range(200):
         cells = [rng.randrange(0, 11) for _ in range(4)]
-        expected = fisher_two_sided_bruteforce(*cells)
-        assert fisher_exact_two_sided(*cells) == pytest.approx(expected, rel=1e-9, abs=0)
+        assert fisher_exact_two_sided(*cells) == fisher_two_sided_bruteforce(*cells)
 
 
 def test_matches_bruteforce_at_larger_counts():
@@ -79,6 +101,55 @@ def test_subnormal_p_keeps_the_far_tail():
     # the observed one; the equally likely mirror table must still count
     p = fisher_exact_two_sided(0, 525, 525, 0)
     assert p == pytest.approx(2 / math.comb(1050, 525), rel=1e-6, abs=0)
+
+
+@st.composite
+def margin_tables(draw):
+    """Several tables on each of one to three margins (n1, n2, r), the
+    margins drawn small, just below and just above the exact path's bound."""
+    bound = stats._EXACT_TOTAL
+    tables = []
+    for _ in range(draw(st.integers(1, 3))):
+        total = draw(st.sampled_from([st.integers(0, 30), st.integers(bound - 40, bound),
+                                      st.integers(bound + 1, bound + 60)]).flatmap(lambda s: s))
+        n1 = draw(st.sampled_from([total // 2, 0, total]) | st.integers(0, total))
+        n2 = total - n1
+        # r = 0 and r = N have a one-point support, as have n1 = 0 and n2 = 0
+        r = draw(st.sampled_from([0, total]) | st.integers(0, total))
+        lo, hi = max(0, r - n2), min(r, n1)
+        xs = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=5))
+        if n1 == n2:
+            # the mirror table r - x is exactly as likely: a tie at the cutoff
+            xs += [r - x for x in xs]
+        tables += [(x, n1 - x, r - x, n2 - r + x) for x in xs]
+    return tables
+
+
+@settings(max_examples=80, deadline=None)
+@given(margin_tables())
+@example([(0, 525, 525, 0), (525, 0, 0, 525), (262, 263, 263, 262)])
+@example([(0, 0, 0, 0), (0, 7, 0, 9), (7, 0, 9, 0), (3, 0, 0, 4)])
+def test_batched_p_equals_single_table_p_and_the_oracle(tables):
+    batched = fisher_p_values(tables)
+    assert set(batched) == set(tables)
+    for cells in tables:
+        p = batched[cells]
+        assert p == fisher_exact_two_sided(*cells)
+        if sum(cells) <= stats._EXACT_TOTAL:
+            assert p == fisher_two_sided_bruteforce(*cells)
+        else:
+            assert p == pytest.approx(fisher_two_sided_bruteforce(*cells), rel=1e-9, abs=0)
+
+
+def test_tables_on_one_margin_are_summed_once(monkeypatch):
+    # four tables on two margins below the bound: one term list per margin
+    calls = []
+    exact = stats._exact
+    monkeypatch.setattr(stats, "_exact", lambda *args: calls.append(args[1:4]) or exact(*args))
+    tables = [(1, 4, 3, 2), (2, 3, 2, 3), (0, 5, 4, 1), (1, 1, 1, 1)]
+    p = fisher_p_values(tables)
+    assert sorted(calls) == [(2, 2, 2), (5, 5, 4)]
+    assert p == {t: fisher_two_sided_bruteforce(*t) for t in tables}
 
 
 @given(st.tuples(*[st.integers(0, 25)] * 4))
