@@ -200,12 +200,16 @@ def _split_list(text: str) -> list[str]:
 def _label_names(text: str, flag: str) -> list[str]:
     """The label names in ``flag``'s value, read as one CSV record: names
     are split on commas and stripped, and empty ones dropped; a name in
-    double quotes may hold commas, and a doubled quote in it is a quote."""
+    double quotes may hold commas, and a doubled quote in it is a quote.  A
+    value that names no label is a UsageError."""
     try:
         record = next(csv.reader([text], skipinitialspace=True))
     except csv.Error as exc:
         raise UsageError(f"cannot read {flag} as one CSV record: {exc}") from None
-    return [name.strip() for name in record if name.strip()]
+    names = [name.strip() for name in record if name.strip()]
+    if not names:
+        raise UsageError(f"{flag} names no label")
+    return names
 
 
 def _resolve_schema(text: str, args) -> CsvSchema:
@@ -303,11 +307,14 @@ def _refined_log(args, base_log: EventLog):
 
 def _relations(args) -> tuple[OrderingRelation, ...]:
     """The relations named in --relations, each once, in first-named order."""
-    if not args.relations:
+    if args.relations is None:
         return DEFAULT_RELATIONS
+    names = _split_list(args.relations)
+    if not names:
+        raise UsageError("--relations names no relation")
     by_value = {r.value: r for r in OrderingRelation}
     out = []
-    for name in _split_list(args.relations):
+    for name in names:
         if name not in by_value:
             raise UsageError(f"unknown relation {name!r}; valid: {sorted(by_value)}")
         out.append(by_value[name])
@@ -391,8 +398,8 @@ def _labels_named(labels: Iterable[Label], names: Iterable[str], flag: str,
 def _chosen_codes(labels: tuple[Label, ...], codes: list[int], names: str | None,
                   flag: str) -> list[int]:
     """The codes of the labels named in ``flag``'s value ``names``; all of
-    ``codes`` when no names are given."""
-    if not names:
+    ``codes`` when the flag is not given."""
+    if names is None:
         return codes
     wanted = {label.parts for label in _labels_named(labels, _label_names(names, flag), flag)}
     return [code for code in codes if labels[code].parts in wanted]

@@ -279,22 +279,25 @@ def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
 
     Sorting is score-descending with ties broken by candidate description.
     Under per_candidate_set correction the Bonferroni family spans all
-    candidates' tests.  The base log is counted once for all candidates.
+    candidates' tests.
 
     Every candidate is tabulated from one ``RefinementCounts``.  A time
     split that changes only its parent's label, the first of each parent,
     is counted with no refined log: one count per relation reads the
-    children of all such splits at once (``split_counts``).  Every other
-    candidate is applied to the base log and counted as ``evaluate`` does,
-    so it raises the same errors.
+    children of all such splits at once (``split_counts``), and the base
+    log once for their parents' length_two_loop rows, if configured.  Every
+    other candidate is applied to the base log and counted as ``evaluate``
+    does, so it raises the same errors.
     """
     config = config or EvaluationConfig()
     candidates = list(candidates)
-    base = LogCounts.of(l1_log, config.relations)
+    base = LogCounts.of(
+        l1_log, [r for r in config.relations if r is OrderingRelation.LENGTH_TWO_LOOP],
+        [fn.base_label for fn in candidates if isinstance(fn, TimeThreshold)])
     collected = [
-        _tabulate(counts or RefinementCounts.of(l1_log, fn.apply(l1_log), config.relations, base),
+        _tabulate(counts or RefinementCounts.of(l1_log, fn.apply(l1_log), config.relations),
                   config, fn.description)
-        for fn, counts in zip(candidates, split_counts(l1_log, base, candidates))
+        for fn, counts in zip(candidates, split_counts(l1_log, base, candidates, config.relations))
     ]
     family_m = None
     if config.correction.family_scope == "per_candidate_set":

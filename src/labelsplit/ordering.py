@@ -12,29 +12,31 @@ equals the number of occurrences of b in the log.  The relations:
 
 One kernel, ``_hits``, counts one relation in one pass per trace.  It
 reads a source row and a context row per trace: a log counted against
-itself (``LogCounts.of``) passes its code rows as both.  The direct
-relations and length-two loops cost O(events).  The eventual ones cost
-O(length + distinct labels) adds of O(sources) machine words per trace:
-suffix sums over the trace's first positions, with one fixed-width field
-per source label packed into each Python int.  A trace with few source
-occurrences, and every trace of a log whose packed columns would hold more
-than 2**20 fields (sources * contexts), instead adds the contexts seen
-before each source occurrence.
+itself (``LogCounts.of``) passes its code rows as both, and counts both
+direct relations in one pass.  The direct relations and length-two loops
+cost O(events).  The eventual ones cost O(length + distinct labels) adds
+of O(sources) machine words per trace: suffix sums over the trace's first
+positions, with one fixed-width field per source label packed into each
+Python int.  A trace with few source occurrences, and every trace of a log
+whose packed columns would hold more than 2**20 fields (sources *
+contexts), instead adds the contexts seen before each source occurrence.
 
-A refinement's counts are one ``RefinementCounts``: the base log's
-``LogCounts``, the refined one's, restricted to the split children, and
-the split set.  ``RefinementCounts.of`` counts a refined log.  A scan
-counts all its single-label time splits at once (``split_counts``): the
-source rows are the base log's rows with each split parent's occurrences
-recoded as the child they go to, and the context rows are the base log's
-own, so no refined log is built.  Each split reads these shared counts as
-a ``LogCounts`` through its own code map.
+A refinement's counts are one ``RefinementCounts``: the refined log's
+``LogCounts``, restricted to the split children, the few base log rows
+their columns cannot give, and the split set.  ``RefinementCounts.of``
+counts a refined log.  A scan counts all its single-label time splits at
+once (``split_counts``): the source rows are the base log's rows with each
+split parent's occurrences recoded as the child they go to, and the
+context rows are the base log's own, so no refined log is built.  Each
+split reads these shared counts as a ``LogCounts`` through its own code
+map.
 
 The 2x2-plus-margin contingency table compares two refined labels a1, a2
 against a context label b, alongside the same statistic for their common
-coarse label taken from the unrefined log.  ``build_tables`` gives a child
-pair's tables column by column (``PairTables``): one int array of pos
-counts per relation and column, read without building a table.
+coarse label taken from the unrefined log, mostly as the sum of its
+children's columns.  ``build_tables`` gives a child pair's tables column
+by column (``PairTables``): one int array of pos counts per relation and
+column, read without building a table.
 """
 
 from __future__ import annotations
@@ -249,8 +251,9 @@ class LogCounts:
     @classmethod
     def of(cls, log: EventLog, relations: Iterable[OrderingRelation],
            sources: Iterable[Label] | None = None) -> "LogCounts":
-        """Count the log once per relation; only the rows of ``sources``
-        (labels that need not occur in the log) when given."""
+        """Count the log once per relation, and both direct ones at once;
+        only the rows of ``sources`` (labels that need not occur in the
+        log) when given."""
         interned = log.interned
         if sources is None:
             wanted, codes = None, None
@@ -260,8 +263,18 @@ class LogCounts:
         size = len(interned.labels)
         if codes is not None and len(codes) == size:
             codes = None  # every label is a source: no per-trace source counts
-        return cls(interned, {relation: _hits(interned.rows, size, relation, codes)
-                              for relation in relations}, wanted)
+        relations = tuple(relations)
+        df, dp = OrderingRelation.DIRECTLY_FOLLOWS, OrderingRelation.DIRECTLY_PRECEDES
+        paired = df in relations and dp in relations
+        rows = {relation: _hits(interned.rows, size, relation,
+                                None if paired and relation is dp else codes)
+                for relation in relations if not (paired and relation is df)}
+        if paired:  # directly_follows(b, c) = directly_precedes(c, b)
+            rows[df] = [Counter() for _ in range(size)]
+            for b, row in enumerate(rows[dp]):
+                for c, k in row.items():
+                    rows[df][c][b] = k
+        return cls(interned, {relation: rows[relation] for relation in relations}, wanted)
 
     def column(self, relation: OrderingRelation, b: Label, c: Label) -> OrderingCounts:
         """Counts of source b against context c.
@@ -288,17 +301,19 @@ class LogCounts:
             for relation in relations)
 
 
-def split_counts(log: EventLog, base: LogCounts,
-                 candidates: Sequence[RelabelingFn]) -> list["RefinementCounts | None"]:
+def split_counts(log: EventLog, base: LogCounts, candidates: Sequence[RelabelingFn],
+                 relations: Iterable[OrderingRelation] | None = None
+                 ) -> list["RefinementCounts | None"]:
     """Each candidate's counts, with no refined log, when it changes only
     one label; None for any other candidate.
 
-    ``base`` must be ``LogCounts.of(log)``.  A candidate is counted here
-    when it is the first time split of its parent whose two children are
-    distinct labels that name no event of ``log`` but the parent's.  One
-    pass recodes each such parent's occurrences as the child they go to
-    (``time_split_rows``), and one ``_hits`` call per relation of ``base``
-    counts every child against the base labels.  Each split's refined
+    ``base``, a ``LogCounts`` of ``log``, is every split's base counts.  A
+    candidate is counted here when it is the first time split of its parent
+    whose two children are distinct labels that name no event of ``log``
+    but the parent's.  One pass recodes each such parent's occurrences as
+    the child they go to (``time_split_rows``), and one ``_hits`` call per
+    relation (of ``base`` when ``relations`` is None) counts every child
+    against the base labels.  Each split's refined
     counts read these shared rows through the split's own code map: the
     base codes with the parent replaced by its two children (two splits
     may name their children alike).  A split that leaves a child no
@@ -319,7 +334,7 @@ def split_counts(log: EventLog, base: LogCounts,
     rows = time_split_rows(log, splits)
     children = range(size, size + 2 * len(splits))
     counted = {relation: _hits(rows, children.stop, relation, children, interned.rows)
-               for relation in base.rows}
+               for relation in (base.rows if relations is None else relations)}
     seen = Counter(chain.from_iterable(rows))
     occurrences = tuple(map(seen.__getitem__, range(children.stop)))
     labels = interned.labels + tuple(chain.from_iterable(
@@ -351,7 +366,9 @@ class RefinementCounts:
     refined sources a table reads: a refined log's ``LogCounts`` restricted
     to them, or, for a time split counted by ``split_counts``, a
     ``LogCounts`` of the scan's shared child-code rows read through that
-    split's own code map.
+    split's own code map.  The base counts hold only the split parents'
+    rows on length_two_loop and, when two or more labels split, on every
+    relation: the parent columns ``build_tables`` cannot sum.
     """
 
     base: LogCounts
@@ -364,16 +381,18 @@ class RefinementCounts:
            relations: Iterable[OrderingRelation],
            base: LogCounts | None = None) -> "RefinementCounts":
         """Pair the logs (``Pairing.of``) and count both; ``base``, when
-        given, must be LogCounts.of(l1_log) over at least these relations (a
-        scan shares it across candidates).  Nothing is counted when the
-        refinement splits no label.  Raises NotARefinementError, as
-        ``evaluate`` does, when a refined label is seen under two or more
-        coarse labels."""
+        given, must be a LogCounts of l1_log holding at least those base
+        rows.  Nothing is counted when the refinement splits no label.
+        Raises NotARefinementError, as ``evaluate`` does, when a refined
+        label is seen under two or more coarse labels."""
         pairing = Pairing.of(l1_log, l2_log)
         coarse = pairing.coarse()
         relations = tuple(relations) if pairing.split_pairs else ()
+        parents = [split.parent for split in pairing.split_pairs]
         if base is None:
-            base = LogCounts.of(l1_log, relations)
+            base = LogCounts.of(l1_log, relations if len(parents) > 1 else
+                                [r for r in relations if r is OrderingRelation.LENGTH_TWO_LOOP],
+                                parents)
         children = [child for split in pairing.split_pairs for child in split.children]
         return cls(base, LogCounts.of(l2_log, relations, children), coarse,
                    pairing.split_pairs)
@@ -385,8 +404,8 @@ class ContingencyTable:
 
     ``col_a1``/``col_a2`` come from the refined log; ``parent_col`` is the
     same statistic for the coarse label in the unrefined log, against the
-    context's own coarse label.  When the context label is untouched by the
-    split, the parent column is the componentwise sum of the child columns.
+    context's own coarse label.  Off length_two_loop, against a context
+    label untouched by any split, it is the sum of all k child columns.
     """
 
     relation: OrderingRelation
@@ -523,8 +542,9 @@ def build_tables(
     note appended to ``notes``, unless that note is already there.
     ``counts`` are the refinement's counts (``RefinementCounts.of`` for two
     logs; a scan counts its single-label splits with ``split_counts``)
-    over at least ``relations``; the parent column reads the base log
-    against each context's coarse label.
+    over at least ``relations``.  The parent column sums every child's,
+    but reads ``counts.base`` (KeyError if uncounted) against the context's
+    coarse label on length_two_loop and against any split child.
     """
     coarse = counts.coarse
     siblings = set(pair.children)
@@ -546,9 +566,19 @@ def build_tables(
                 notes.append(note)
 
     relations = tuple(relations)
-    n1, a1_pos = counts.refined.positives(a1, contexts, relations)
-    n2, a2_pos = counts.refined.positives(a2, contexts, relations)
-    n, parent_pos = counts.base.positives(pair.parent, [coarse.get(b, b) for b in contexts],
-                                          relations)
+    columns = {child.parts: counts.refined.positives(child, contexts, relations)
+               for child in pair.children}
+    (n1, a1_pos), (n2, a2_pos) = columns[a1.parts], columns[a2.parts]
+    ns, child_pos = zip(*columns.values())
+    n, parent_pos = sum(ns), tuple(list(map(sum, zip(*pos))) for pos in zip(*child_pos))
+    split_children = {child.parts for s in counts.split_pairs for child in s.children}
+    for relation, pos in zip(relations, parent_pos):
+        at = [k for k, b in enumerate(contexts)
+              if relation is OrderingRelation.LENGTH_TWO_LOOP or b.parts in split_children]
+        if at:
+            _, (base_pos,) = counts.base.positives(
+                pair.parent, [coarse.get(contexts[k], contexts[k]) for k in at], (relation,))
+            for k, p in zip(at, base_pos):
+                pos[k] = p
     return PairTables(relations, tuple(contexts), a1, a2, pair.parent, n1, n2, n,
                       a1_pos, a2_pos, parent_pos)

@@ -754,6 +754,29 @@ def test_relations_flag(capsys):
     assert "sideways" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("scan",), "--relations"), (("scan",), "--context-labels"),
+    (("evaluate", "--refined-label", "Activity"), "--relations"),
+    (("evaluate", "--refined-label", "Activity"), "--context-labels"),
+    (("stats",), "--relations"), (("stats", "--format", "csv"), "--relations"),
+    (("stats", "--format", "csv"), "--b-labels"), (("stats",), "--c-labels"),
+])
+@pytest.mark.parametrize("value", ["", ",", " , "])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_a_list_flag_that_names_nothing_exits_one(tmp_path, capsys, argv, flag, value,
+                                                  via_config):
+    # an empty list would run no test, or write only a header, and exit 0
+    given = [f"{flag}={value}"]
+    if via_config:
+        cfg = tmp_path / "flags.cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n", encoding="utf-8")
+        given = ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", "Sensor", *given)
+    assert (code, out) == (1, "")
+    what = "relation" if flag == "--relations" else "label"
+    assert err.splitlines()[-1] == f"error: {flag} names no {what}"
+
+
 @pytest.mark.parametrize("argv, repeated, once", [
     (("scan",), ("--context-labels", "Living room motion,Living room motion"),
      ("--context-labels", "Living room motion")),

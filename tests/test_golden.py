@@ -35,6 +35,13 @@ CASES = {
                                   "Living room motion,Bedroom motion,Front door"],
     "evaluate.json": ["evaluate", "--base-label", "Sensor",
                       "--refined-label", "Sensor,Activity"],
+    # two split parents, each a context of the other's children: those
+    # parent columns, and every length_two_loop one, are read from the base
+    # log, not summed from the children's
+    "evaluate-two-parents.json": ["evaluate", "--base-label", "Sensor", "--rules",
+                                  str(Path(__file__).parent / "data" / "two-parents.rules"),
+                                  "--relations", "directly_follows,directly_precedes,"
+                                  "eventually_follows,eventually_precedes,length_two_loop"],
     "gen-candidates.json": ["gen-candidates", "--base-label", "Sensor"],
     "stats.csv": ["stats", "--base-label", "Sensor", "--format", "csv"],
     "stats-all-relations.csv": ["stats", "--base-label", "Sensor", "--format", "csv",

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from array import array
@@ -381,7 +382,79 @@ def test_refined_counts_hold_only_split_children():
     assert counts.refined.column(DP, Label("a1"), Label("b")) == OrderingCounts(1, 1)
     with pytest.raises(KeyError):
         counts.refined.column(DP, Label("b"), Label("a2"))
-    assert counts.base.column(DP, Label("b"), Label("a")) == OrderingCounts(2, 0)
+    # the one split's parent columns are its children's sums: no base row
+    # is counted, and reading one is an error, never a silent 0
+    with pytest.raises(KeyError):
+        counts.base.column(DP, Label("b"), Label("a"))
+    with pytest.raises(KeyError):
+        counts.base.column(DP, Label("a"), Label("b"))
+
+
+@st.composite
+def refinements(draw):
+    """A base log over a-d and a refinement of it: each label is kept,
+    renamed 1:1, or split two or three ways (a child may keep its parent's
+    name), so two labels may split at once."""
+    rows = draw(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=9),
+                         min_size=1, max_size=6))
+    names = {}
+    for x in "abcd":
+        kind = draw(st.sampled_from(["keep", "rename", "split2", "split3"]))
+        if kind == "keep":
+            names[x] = [x]
+        elif kind == "rename":
+            names[x] = [f"{x}r"]
+        else:
+            names[x] = [x if draw(st.booleans()) else f"{x}0", f"{x}1", f"{x}2"][:int(kind[-1])]
+    refined = [[draw(st.sampled_from(names[x])) for x in row] for row in rows]
+    return rows, refined
+
+
+@settings(max_examples=300, deadline=None)
+@given(refinements(), st.data())
+def test_parent_columns_match_naive_scan_of_the_base_log(logs, data):
+    # a parent column is its children's sum except on length_two_loop and
+    # against a child of another split parent; every one must be the base
+    # log's count against the context's coarse label
+    rows, refined = logs
+    l1, l2 = log_from_rows(rows), log_from_rows(refined)
+    counts = RefinementCounts.of(l1, l2, ALL_RELATIONS)
+    contexts = data.draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(sorted({x for row in refined for x in row}) + ["zz"]), unique=True)))
+    for split in counts.split_pairs:
+        for a1, a2 in itertools.combinations(split.children, 2):
+            tables = build_tables(counts, split, a1, a2, ALL_RELATIONS,
+                                  None if contexts is None else [Label(c) for c in contexts])
+            assert tables.n == sum(row.count(str(split.parent)) for row in rows)
+            for t in tables:
+                coarse = counts.coarse.get(t.context_label, t.context_label)
+                expected = naive_count(rows, t.relation.value, str(split.parent), str(coarse))
+                assert (t.parent_col.pos, t.parent_col.neg) == expected, t
+                assert (t.col_a1.pos, t.col_a1.neg) == naive_count(
+                    refined, t.relation.value, str(a1), str(t.context_label))
+
+
+def test_a_single_split_counts_no_base_row(monkeypatch):
+    # every parent column of one split on the default relations is its
+    # children's sum: neither evaluate nor scan counts the base log, and
+    # with length_two_loop they count only that relation of it
+    rng = random.Random(5)
+    l1 = log_from_rows([[rng.choice("abcd") for _ in range(12)] for _ in range(8)])
+    base_rows = l1.interned.rows
+    calls = []
+    count = ordering._hits
+    monkeypatch.setattr(ordering, "_hits",
+                        lambda *args: calls.append((args[0] is base_rows, args[2]))
+                        or count(*args))
+    candidates = generate_median_time_candidates(l1)
+    for relations, over_base in ((DEFAULT_RELATIONS, []), (ALL_RELATIONS, [LOOP])):
+        config = EvaluationConfig(relations=relations)
+        for run in (lambda: evaluate(l1, candidates[0].apply(l1), config),
+                    lambda: rank_candidates(l1, candidates, config)):
+            calls.clear()
+            run()
+            assert [r for base, r in calls if base] == over_base
+            assert len(calls) > len(over_base)
 
 
 def test_refinement_counts_refuse_a_merge():
