@@ -94,46 +94,66 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
     return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
-def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--csv", metavar="FILE", help="CSV event log input")
-    parser.add_argument("--xes", metavar="FILE", help="minimal-XES event log input")
-    parser.add_argument("--csv-schema", metavar="FILE",
-                        help="key=value schema file (id_column, timestamp_column, "
-                             "timestamp_format, attribute_columns, delimiter, timezone)")
-    parser.add_argument("--case-key", metavar="ATTRS",
-                        help="comma-separated attributes grouping events into traces")
-    parser.add_argument("--calendar-key", choices=["none", "day"], default="none",
-                        help="extend the case key with the calendar day")
-    parser.add_argument("--timezone", default="UTC",
-                        help="timezone for day boundaries and times of day")
-    parser.add_argument("--alpha", type=float, default=0.01)
-    parser.add_argument("--relations", default=None,
-                        help="comma-separated ordering relations (default: "
-                             "directly/eventually follows/precedes)")
-    parser.add_argument("--correction", choices=["none", "bonferroni"],
-                        default="bonferroni")
-    parser.add_argument("--family-scope",
-                        choices=["per_candidate", "per_candidate_set"],
-                        default="per_candidate")
-    parser.add_argument("--context-labels", default=None,
-                        help="context labels to test against, as one CSV record "
-                             "(comma-separated; quote a name holding a comma)")
-    parser.add_argument("--json", action="store_true", default=False,
-                        help="JSON output (the default)")
-    parser.add_argument("--pretty", action="store_true", default=False,
-                        help="human-readable output instead of JSON")
-    parser.add_argument("--deterministic", action="store_true", default=False,
-                        help="omit run metadata so identical runs are byte-identical")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="accepted for interface parity; nothing is random")
-    parser.add_argument("--config", metavar="FILE",
-                        help="key=value file of flag defaults")
-    parser.add_argument("--out", metavar="FILE", help="write output here (default stdout)")
+# each flag's add_argument keywords
+_FLAGS: dict[str, dict[str, Any]] = {
+    "--csv": dict(metavar="FILE", help="CSV event log input"),
+    "--xes": dict(metavar="FILE", help="minimal-XES event log input"),
+    "--csv-schema": dict(metavar="FILE",
+                         help="key=value schema file (id_column, timestamp_column, "
+                              "timestamp_format, attribute_columns, delimiter, timezone)"),
+    "--case-key": dict(metavar="ATTRS",
+                       help="attributes grouping events into traces, as one CSV record"),
+    "--calendar-key": dict(choices=["none", "day"], default="none",
+                           help="extend the case key with the calendar day"),
+    "--timezone": dict(default="UTC", help="timezone for day boundaries and times of day"),
+    "--base-label": dict(metavar="ATTRS",
+                         help="attributes forming the base label, as one CSV record"),
+    "--config": dict(metavar="FILE", help="key=value file of flag defaults"),
+    "--out": dict(metavar="FILE", help="write output here (default stdout)"),
+    "--deterministic": dict(action="store_true",
+                            help="omit run metadata so identical runs are byte-identical"),
+    "--pretty": dict(action="store_true", help="human-readable output instead of JSON"),
+    "--alpha": dict(type=float, default=0.01),
+    "--relations": dict(help="ordering relations, as one CSV record (default: "
+                             "directly/eventually follows/precedes)"),
+    "--correction": dict(choices=["none", "bonferroni"], default="bonferroni"),
+    "--family-scope": dict(choices=["per_candidate", "per_candidate_set"],
+                           default="per_candidate"),
+    "--context-labels": dict(help="context labels to test against, as one CSV record "
+                                  "(comma-separated; quote a name holding a comma)"),
+    "--seed": dict(type=int, help="accepted for interface parity; nothing is random"),
+    "--refined-label": dict(metavar="ATTRS",
+                            help="attributes forming the refined label, as one CSV record"),
+    "--rules": dict(metavar="FILE", help="rule file producing the refined label"),
+    "--threshold": dict(metavar="BASE,HH:MM,LOW,HIGH",
+                        help="time-of-day split producing the refined label"),
+    "--b-labels": dict(help="restrict source labels (one CSV record, as --context-labels)"),
+    "--c-labels": dict(help="restrict context labels (one CSV record, as --context-labels)"),
+    "--include-self": dict(action="store_true", help="include b == c rows"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--to": dict(choices=["csv", "xes"]),  # required: see cmd_convert
+}
 
+# the flags every subcommand takes: where the log comes from and where the
+# output goes
+_INPUT_FLAGS = ("--csv", "--xes", "--csv-schema", "--case-key", "--calendar-key",
+                "--timezone", "--base-label", "--config", "--out", "--deterministic")
 
-def _add_labeling_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--base-label", metavar="ATTRS",
-                        help="comma-separated attributes forming the base label")
+# each subcommand's help, and the flags it takes besides _INPUT_FLAGS
+_SUBCOMMANDS = {
+    "evaluate": ("score one candidate refinement",
+                 ("--pretty", "--alpha", "--relations", "--correction", "--context-labels",
+                  "--seed", "--refined-label", "--rules", "--threshold")),
+    "scan": ("rank median time-of-day candidates",
+             ("--pretty", "--alpha", "--relations", "--correction", "--family-scope",
+              "--context-labels", "--seed")),
+    # --alpha is read by no stats output; perfbench's stats run passes it
+    "stats": ("dump ordering statistics",
+              ("--pretty", "--alpha", "--relations", "--b-labels", "--c-labels",
+               "--include-self", "--format")),
+    "gen-candidates": ("list median time-of-day candidates", ("--pretty",)),
+    "convert": ("convert between CSV and minimal XES", ("--to",)),
+}
 
 
 @functools.cache
@@ -144,43 +164,10 @@ def build_parser() -> _Parser:
                      description="Statistical evaluation of event-label refinements.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     parser.commands = sub.choices  # each subcommand's parser, by name
-
-    p_eval = sub.add_parser("evaluate", help="score one candidate refinement",
-                            parents=[], description="Evaluate one refinement.")
-    _add_shared_flags(p_eval)
-    _add_labeling_flags(p_eval)
-    p_eval.add_argument("--refined-label", metavar="ATTRS",
-                        help="attributes forming the refined label")
-    p_eval.add_argument("--rules", metavar="FILE",
-                        help="rule file producing the refined label")
-    p_eval.add_argument("--threshold", metavar="BASE,HH:MM,LOW,HIGH",
-                        help="time-of-day split producing the refined label")
-
-    p_scan = sub.add_parser("scan", help="rank median time-of-day candidates")
-    _add_shared_flags(p_scan)
-    _add_labeling_flags(p_scan)
-
-    p_stats = sub.add_parser("stats", help="dump ordering statistics")
-    _add_shared_flags(p_stats)
-    _add_labeling_flags(p_stats)
-    p_stats.add_argument("--b-labels", default=None,
-                         help="restrict source labels (one CSV record, as --context-labels)")
-    p_stats.add_argument("--c-labels", default=None,
-                         help="restrict context labels (one CSV record, as --context-labels)")
-    p_stats.add_argument("--include-self", action="store_true", default=False,
-                         help="include b == c rows")
-    p_stats.add_argument("--format", choices=["json", "csv"], default="json")
-
-    p_gen = sub.add_parser("gen-candidates",
-                           help="list median time-of-day candidates")
-    _add_shared_flags(p_gen)
-    _add_labeling_flags(p_gen)
-
-    p_conv = sub.add_parser("convert", help="convert between CSV and minimal XES")
-    _add_shared_flags(p_conv)
-    _add_labeling_flags(p_conv)
-    p_conv.add_argument("--to", choices=["csv", "xes"])  # required: see cmd_convert
-
+    for name, (help_text, flags) in _SUBCOMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag in (*_INPUT_FLAGS, *flags):
+            command.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -193,22 +180,18 @@ def _time_zone(name: str) -> str:
     return name
 
 
-def _split_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
-
-
-def _label_names(text: str, flag: str) -> list[str]:
-    """The label names in ``flag``'s value, read as one CSV record: names
-    are split on commas and stripped, and empty ones dropped; a name in
-    double quotes may hold commas, and a doubled quote in it is a quote.  A
-    value that names no label is a UsageError."""
+def _names(text: str, flag: str, what: str = "label") -> list[str]:
+    """The names in ``flag``'s value, read as one CSV record: names are
+    split on commas and stripped, and empty ones dropped; a name in double
+    quotes may hold commas, and a doubled quote in it is a quote.  A value
+    that names nothing is a UsageError saying ``flag`` names no ``what``."""
     try:
         record = next(csv.reader([text], skipinitialspace=True))
     except csv.Error as exc:
         raise UsageError(f"cannot read {flag} as one CSV record: {exc}") from None
     names = [name.strip() for name in record if name.strip()]
     if not names:
-        raise UsageError(f"{flag} names no label")
+        raise UsageError(f"{flag} names no {what}")
     return names
 
 
@@ -222,7 +205,8 @@ def _resolve_schema(text: str, args) -> CsvSchema:
         try:
             return CsvSchema(
                 timestamp_column=kv.get("timestamp_column", "timestamp"),
-                attribute_columns=tuple(_split_list(kv.get("attribute_columns", ""))),
+                attribute_columns=tuple(_names(kv.get("attribute_columns", ""),
+                                               "--csv-schema attribute_columns", "column")),
                 id_column=kv.get("id_column", "synthesize"),
                 timestamp_format=kv.get("timestamp_format") or None,
                 delimiter=kv.get("delimiter", ","),
@@ -249,7 +233,8 @@ def _load_base_log(args) -> EventLog:
     built; XES logs are projected."""
     if bool(args.csv) == bool(args.xes):
         raise UsageError("exactly one of --csv or --xes is required")
-    base_label = tuple(_split_list(args.base_label)) if args.base_label else None
+    base_label = (None if args.base_label is None else
+                  tuple(_names(args.base_label, "--base-label", "attribute")))
     if args.csv:
         try:
             # newline="": line ends reach the CSV reader as written, so a
@@ -260,9 +245,10 @@ def _load_base_log(args) -> EventLog:
             raise CsvFormatError(f"cannot read {args.csv}: {exc}") from exc
         schema = _resolve_schema(text, args)
         columns = read_csv(text, schema, base_label)
-        if args.case_key or args.calendar_key != "none":
+        if args.case_key is not None or args.calendar_key != "none":
             return columns.log(PartitionKeySpec(
-                attribute_keys=tuple(_split_list(args.case_key or "")),
+                attribute_keys=() if args.case_key is None else
+                tuple(_names(args.case_key, "--case-key", "attribute")),
                 calendar_key=args.calendar_key,
                 timezone=args.timezone,
             ))
@@ -277,17 +263,16 @@ def _load_base_log(args) -> EventLog:
 
 
 def _refined_log(args, base_log: EventLog):
-    chosen = [opt for opt in (args.refined_label, args.rules, args.threshold) if opt]
-    if len(chosen) != 1:
+    if sum(opt is not None for opt in (args.refined_label, args.rules, args.threshold)) != 1:
         raise UsageError("exactly one of --refined-label, --rules, --threshold "
                          "is required")
-    if args.refined_label:
-        fn = Projection(tuple(_split_list(args.refined_label)))
-    elif args.rules:
+    if args.refined_label is not None:
+        fn = Projection(tuple(_names(args.refined_label, "--refined-label", "attribute")))
+    elif args.rules is not None:
         fn = RuleBased.from_text(Path(args.rules).read_text(encoding="utf-8"),
                                  name=Path(args.rules).name)
     else:
-        fields = _label_names(args.threshold, "--threshold")
+        fields = _names(args.threshold, "--threshold")
         if len(fields) != 4:
             raise UsageError("--threshold expects BASE,HH:MM,LOW,HIGH")
         base, at, low, high = fields
@@ -309,9 +294,7 @@ def _relations(args) -> tuple[OrderingRelation, ...]:
     """The relations named in --relations, each once, in first-named order."""
     if args.relations is None:
         return DEFAULT_RELATIONS
-    names = _split_list(args.relations)
-    if not names:
-        raise UsageError("--relations names no relation")
+    names = _names(args.relations, "--relations", "relation")
     by_value = {r.value: r for r in OrderingRelation}
     out = []
     for name in names:
@@ -326,13 +309,15 @@ def _eval_config(args, labels: Iterable[Label]) -> EvaluationConfig:
     contexts = None
     if args.context_labels is not None:
         contexts = tuple(_labels_named(
-            labels, _label_names(args.context_labels, "--context-labels"),
+            labels, _names(args.context_labels, "--context-labels"),
             "--context-labels", keep_absent=True))
     try:
         return EvaluationConfig(
             alpha=args.alpha,
             relations=_relations(args),
-            correction=CorrectionPolicy(args.correction, args.family_scope),
+            # evaluate scores one candidate: its whole candidate set
+            correction=CorrectionPolicy(args.correction,
+                                        getattr(args, "family_scope", "per_candidate")),
             context_labels=contexts,
         )
     except ValueError as exc:
@@ -401,7 +386,7 @@ def _chosen_codes(labels: tuple[Label, ...], codes: list[int], names: str | None
     ``codes`` when the flag is not given."""
     if names is None:
         return codes
-    wanted = {label.parts for label in _labels_named(labels, _label_names(names, flag), flag)}
+    wanted = {label.parts for label in _labels_named(labels, _names(names, flag), flag)}
     return [code for code in codes if labels[code].parts in wanted]
 
 

@@ -378,21 +378,18 @@ class RefinementCounts:
 
     @classmethod
     def of(cls, l1_log: EventLog, l2_log: EventLog,
-           relations: Iterable[OrderingRelation],
-           base: LogCounts | None = None) -> "RefinementCounts":
-        """Pair the logs (``Pairing.of``) and count both; ``base``, when
-        given, must be a LogCounts of l1_log holding at least those base
-        rows.  Nothing is counted when the refinement splits no label.
-        Raises NotARefinementError, as ``evaluate`` does, when a refined
-        label is seen under two or more coarse labels."""
+           relations: Iterable[OrderingRelation]) -> "RefinementCounts":
+        """Pair the logs (``Pairing.of``) and count both.  Nothing is
+        counted when the refinement splits no label.  Raises
+        NotARefinementError, as ``evaluate`` does, when a refined label is
+        seen under two or more coarse labels."""
         pairing = Pairing.of(l1_log, l2_log)
         coarse = pairing.coarse()
         relations = tuple(relations) if pairing.split_pairs else ()
         parents = [split.parent for split in pairing.split_pairs]
-        if base is None:
-            base = LogCounts.of(l1_log, relations if len(parents) > 1 else
-                                [r for r in relations if r is OrderingRelation.LENGTH_TWO_LOOP],
-                                parents)
+        base = LogCounts.of(l1_log, relations if len(parents) > 1 else
+                            [r for r in relations if r is OrderingRelation.LENGTH_TWO_LOOP],
+                            parents)
         children = [child for split in pairing.split_pairs for child in split.children]
         return cls(base, LogCounts.of(l2_log, relations, children), coarse,
                    pairing.split_pairs)

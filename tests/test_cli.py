@@ -582,6 +582,65 @@ def test_config_keys_of_other_subcommands_are_ignored(tmp_path, capsys):
         assert f"unknown config key {line.split('=')[0]!r}" in err
 
 
+_INPUT_FLAGS = ["--csv", "--xes", "--csv-schema", "--case-key", "--calendar-key", "--timezone",
+                "--base-label", "--config", "--out", "--deterministic"]
+# each subcommand's options, besides --help: the input flags and those it reads
+_OPTIONS = {
+    "evaluate": [*_INPUT_FLAGS, "--pretty", "--alpha", "--relations", "--correction",
+                 "--context-labels", "--seed", "--refined-label", "--rules", "--threshold"],
+    "scan": [*_INPUT_FLAGS, "--pretty", "--alpha", "--relations", "--correction",
+             "--family-scope", "--context-labels", "--seed"],
+    "stats": [*_INPUT_FLAGS, "--pretty", "--alpha", "--relations", "--b-labels", "--c-labels",
+              "--include-self", "--format"],
+    "gen-candidates": [*_INPUT_FLAGS, "--pretty"],
+    "convert": [*_INPUT_FLAGS, "--to"],
+}
+# the options each subcommand took, and never read, when every subcommand
+# took the same evaluation and output flags
+_DROPPED = {
+    "evaluate": ["--family-scope", "--json"],
+    "scan": ["--json"],
+    "stats": ["--correction", "--family-scope", "--context-labels", "--seed", "--json"],
+    "gen-candidates": ["--alpha", "--relations", "--correction", "--family-scope",
+                       "--context-labels", "--seed", "--json"],
+    "convert": ["--alpha", "--relations", "--correction", "--family-scope",
+                "--context-labels", "--seed", "--json", "--pretty"],
+}
+_BASE_RUNS = {"evaluate": ["evaluate", "--refined-label", "Sensor,Activity"], "scan": ["scan"],
+              "stats": ["stats"], "gen-candidates": ["gen-candidates"],
+              "convert": ["convert", "--to", "csv"]}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    options = {name: [option for action in parser._actions for option in action.option_strings
+                      if option not in ("-h", "--help")]
+               for name, parser in cli.build_parser().commands.items()}
+    assert options == _OPTIONS
+    assert sum(map(len, options.values())) == 75
+    assert sum(map(len, _DROPPED.values())) == 98 - 75
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, flags in _DROPPED.items()
+                                           for flag in flags])
+def test_a_dropped_flag_is_refused_and_its_config_key_ignored(tmp_path, capsys, command, flag):
+    value = _option_values(tmp_path)[flag]
+    common = [*_BASE_RUNS[command], "--csv", SMART_HOME, "--base-label", "Sensor",
+              "--deterministic"]
+    code, out, err = run(capsys, *common, *_argv({flag: value}))
+    assert (code, out) == (1, "")
+    assert f"error: unrecognized arguments: {flag}" in err
+    code, plain, err = run(capsys, *common)
+    assert code == 0, err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:]}={'true' if value is None else value}\n")
+    code, out, err = run(capsys, *common, "--config", str(cfg))
+    if flag == "--json":  # no subcommand defines it any more
+        assert (code, out) == (1, "")
+        assert err.splitlines()[-1] == "error: unknown config key 'json'"
+    else:  # another subcommand defines it
+        assert (code, out, err) == (0, plain, "")
+
+
 def test_one_parser_serves_every_call_as_a_fresh_one(tmp_path, capsys):
     # main builds its parser once per process; calls of different
     # subcommands, with and without --config, interleaved, read as each
@@ -775,6 +834,54 @@ def test_a_list_flag_that_names_nothing_exits_one(tmp_path, capsys, argv, flag, 
     assert (code, out) == (1, "")
     what = "relation" if flag == "--relations" else "label"
     assert err.splitlines()[-1] == f"error: {flag} names no {what}"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("scan",), "--base-label"), (("stats", "--format", "csv"), "--base-label"),
+    (("evaluate", "--base-label", "Sensor"), "--refined-label"),
+    (("scan", "--base-label", "Sensor"), "--case-key"),
+    (("scan", "--base-label", "Sensor", "--calendar-key", "day"), "--case-key"),
+])
+@pytest.mark.parametrize("value", ["", ",", " , "])
+@pytest.mark.parametrize("via_config", [False, True])
+def test_an_attribute_list_that_names_nothing_exits_one(tmp_path, capsys, argv, flag, value,
+                                                        via_config):
+    # an empty base label made the empty label the split parent, or meant
+    # every attribute; an empty case key was ignored, or grouped by day only
+    given = [f"{flag}={value}"]
+    if via_config:
+        cfg = tmp_path / "flags.cfg"
+        cfg.write_text(f"{flag[2:]}={value}\n", encoding="utf-8")
+        given = ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv, "--csv", SMART_HOME, *given)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: {flag} names no attribute"
+
+
+@pytest.mark.parametrize("value", ["", ",", " , "])
+def test_schema_attribute_columns_that_name_nothing_exit_one(tmp_path, capsys, value):
+    schema = tmp_path / "schema.cfg"
+    schema.write_text(f"attribute_columns={value}\n", encoding="utf-8")
+    code, out, err = run(capsys, "stats", "--csv", SMART_HOME, "--csv-schema", str(schema),
+                         "--base-label", "Sensor")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "error: --csv-schema attribute_columns names no column"
+
+
+def test_attribute_lists_read_one_csv_record(tmp_path, capsys):
+    # a quoted attribute name may hold a comma, as a quoted header cell does
+    path = tmp_path / "log.csv"
+    path.write_text('id,timestamp,"home, floor",sensor\n'
+                    + "".join(f"{i},2020-01-0{1 + i // 3} 0{i % 3}:00,h{i // 3},{'ab'[i % 2]}\n"
+                              for i in range(6)))
+    code, out, err = run(capsys, "stats", "--csv", str(path), "--format", "csv",
+                         "--relations", "directly_follows",
+                         "--base-label", 'sensor, "home, floor"', "--case-key", '"home, floor"')
+    assert code == 0, err
+    # traces a b a and b a b, one per home: the last a of h0 precedes no b
+    assert out.splitlines()[1:4] == ['directly_follows,"a+h0","a+h1",0,2',
+                                     'directly_follows,"a+h0","b+h0",1,1',
+                                     'directly_follows,"a+h0","b+h1",0,2']
 
 
 @pytest.mark.parametrize("argv, repeated, once", [

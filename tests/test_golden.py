@@ -43,6 +43,12 @@ CASES = {
                                   "--relations", "directly_follows,directly_precedes,"
                                   "eventually_follows,eventually_precedes,length_two_loop"],
     "gen-candidates.json": ["gen-candidates", "--base-label", "Sensor"],
+    # the human-readable views
+    "scan.txt": ["scan", "--base-label", "Sensor", "--pretty"],
+    "evaluate.txt": ["evaluate", "--base-label", "Sensor", "--refined-label", "Sensor,Activity",
+                     "--pretty"],
+    "gen-candidates.txt": ["gen-candidates", "--base-label", "Sensor", "--pretty"],
+    "stats.txt": ["stats", "--base-label", "Sensor", "--pretty"],
     "stats.csv": ["stats", "--base-label", "Sensor", "--format", "csv"],
     "stats-all-relations.csv": ["stats", "--base-label", "Sensor", "--format", "csv",
                                 "--include-self", "--relations",
