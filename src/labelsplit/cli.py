@@ -74,7 +74,7 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
     ``key=value`` is the subcommand's flag ``--key``, read by its own action
     (1, true or yes set a store_true flag) ahead of the flags given, which
     win.  A key no subcommand defines is an error; another's is ignored."""
-    if not args.config:
+    if args.config is None:
         return args
     defined = {flag for command in parser.commands.values()
                for flag in command._option_string_actions}
@@ -94,11 +94,18 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
     return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
+def _path(text: str) -> str:
+    """A file path flag's value, which may not be empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty file path")
+    return text
+
+
 # each flag's add_argument keywords
 _FLAGS: dict[str, dict[str, Any]] = {
-    "--csv": dict(metavar="FILE", help="CSV event log input"),
-    "--xes": dict(metavar="FILE", help="minimal-XES event log input"),
-    "--csv-schema": dict(metavar="FILE",
+    "--csv": dict(metavar="FILE", type=_path, help="CSV event log input"),
+    "--xes": dict(metavar="FILE", type=_path, help="minimal-XES event log input"),
+    "--csv-schema": dict(metavar="FILE", type=_path,
                          help="key=value schema file (id_column, timestamp_column, "
                               "timestamp_format, attribute_columns, delimiter, timezone)"),
     "--case-key": dict(metavar="ATTRS",
@@ -108,8 +115,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--timezone": dict(default="UTC", help="timezone for day boundaries and times of day"),
     "--base-label": dict(metavar="ATTRS",
                          help="attributes forming the base label, as one CSV record"),
-    "--config": dict(metavar="FILE", help="key=value file of flag defaults"),
-    "--out": dict(metavar="FILE", help="write output here (default stdout)"),
+    "--config": dict(metavar="FILE", type=_path, help="key=value file of flag defaults"),
+    "--out": dict(metavar="FILE", type=_path, help="write output here (default stdout)"),
     "--deterministic": dict(action="store_true",
                             help="omit run metadata so identical runs are byte-identical"),
     "--pretty": dict(action="store_true", help="human-readable output instead of JSON"),
@@ -124,7 +131,7 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--seed": dict(type=int, help="accepted for interface parity; nothing is random"),
     "--refined-label": dict(metavar="ATTRS",
                             help="attributes forming the refined label, as one CSV record"),
-    "--rules": dict(metavar="FILE", help="rule file producing the refined label"),
+    "--rules": dict(metavar="FILE", type=_path, help="rule file producing the refined label"),
     "--threshold": dict(metavar="BASE,HH:MM,LOW,HIGH",
                         help="time-of-day split producing the refined label"),
     "--b-labels": dict(help="restrict source labels (one CSV record, as --context-labels)"),
@@ -196,7 +203,7 @@ def _names(text: str, flag: str, what: str = "label") -> list[str]:
 
 
 def _resolve_schema(text: str, args) -> CsvSchema:
-    if args.csv_schema:
+    if args.csv_schema is not None:
         kv = _read_kv_file(args.csv_schema)
         unknown = set(kv) - {"id_column", "timestamp_column", "timestamp_format",
                              "attribute_columns", "delimiter", "timezone"}
@@ -231,11 +238,11 @@ def _load_base_log(args) -> EventLog:
     """Read the input into an event log carrying the base labeling: a CSV
     file is read into columns labelled as they are read, with no Event
     built; XES logs are projected."""
-    if bool(args.csv) == bool(args.xes):
+    if (args.csv is None) == (args.xes is None):
         raise UsageError("exactly one of --csv or --xes is required")
     base_label = (None if args.base_label is None else
                   tuple(_names(args.base_label, "--base-label", "attribute")))
-    if args.csv:
+    if args.csv is not None:
         try:
             # newline="": line ends reach the CSV reader as written, so a
             # quoted CRLF stays data and a lone CR stays inside its cell
@@ -245,6 +252,7 @@ def _load_base_log(args) -> EventLog:
             raise CsvFormatError(f"cannot read {args.csv}: {exc}") from exc
         schema = _resolve_schema(text, args)
         columns = read_csv(text, schema, base_label)
+        del text  # not held while the rows are grouped
         if args.case_key is not None or args.calendar_key != "none":
             return columns.log(PartitionKeySpec(
                 attribute_keys=() if args.case_key is None else
@@ -338,7 +346,7 @@ def _emit(args, doc: Any, pretty: Callable[[], str] | None = None) -> None:
 def _write(args, chunks: Iterable[str]) -> None:
     """Write ``chunks`` to --out, or to stdout, one at a time: no chunk is
     joined to another, and a failure part way leaves what was written."""
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as out:
             out.writelines(chunks)
     else:

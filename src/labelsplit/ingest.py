@@ -231,10 +231,25 @@ def _records(reader) -> Iterator[list[str]]:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 
 
+_BLOCK = 1 << 16
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of ``text``, each ending after its LF, as io.StringIO
+    reads them, but through one StringIO per block of about ``_BLOCK``
+    characters that ends right after an LF: a StringIO holds 4 bytes per
+    character, so none is built over the whole text."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
+        yield from io.StringIO(text[start:end])
+        start = end
+
+
 def csv_header(data: bytes | str, delimiter: str) -> list[str]:
     """Column names of the header row, unquoted as RFC-4180 says and
     stripped of surrounding whitespace; [] when the input is empty."""
-    return _column_names(next(_records(_reader(io.StringIO(_decode(data)), delimiter)), []))
+    return _column_names(next(_records(_reader(_lines(_decode(data)), delimiter)), []))
 
 
 class CsvColumns(NamedTuple):
@@ -291,7 +306,7 @@ def read_csv(data: bytes | str, schema: CsvSchema,
     neither cell could be told from the other.
     """
     text = _decode(data)
-    lines = io.StringIO(text)
+    lines = _lines(text)
     reader = _reader(lines, schema.delimiter)
     header = next(_records(reader), None)
     if header is None:
@@ -325,7 +340,7 @@ def read_csv(data: bytes | str, schema: CsvSchema,
                                 text, schema, id_k, kept, label_names)
         except _NotSplittable:
             # start over with csv.reader, from the first data row
-            reader = _reader(io.StringIO(text), schema.delimiter)
+            reader = _reader(_lines(text), schema.delimiter)
             next(reader)
     blanks: list[int] = []
     take = itemgetter(*at) if len(at) > 1 else itemgetter(at[0], at[0])
@@ -353,7 +368,7 @@ def _read_chunks(chunks: Iterable[Sequence[Sequence[str]]], blanks: list[int], t
         if not chunk:
             continue
         chunk_ids, chunk_times = _check(text, schema, chunk[0], len(ids), blanks,
-                                        None if id_at is None else (chunk[id_at], seen))
+                                        None if id_at is None else (chunk[id_at], seen, ids))
         ids.extend(chunk_ids)
         times.extend(chunk_times)
         for column, memo, k in zip(values, memos, kept):
@@ -437,20 +452,20 @@ def _row_chunks(reader, width: int, take: Callable[[list[str]], tuple[str, ...]]
 
 
 def _check(text: str, schema: CsvSchema, stamps: Sequence[str], start: int,
-           blanks: list[int], explicit: tuple[Sequence[str], set] | None
+           blanks: list[int], explicit: tuple[Sequence[str], set, Sequence] | None
            ) -> tuple[Sequence, list[datetime]]:
     """The ids and UTC times of a chunk of rows, ``start`` rows after the
     first, from their timestamp cells.
 
-    ``explicit`` holds the rows' id cells and the set of earlier rows' ids,
-    which takes theirs; with None, ids are synthesized from the row
-    numbers, ``blanks`` included.  Raises CsvFormatError for the first row
-    whose id repeats an earlier one or whose timestamp does not parse,
-    naming its line.
+    ``explicit`` holds the rows' id cells, the set of earlier rows' ids,
+    which takes theirs, and those ids in row order; with None, ids are
+    synthesized from the row numbers, ``blanks`` included.  Raises
+    CsvFormatError for the first row whose id repeats an earlier one or
+    whose timestamp does not parse, naming its line.
     """
     seen = None
     if explicit is not None:
-        ids, seen = explicit
+        ids, seen, earlier = explicit
     elif blanks:
         ids = [start + k + 1 + bisect_right(blanks, start + k) for k in range(len(stamps))]
     else:
@@ -459,12 +474,13 @@ def _check(text: str, schema: CsvSchema, stamps: Sequence[str], start: int,
     try:
         if seen is None:
             return ids, _utc_times(stamps, schema.timestamp_format, tz)
-        if len(set(ids)) == len(ids) and seen.isdisjoint(ids):
-            times = _utc_times(stamps, schema.timestamp_format, tz)
-            seen.update(ids)
-            return ids, times
+        size = len(seen)
+        seen.update(ids)  # one hash per id; the set grows less if one repeats
+        if len(seen) == size + len(ids):
+            return ids, _utc_times(stamps, schema.timestamp_format, tz)
     except ValueError:
         pass
+    seen = None if seen is None else set(earlier)  # the ids before this chunk
     # a row-by-row pass finds the first failing row; ids are checked first
     for k, (event_id, stamp) in enumerate(zip(ids, stamps)):
         if seen is not None:
@@ -479,7 +495,7 @@ def _check(text: str, schema: CsvSchema, stamps: Sequence[str], start: int,
             break
     # the line on which that row ends, read again up to it
     row = start + k
-    reader = _reader(io.StringIO(text), schema.delimiter)
+    reader = _reader(_lines(text), schema.delimiter)
     for _ in islice(reader, row + bisect_right(blanks, row) + 2):
         pass
     raise CsvFormatError(f"line {reader.line_num}: {message}")

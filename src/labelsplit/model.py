@@ -29,7 +29,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, time, timezone, tzinfo
-from itertools import repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from typing import Any, NamedTuple
 
@@ -284,19 +284,24 @@ class InternedLog(NamedTuple):
     @classmethod
     def of_parts(cls, rows: Iterable[Sequence[tuple]]) -> "InternedLog":
         """Intern labels given per trace as each event's ``Label.parts``."""
-        codes: dict[tuple, int] = {}
-        coded = []
-        counts: Counter[int] = Counter()
-        for parts in rows:
-            # a trace's distinct labels in order of first occurrence
-            for key in dict.fromkeys(parts):
-                if key not in codes:
-                    codes[key] = len(codes)
-            row = tuple(map(codes.__getitem__, parts))
-            coded.append(row)
-            counts.update(row)
-        return cls(tuple(Label(parts) for parts in codes), codes, tuple(coded),
-                   tuple(counts[code] for code in range(len(codes))))
+        rows = list(rows)
+        return cls.of_keys(list(chain.from_iterable(rows)), map(len, rows))
+
+    @classmethod
+    def of_keys(cls, keys: Sequence, lengths: Iterable[int],
+                one_part: bool = False) -> "InternedLog":
+        """Intern labels given as each event's key, in log order, and each
+        trace's length.  A key is the label's ``Label.parts``, or with
+        ``one_part`` its only part, so no tuple is built per event."""
+        codes = dict(zip(dict.fromkeys(keys), count()))
+        flat = list(map(codes.__getitem__, keys))
+        counts = Counter(flat)
+        if one_part:
+            codes = {(key,): code for key, code in codes.items()}
+        events = iter(flat)
+        return cls(tuple(map(Label, codes)), codes,
+                   tuple(tuple(islice(events, n)) for n in lengths),
+                   tuple(map(counts.__getitem__, range(len(codes)))))
 
 
 class _Missing:
@@ -424,6 +429,11 @@ class EventLog:
         columns = LogColumns(tuple(case_ids), tuple(id_rows), tuple(time_rows),
                              {name: tuple(column) for name, column in gathered.items()},
                              tuple(names))
+        if len(label_names) == 1 and label_names[0] in gathered:
+            # a one-part label: its values are the keys, in log order
+            return cls._of(columns, InternedLog.of_keys(
+                list(chain.from_iterable(columns.attributes[label_names[0]])),
+                map(len, id_rows), one_part=True))
         return cls._of(columns, InternedLog.of_parts(columns.value_rows(label_names)))
 
     def relabeled(self, label_rows: Iterable[Sequence[tuple]]) -> "EventLog":

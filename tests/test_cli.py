@@ -868,6 +868,29 @@ def test_schema_attribute_columns_that_name_nothing_exit_one(tmp_path, capsys, v
     assert err.splitlines()[-1] == "error: --csv-schema attribute_columns names no column"
 
 
+_EMPTY_PATHS = [(("scan", "--csv", SMART_HOME), "--out"),
+                (("scan", "--csv", SMART_HOME), "--csv-schema"),
+                (("evaluate", "--csv", SMART_HOME), "--rules"),
+                (("scan",), "--csv"), (("stats",), "--xes")]
+
+
+@pytest.mark.parametrize("argv, flag, via_config", [
+    *((argv, flag, via_config) for argv, flag in _EMPTY_PATHS for via_config in (False, True)),
+    (("scan", "--csv", SMART_HOME), "--config", False),  # no config key gives --config
+])
+def test_an_empty_file_path_exits_one_naming_its_flag(tmp_path, capsys, argv, flag, via_config):
+    # an empty --out, --config or --csv-schema was taken as absent, an
+    # empty --rules read the directory "." and an empty --csv was missing
+    given = [flag, ""]
+    if via_config:
+        cfg = tmp_path / "flags.cfg"
+        cfg.write_text(f"{flag[2:]}=\n", encoding="utf-8")
+        given = ["--config", str(cfg)]
+    code, out, err = run(capsys, *argv, "--base-label", "Sensor", *given)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == f"error: argument {flag}: empty file path"
+
+
 def test_attribute_lists_read_one_csv_record(tmp_path, capsys):
     # a quoted attribute name may hold a comma, as a quoted header cell does
     path = tmp_path / "log.csv"

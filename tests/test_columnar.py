@@ -3,6 +3,7 @@ against relabeling materialised events and against the event-by-event
 oracle, and no Event built on the way, nor any table, test or entropy
 object up to the written output."""
 
+import contextlib
 import csv
 import gc
 import io
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from labelsplit import (ContingencyTable, CsvFormatError, CsvSchema, Event, EventLog, Label,
                         MissingAttributeError, Projection, RuleBased, RuleError, TableEntropy,
                         TimeThreshold, Trace, cli, ingest, parse_csv)
+from labelsplit.ingest import read_csv
 from labelsplit.stats import TestResult as FisherResult
 from labelsplit.model import InternedLog
 
@@ -107,6 +109,10 @@ def _event_by_event(fn, log: EventLog):
 # rows are read a chunk at a time; small chunks put chunk ends anywhere
 _CHUNK_SIZES = [1, 2, 3, ingest._CHUNK]
 _CHUNKS = st.sampled_from(_CHUNK_SIZES)
+# lines are read from blocks of text; small blocks put block ends between
+# the lines of a quoted cell and just before a faulty line
+_BLOCK_SIZES = [1, 7, 64, ingest._BLOCK]
+_BLOCKS = st.sampled_from(_BLOCK_SIZES)
 
 # read_csv splits a quote-free LF text in bulk; a quoted cell, CRLF or a
 # blank line sends the whole text to csv.reader (the CLI reads files with
@@ -136,22 +142,29 @@ def _reads_with_csv_reader(text: str, delimiter: str = ",") -> bool:
     return rows.called
 
 
-def _every_chunk_size(*cases):
-    """Hypothesis examples: each case read at each chunk size."""
+def _every_size(*cases):
+    """Hypothesis examples: each case read at each chunk size and at each
+    block size."""
     def decorate(test):
         for case in reversed(cases):
             for chunk in reversed(_CHUNK_SIZES):
-                test = example(case, chunk)(test)
+                for block in reversed(_BLOCK_SIZES):
+                    test = example(case, chunk, block)(test)
         return test
     return decorate
 
 
+def _sized(chunk: int, block: int):
+    """Rows read ``chunk`` at a time, from blocks of ``block`` characters."""
+    return mock.patch.multiple(ingest, _CHUNK=chunk, _BLOCK=block)
+
+
 @settings(max_examples=150, deadline=None)
-@given(csv_inputs(), _CHUNKS)
-@_every_chunk_size((_SPLIT_TEXT, _FLAGS), *((text, _FLAGS) for text in _READER_TEXTS))
-def test_cli_csv_log_matches_row_by_row_oracle(case, chunk):
+@given(csv_inputs(), _CHUNKS, _BLOCKS)
+@_every_size((_SPLIT_TEXT, _FLAGS), *((text, _FLAGS) for text in _READER_TEXTS))
+def test_cli_csv_log_matches_row_by_row_oracle(case, chunk, block):
     text, flags = case
-    with mock.patch.object(ingest, "_CHUNK", chunk):
+    with _sized(chunk, block):
         log = _cli_log(text, flags)
     expected = naive_csv_log(text, flags["label"], flags["case_key"], flags["calendar_day"],
                              flags["tz"])
@@ -206,10 +219,11 @@ def faulty_csv(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(faulty_csv(), _CHUNKS)
-@example(("id,timestamp,sensor\n1,2021-03-28 02:30,a\n\n1,2021-03-28 02:30,a\n", True, None), 1)
-@example(("timestamp,sensor\n\n2021-03-28 02:30,a\n\n\nx,a\n", False, None), 2)
-@_every_chunk_size(
+@given(faulty_csv(), _CHUNKS, _BLOCKS)
+@example(("id,timestamp,sensor\n1,2021-03-28 02:30,a\n\n1,2021-03-28 02:30,a\n", True, None), 1,
+         ingest._BLOCK)
+@example(("timestamp,sensor\n\n2021-03-28 02:30,a\n\n\nx,a\n", False, None), 2, 7)
+@_every_size(
     # split in bulk: a repeated id, then a bad timestamp in a later chunk
     ("id,timestamp,sensor\n1,2021-03-28 02:30,a\n2,2021-03-28 02:31,a\n"
      "1,2021-03-28 02:32,a\n3,bad,a\n", True, None),
@@ -223,7 +237,7 @@ def faulty_csv(draw):
     # no error: CRLF line ends, then a last line with none
     ("id,timestamp,sensor\r\n1,2021-03-28 02:30,a\r\n2,2021-03-28 02:31,b\r\n"
      "3,2021-03-28 02:32,c", True, None))
-def test_csv_errors_name_the_first_faulty_line(case, chunk):
+def test_csv_errors_name_the_first_faulty_line(case, chunk, block):
     text, has_id, limit = case
     schema = CsvSchema(timestamp_column="timestamp", attribute_columns=("sensor",),
                        id_column="id" if has_id else "synthesize")
@@ -236,11 +250,10 @@ def test_csv_errors_name_the_first_faulty_line(case, chunk):
             rows = list(csv.reader(io.StringIO(text)))[1:]
             expected = [(row[0] if has_id else k, (("sensor", row[-1]),))
                         for k, row in enumerate(rows, 1) if row]
-            with mock.patch.object(ingest, "_CHUNK", chunk):
+            with _sized(chunk, block):
                 assert [(e.id, e.attributes) for e in parse_csv(text, schema)] == expected
         else:
-            with mock.patch.object(ingest, "_CHUNK", chunk), \
-                    pytest.raises(CsvFormatError) as info:
+            with _sized(chunk, block), pytest.raises(CsvFormatError) as info:
                 parse_csv(text, schema)
             assert str(info.value) == expected
     finally:
@@ -278,6 +291,41 @@ def test_a_chunk_that_csv_reader_must_read_restarts_the_whole_text(chunk):
     assert [(e.id, e.attributes) for e in events] == [
         (row["id"], tuple((name, row[name]) for name in ("home", "sensor", "act")))
         for row in csv.DictReader(io.StringIO(text))]
+
+
+def _many_blocks(end: str, fault: bool) -> str:
+    """A CSV text of about six default blocks, with line ends ``end`` and,
+    with ``fault``, a bad timestamp on its last line."""
+    rows = [f"{i},2021-03-{1 + i // 1000:02d}T{i % 24:02d}:{i % 60:02d}:00,h{i % 2},s{i % 5}"
+            for i in range(1, 12001)]
+    if fault:
+        rows[-1] = "12000,not-a-date,h0,s0"
+    return end.join(["id,timestamp,home,sensor", *rows, ""])
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"])  # split in bulk, or read by csv.reader
+@pytest.mark.parametrize("fault", [False, True])
+def test_no_string_io_holds_more_than_a_block(tmp_path, monkeypatch, end, fault):
+    text = _many_blocks(end, fault)
+    bound = ingest._BLOCK + max(map(len, io.StringIO(text)))
+    assert len(text) > 5 * bound
+    path = tmp_path / "log.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    sizes, string_io = [], io.StringIO
+
+    def recording(initial_value="", *args, **kwargs):
+        sizes.append(len(initial_value or ""))
+        return string_io(initial_value, *args, **kwargs)
+
+    monkeypatch.setattr(ingest.io, "StringIO", recording)
+    schema = CsvSchema(timestamp_column="timestamp", attribute_columns=("home", "sensor"),
+                       id_column="id")
+    with (pytest.raises(CsvFormatError, match="line 12001: unparseable") if fault
+          else contextlib.nullcontext()):
+        read_csv(text, schema, ("sensor",))
+    assert cli.main(["stats", "--csv", str(path), "--base-label", "sensor", "--case-key", "home",
+                     "--format", "csv", "--out", str(tmp_path / "out.csv")]) == (2 if fault else 0)
+    assert len(sizes) > 10 and max(sizes) <= bound
 
 
 _DATES = ["2021-03-28", "2024-02-29", "2021-10-31", "1999-12-31"]
