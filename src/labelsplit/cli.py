@@ -248,7 +248,7 @@ def _load_base_log(args) -> EventLog:
             # quoted CRLF stays data and a lone CR stays inside its cell
             with open(args.csv, encoding="utf-8", newline="") as f:
                 text = f.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CsvFormatError(f"cannot read {args.csv}: {exc}") from exc
         schema = _resolve_schema(text, args)
         columns = read_csv(text, schema, base_label)

@@ -18,8 +18,8 @@ from typing import Any, Container, Iterable, Iterator
 
 from .gain import EntropyBreakdown, relative_information_gain
 from .model import EventLog, Label, local, time_zone
-from .ordering import (DEFAULT_RELATIONS, LogCounts, OrderingRelation, PairTables,
-                       RefinementCounts, build_tables, split_counts)
+from .ordering import (DEFAULT_RELATIONS, OrderingRelation, PairTables, RefinementCounts,
+                       build_tables, split_counts)
 from .relabel import RelabelingFn, SplitPair, TimeThreshold
 from .stats import CorrectionPolicy, PairTests, TestResult, fisher_p_values
 
@@ -281,23 +281,20 @@ def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
     Under per_candidate_set correction the Bonferroni family spans all
     candidates' tests.
 
-    Every candidate is tabulated from one ``RefinementCounts``.  A time
-    split that changes only its parent's label, the first of each parent,
-    is counted with no refined log: one count per relation reads the
-    children of all such splits at once (``split_counts``), and the base
-    log once for their parents' length_two_loop rows, if configured.  Every
-    other candidate is applied to the base log and counted as ``evaluate``
-    does, so it raises the same errors.
+    Every candidate is tabulated from one ``RefinementCounts``.  Each time
+    split that changes only its parent's label, however many share that
+    parent, is counted with no refined log (``split_counts``): one count
+    per relation and round, no parent twice in a round, and R rounds hold
+    R sets of child rows while the reports are built.  Every other
+    candidate is applied to the base log and counted as ``evaluate`` does,
+    so it raises the same errors.
     """
     config = config or EvaluationConfig()
     candidates = list(candidates)
-    base = LogCounts.of(
-        l1_log, [r for r in config.relations if r is OrderingRelation.LENGTH_TWO_LOOP],
-        [fn.base_label for fn in candidates if isinstance(fn, TimeThreshold)])
     collected = [
         _tabulate(counts or RefinementCounts.of(l1_log, fn.apply(l1_log), config.relations),
                   config, fn.description)
-        for fn, counts in zip(candidates, split_counts(l1_log, base, candidates, config.relations))
+        for fn, counts in zip(candidates, split_counts(l1_log, candidates, config.relations))
     ]
     family_m = None
     if config.correction.family_scope == "per_candidate_set":

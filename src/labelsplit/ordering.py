@@ -24,12 +24,12 @@ contexts), instead adds the contexts seen before each source occurrence.
 A refinement's counts are one ``RefinementCounts``: the refined log's
 ``LogCounts``, restricted to the split children, the few base log rows
 their columns cannot give, and the split set.  ``RefinementCounts.of``
-counts a refined log.  A scan counts all its single-label time splits at
-once (``split_counts``): the source rows are the base log's rows with each
-split parent's occurrences recoded as the child they go to, and the
-context rows are the base log's own, so no refined log is built.  Each
-split reads these shared counts as a ``LogCounts`` through its own code
-map.
+counts a refined log.  A scan counts its single-label time splits in
+rounds, no parent twice in a round (``split_counts``): a round's source
+rows are the base log's rows with each split parent's occurrences recoded
+as the child they go to, and its context rows are the base log's own, so
+no refined log is built.  Each split reads its round's counts as a
+``LogCounts`` through its own code map.
 
 The 2x2-plus-margin contingency table compares two refined labels a1, a2
 against a context label b, alongside the same statistic for their common
@@ -301,58 +301,61 @@ class LogCounts:
             for relation in relations)
 
 
-def split_counts(log: EventLog, base: LogCounts, candidates: Sequence[RelabelingFn],
-                 relations: Iterable[OrderingRelation] | None = None
-                 ) -> list["RefinementCounts | None"]:
-    """Each candidate's counts, with no refined log, when it changes only
-    one label; None for any other candidate.
-
-    ``base``, a ``LogCounts`` of ``log``, is every split's base counts.  A
-    candidate is counted here when it is the first time split of its parent
+def split_counts(log: EventLog, candidates: Sequence[RelabelingFn],
+                 relations: Iterable[OrderingRelation]) -> list["RefinementCounts | None"]:
+    """Each candidate's counts, with no refined log, when it is a time split
     whose two children are distinct labels that name no event of ``log``
-    but the parent's.  One pass recodes each such parent's occurrences as
-    the child they go to (``time_split_rows``), and one ``_hits`` call per
-    relation (of ``base`` when ``relations`` is None) counts every child
-    against the base labels.  Each split's refined
-    counts read these shared rows through the split's own code map: the
-    base codes with the parent replaced by its two children (two splits
-    may name their children alike).  A split that leaves a child no
-    occurrence is not strict, and its counts hold no split pair.
+    but the parent's; None for any other candidate.
+
+    A parent's k-th such split is counted in round k, in candidate order:
+    one pass recodes each of the round's parents' occurrences as the child
+    they go to (``time_split_rows``), and one ``_hits`` call per relation
+    counts every child against the base labels.  A split's refined counts
+    read its round's rows through its own code map, the parent replaced by
+    its two children (two splits may name them alike), and the shared base
+    counts hold the parents' length_two_loop rows, if asked for.  A split
+    leaving a child no occurrence is not strict: it holds no split pair.
     """
+    relations = tuple(relations)
     out: list[RefinementCounts | None] = [None] * len(candidates)
-    interned = base.interned
-    first: dict[tuple, int] = {}  # each split parent's first such candidate
+    interned = log.interned
+    taken: Counter[tuple] = Counter()  # each parent's splits so far
+    rounds: dict[int, list[int]] = {}  # round k's candidate indices, from k = 1
     for k, fn in enumerate(candidates):
         if (isinstance(fn, TimeThreshold) and fn.low_label != fn.high_label
                 and all(child == fn.base_label or child.parts not in interned.codes
                         for child in (fn.low_label, fn.high_label))):
-            first.setdefault(fn.base_label.parts, k)
-    if not first:
+            taken[fn.base_label.parts] += 1
+            rounds.setdefault(taken[fn.base_label.parts], []).append(k)
+    if not rounds:
         return out
-    splits = [candidates[k] for k in first.values()]
+    base = LogCounts.of(log, [r for r in relations if r is OrderingRelation.LENGTH_TWO_LOOP],
+                        [candidates[k].base_label for k in rounds[1]])
     size = len(interned.labels)
-    rows = time_split_rows(log, splits)
-    children = range(size, size + 2 * len(splits))
-    counted = {relation: _hits(rows, children.stop, relation, children, interned.rows)
-               for relation in (base.rows if relations is None else relations)}
-    seen = Counter(chain.from_iterable(rows))
-    occurrences = tuple(map(seen.__getitem__, range(children.stop)))
-    labels = interned.labels + tuple(chain.from_iterable(
-        (fn.low_label, fn.high_label) for fn in splits))
     unsplit = {label: label for label in interned.labels}  # copied per split
-    for k, fn, low in zip(first.values(), splits, children[::2]):
-        parent, pair = fn.base_label, (fn.low_label, fn.high_label)
-        codes = dict(interned.codes)
-        codes.pop(parent.parts, None)  # None: the parent labels no event
-        codes[fn.low_label.parts], codes[fn.high_label.parts] = low, low + 1
-        coarse = dict(unsplit)
-        coarse.pop(parent, None)
-        coarse.update((child, parent) for child in pair if occurrences[codes[child.parts]])
-        strict = occurrences[low] and occurrences[low + 1]
-        out[k] = RefinementCounts(
-            base, LogCounts(InternedLog(labels, codes, rows, occurrences), counted,
-                            frozenset(child.parts for child in pair)),
-            coarse, (SplitPair(parent, pair),) if strict else ())
+    for ks in rounds.values():
+        splits = [candidates[k] for k in ks]
+        rows = time_split_rows(log, splits)
+        children = range(size, size + 2 * len(splits))
+        counted = {relation: _hits(rows, children.stop, relation, children, interned.rows)
+                   for relation in relations}
+        seen = Counter(chain.from_iterable(rows))
+        occurrences = tuple(map(seen.__getitem__, range(children.stop)))
+        labels = interned.labels + tuple(chain.from_iterable(
+            (fn.low_label, fn.high_label) for fn in splits))
+        for k, fn, low in zip(ks, splits, children[::2]):
+            parent, pair = fn.base_label, (fn.low_label, fn.high_label)
+            codes = dict(interned.codes)
+            codes.pop(parent.parts, None)  # None: the parent labels no event
+            codes[fn.low_label.parts], codes[fn.high_label.parts] = low, low + 1
+            coarse = dict(unsplit)
+            coarse.pop(parent, None)
+            coarse.update((child, parent) for child in pair if occurrences[codes[child.parts]])
+            strict = occurrences[low] and occurrences[low + 1]
+            out[k] = RefinementCounts(
+                base, LogCounts(InternedLog(labels, codes, rows, occurrences), counted,
+                                frozenset(child.parts for child in pair)),
+                coarse, (SplitPair(parent, pair),) if strict else ())
     return out
 
 
@@ -365,8 +368,8 @@ class RefinementCounts:
     The refined counts hold only the rows of split children, the only
     refined sources a table reads: a refined log's ``LogCounts`` restricted
     to them, or, for a time split counted by ``split_counts``, a
-    ``LogCounts`` of the scan's shared child-code rows read through that
-    split's own code map.  The base counts hold only the split parents'
+    ``LogCounts`` of its round's child-code rows read through that split's
+    own code map.  The base counts hold only the split parents'
     rows on length_two_loop and, when two or more labels split, on every
     relation: the parent columns ``build_tables`` cannot sum.
     """

@@ -117,6 +117,17 @@ def test_evaluate_parse_error_exits_two(tmp_path, capsys):
     assert "parse error" in err
 
 
+def test_csv_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    # a byte that starts no UTF-8 sequence is a fault of the input file,
+    # named with its path, not a usage error
+    csv = tmp_path / "latin.csv"
+    csv.write_bytes(b"id,timestamp,Sensor\n1,2020-01-01 00:00:00,\xaf\n")
+    code, _, err = run(capsys, "scan", "--csv", str(csv), "--base-label", "Sensor")
+    assert code == 2
+    assert err == (f"parse error: cannot read {csv}: 'utf-8' codec can't decode byte 0xaf "
+                   "in position 42: invalid start byte\n")
+
+
 def test_quoted_csv_header_is_sniffed(tmp_path, capsys):
     # RFC-4180 allows every header name to be quoted
     csv = tmp_path / "quoted.csv"

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, CorrectionPolicy, Event,
                         EvaluationConfig, EventLog, Label, NotARefinementError,
                         OrderingCounts, OrderingRelation, Pairing, Projection,
-                        RefinementCounts, TableEntropy, TimeThreshold, Trace, binary_entropy,
-                        build_tables, check_refinement, evaluate, fisher_test,
+                        RefinementCounts, RelabelingFn, TableEntropy, TimeThreshold, Trace,
+                        binary_entropy, build_tables, check_refinement, evaluate, fisher_test,
                         generate_median_time_candidates, rank_candidates, table_entropies)
 from labelsplit import ordering
 from labelsplit.report import json_text, pretty_report, report_doc
@@ -338,6 +338,57 @@ def test_scan_counts_all_fresh_splits_at_once(monkeypatch):
         assert all(report.split_pairs for report in reports)
         made.append(len(calls))
     assert made == [len(DEFAULT_RELATIONS)] * 2
+
+
+def test_scan_counts_every_split_of_a_parent_in_rounds(monkeypatch):
+    # four thresholds per label, each with fresh children: the k-th split of
+    # every parent is counted in round k, one kernel call per relation and
+    # round, so no candidate is applied to the base log
+    rng = random.Random(13)
+    traces, next_id = [], 0
+    for t_index in range(8):
+        events = []
+        for minute in sorted(rng.sample(range(1440), 12)):
+            next_id += 1
+            name = rng.choice("abcd")
+            events.append(Event(next_id, _DAY + timedelta(minutes=minute), {"act": name},
+                                label=Label(name)))
+        traces.append(Trace(f"t{t_index}", events))
+    log = EventLog(traces)
+    candidates = []
+    for name in "abcd":
+        times = sorted({e.timestamp.time() for t in log for e in t if str(e.label) == name})
+        assert len(times) >= 5
+        candidates += [TimeThreshold(Label(name), times[len(times) * q // 5],
+                                     Label(f"{name}{q}_1"), Label(f"{name}{q}_2"))
+                       for q in range(1, 5)]
+    rng.shuffle(candidates)
+    assert len({fn.description for fn in candidates}) == 16
+    base_rows = log.interned.rows
+    calls, applied = [], []
+    count, apply = ordering._hits, RelabelingFn.apply
+    for relations in (DEFAULT_RELATIONS, tuple(OrderingRelation)):
+        config = EvaluationConfig(alpha=0.05, relations=relations)
+        over_base = [(True, r) for r in relations if r is OrderingRelation.LENGTH_TWO_LOOP]
+        with monkeypatch.context() as patch:
+            patch.setattr(ordering, "_hits", lambda *args: calls.append(
+                (args[0] is base_rows, args[2])) or count(*args))
+            patch.setattr(RelabelingFn, "apply", lambda fn, base: applied.append(fn)
+                          or apply(fn, base))
+            calls.clear()
+            rank_candidates(log, candidates, config)
+            assert applied == []
+            assert calls == over_base + [(False, r) for _ in range(4) for r in relations]
+        contexts = [Label(x) for x in "abcd"]
+        for fn, counts in zip(candidates, ordering.split_counts(log, candidates, relations)):
+            rows = label_rows(fn.apply(log))
+            for child in (fn.low_label, fn.high_label):
+                n, pos = counts.refined.positives(child, contexts, relations)
+                for relation, got in zip(relations, pos):
+                    assert [(p, n - p) for p in got] == [
+                        naive_count(rows, relation.value, str(child), str(c))
+                        for c in contexts], (fn, child, relation)
+        _assert_ranked_equals_evaluated(log, config, candidates)
 
 
 def test_refinement_that_splits_nothing_counts_nothing(monkeypatch):

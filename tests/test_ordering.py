@@ -348,11 +348,10 @@ def test_split_counts_match_naive_scan_on_both_sides_of_the_packing_bound(monkey
     log = log_from_rows([[rng.choice("abc") for _ in range(30)] for _ in range(4)])
     candidates = generate_median_time_candidates(log)
     assert len(candidates) == 3
-    base = LogCounts.of(log, ALL_RELATIONS)
     monkeypatch.setattr(ordering, "_PACKED_FIELDS", 18 if packs else 17)
     unpacked = []  # the packed columns are unpacked through one array
     monkeypatch.setattr(ordering, "array", lambda *args: unpacked.append(args) or array(*args))
-    counted = ordering.split_counts(log, base, candidates)
+    counted = ordering.split_counts(log, candidates, ALL_RELATIONS)
     assert len(unpacked) == (2 if packs else 0)  # eventually_follows and _precedes
     contexts = [Label(c) for c in "abc"]
     for fn, counts in zip(candidates, counted):
