@@ -222,8 +222,8 @@ def _resolve_schema(text: str, args) -> CsvSchema:
         except ValueError as exc:
             raise UsageError(f"bad schema: {exc}") from exc
     # default schema sniffed from the header, read with the default schema's
-    # delimiter: id/timestamp columns by name, everything else an attribute
-    header = csv_header(text, CsvSchema.delimiter)
+    # delimiter (","): id/timestamp columns by name, everything else an attribute
+    header = csv_header(text, ",")
     id_column = "id" if "id" in header else "synthesize"
     if "timestamp" not in header:
         raise CsvFormatError("no 'timestamp' column; provide --csv-schema")

@@ -11,41 +11,33 @@ and sorts a whole candidate set.
 from __future__ import annotations
 
 import itertools
-import logging
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from typing import Any, Container, Iterable, Iterator
 
 from .gain import EntropyBreakdown, relative_information_gain
-from .model import EventLog, Label, local, time_zone
+from .model import EventLog, Label, Record, local, time_zone
 from .ordering import (DEFAULT_RELATIONS, OrderingRelation, PairTables, RefinementCounts,
                        build_tables, split_counts)
 from .relabel import RelabelingFn, SplitPair, TimeThreshold
 from .stats import CorrectionPolicy, PairTests, TestResult, fisher_p_values
 
-logger = logging.getLogger(__name__)
 
+class EvaluationConfig(Record):
+    __slots__ = ("alpha", "relations", "correction", "context_labels")
 
-@dataclass(frozen=True)
-class EvaluationConfig:
-    alpha: float = 0.01
-    relations: tuple[OrderingRelation, ...] = DEFAULT_RELATIONS
-    correction: CorrectionPolicy = field(default_factory=CorrectionPolicy)
-    context_labels: tuple[Label, ...] | None = None
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
+    def __init__(self, alpha: float = 0.01,
+                 relations: Iterable[OrderingRelation] = DEFAULT_RELATIONS,
+                 correction: CorrectionPolicy = CorrectionPolicy(),
+                 context_labels: Iterable[Label] | None = None):
+        if not 0 < alpha < 1:
+            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         # a repeated relation or context label is dropped, so no table is
         # tested twice
-        object.__setattr__(self, "relations", tuple(dict.fromkeys(self.relations)))
-        if self.context_labels is not None:
-            object.__setattr__(self, "context_labels",
-                               tuple(dict.fromkeys(self.context_labels)))
+        super().__init__(alpha, tuple(dict.fromkeys(relations)), correction,
+                         None if context_labels is None else tuple(dict.fromkeys(context_labels)))
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(Record):
     """Everything the evaluation of one candidate produced.
 
     ``split_pairs`` and every table come from the candidate's one
@@ -53,16 +45,15 @@ class EvaluationReport:
     ``tests`` as ``PairTests``, which build each ``TestResult`` on access.
     """
 
-    candidate_description: str
-    split_pairs: tuple[SplitPair, ...]
-    tests: Sequence[TestResult]
-    entropy: EntropyBreakdown
-    useful: bool
-    score: float
-    m_tests: int
-    corrected_alpha: float
-    alpha: float
-    notes: tuple[str, ...] = ()
+    __slots__ = ("candidate_description", "split_pairs", "tests", "entropy", "useful", "score",
+                 "m_tests", "corrected_alpha", "alpha", "notes")
+
+    def __init__(self, candidate_description: str, split_pairs: tuple[SplitPair, ...],
+                 tests: Sequence[TestResult], entropy: EntropyBreakdown, useful: bool,
+                 score: float, m_tests: int, corrected_alpha: float, alpha: float,
+                 notes: tuple[str, ...] = ()):
+        super().__init__(candidate_description, split_pairs, tests, entropy, useful, score,
+                         m_tests, corrected_alpha, alpha, notes)
 
     def to_json_dict(self) -> dict:
         # each label's parts are built once; its tests share that one list
@@ -108,14 +99,15 @@ class EvaluationReport:
         }
 
 
-@dataclass
-class _Collected:
+class _Collected(Record):
     """Intermediate state shared by single and batch evaluation."""
 
-    description: str
-    split_pairs: tuple[SplitPair, ...]
-    pair_tables: list[PairTables]
-    notes: list[str]
+    __slots__ = ("description", "split_pairs", "pair_tables", "notes")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, description: str, split_pairs: tuple[SplitPair, ...],
+                 pair_tables: list[PairTables], notes: list[str]):
+        super().__init__(description, split_pairs, pair_tables, notes)
 
     @property
     def m_tests(self) -> int:
@@ -242,8 +234,10 @@ def generate_median_time_candidates(
         threshold = times[(len(times) - 1) // 2]
         below = sum(1 for t in times if t < threshold)
         if below < 2 or len(times) - below < 2:
-            logger.warning("median split of %s leaves a child with <2 occurrences; "
-                           "the tests will have little power", label)
+            import logging  # imported on use: most runs log nothing
+            logging.getLogger(__name__).warning(
+                "median split of %s leaves a child with <2 occurrences; "
+                "the tests will have little power", label)
         low, high = _fresh_children(label, interned.codes)
         candidates.append(TimeThreshold(
             base_label=label,
@@ -268,7 +262,8 @@ def _fresh_children(label: Label, codes: Container[tuple]) -> tuple[Label, Label
 
 
 def _note_skip(skipped: list[str] | None, message: str) -> None:
-    logger.info("median-time candidate skipped: %s", message)
+    import logging
+    logging.getLogger(__name__).info("median-time candidate skipped: %s", message)
     if skipped is not None:
         skipped.append(message)
 

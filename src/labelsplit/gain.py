@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
-from .model import Label
+from .model import Label, Record
 from .ordering import ContingencyTable, OrderingRelation, PairBlocks, PairTables
 
 
@@ -53,14 +52,12 @@ def _entropies(p: int, n: int, p1: int, n1: int, p2: int, n2: int) -> tuple[floa
     return h_before, h_after
 
 
-@dataclass(frozen=True)
-class TableEntropy:
-    relation: OrderingRelation
-    context_label: Label
-    h_before: float
-    h_after: float
-    weight_a1: float
-    weight_a2: float
+class TableEntropy(Record):
+    __slots__ = ("relation", "context_label", "h_before", "h_after", "weight_a1", "weight_a2")
+
+    def __init__(self, relation: OrderingRelation, context_label: Label, h_before: float,
+                 h_after: float, weight_a1: float, weight_a2: float):
+        super().__init__(relation, context_label, h_before, h_after, weight_a1, weight_a2)
 
 
 class TableEntropies(PairBlocks):
@@ -79,15 +76,17 @@ class TableEntropies(PairBlocks):
                             n1 / n if n else 0.0, n2 / n if n else 0.0)
 
 
-@dataclass(frozen=True)
-class EntropyBreakdown:
+class EntropyBreakdown(Record):
     """Entropy accounting for one candidate refinement."""
 
-    per_table: Sequence[TableEntropy]
-    total_before: float
-    total_after: float
-    information_gain: float
-    relative_information_gain: float
+    __slots__ = ("per_table", "total_before", "total_after", "information_gain",
+                 "relative_information_gain")
+
+    def __init__(self, per_table: Sequence[TableEntropy], total_before: float,
+                 total_after: float, information_gain: float,
+                 relative_information_gain: float):
+        super().__init__(per_table, total_before, total_after, information_gain,
+                         relative_information_gain)
 
 
 def relative_information_gain(tables: Iterable[ContingencyTable | PairTables]) -> EntropyBreakdown:

@@ -17,18 +17,14 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 from bisect import bisect_right
-from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone, tzinfo
 from itertools import groupby, islice, repeat
 from operator import attrgetter, eq, itemgetter, methodcaller, sub
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .model import (MISSING, Event, EventLog, Label, MissingAttributeError, Trace, _id_key,
-                    _value_key, attribute_columns, local, time_zone)
-
-logger = logging.getLogger(__name__)
+from .model import (MISSING, Event, EventLog, Label, MissingAttributeError, Record, Trace,
+                    _id_key, _value_key, as_names, attribute_columns, local, time_zone)
 
 SYNTHESIZE = "synthesize"
 
@@ -153,8 +149,7 @@ class _HourOffsets(dict):
         return offset
 
 
-@dataclass(frozen=True)
-class CsvSchema:
+class CsvSchema(Record):
     """Column layout of a CSV event file.
 
     ``id_column`` may be the sentinel "synthesize", in which case ids are the
@@ -162,25 +157,24 @@ class CsvSchema:
     timestamps are stored UTC.
     """
 
-    timestamp_column: str
-    attribute_columns: tuple[str, ...]
-    id_column: str = SYNTHESIZE
-    timestamp_format: str | None = None
-    delimiter: str = ","
-    timezone: str = "UTC"
+    __slots__ = ("timestamp_column", "attribute_columns", "id_column", "timestamp_format",
+                 "delimiter", "timezone")
 
-    def __post_init__(self):
-        if not self.timestamp_column:
+    def __init__(self, timestamp_column: str, attribute_columns: str | Sequence[str],
+                 id_column: str = SYNTHESIZE, timestamp_format: str | None = None,
+                 delimiter: str = ",", timezone: str = "UTC"):
+        attribute_columns = as_names(attribute_columns)
+        if not timestamp_column:
             raise ValueError("timestamp_column is mandatory")
-        if not self.attribute_columns:
+        if not attribute_columns:
             raise ValueError("attribute_columns must be non-empty")
-        if len(self.delimiter) != 1:
+        if len(delimiter) != 1:
             raise ValueError("delimiter must be a single character")
-        object.__setattr__(self, "attribute_columns", tuple(self.attribute_columns))
+        super().__init__(timestamp_column, attribute_columns, id_column, timestamp_format,
+                         delimiter, timezone)
 
 
-@dataclass(frozen=True)
-class PartitionKeySpec:
+class PartitionKeySpec(Record):
     """How events are grouped into traces.
 
     The key of an event is the tuple of its values for ``attribute_keys``,
@@ -188,16 +182,16 @@ class PartitionKeySpec:
     ``timezone``) of its timestamp.
     """
 
-    attribute_keys: tuple[str, ...] = ()
-    calendar_key: str = "none"  # "none" | "day"
-    timezone: str = "UTC"
+    __slots__ = ("attribute_keys", "calendar_key", "timezone")
 
-    def __post_init__(self):
-        object.__setattr__(self, "attribute_keys", tuple(self.attribute_keys))
-        if self.calendar_key not in ("none", "day"):
-            raise ValueError(f"unsupported calendar_key {self.calendar_key!r}")
-        if not self.attribute_keys and self.calendar_key == "none":
+    def __init__(self, attribute_keys: str | Sequence[str] = (), calendar_key: str = "none",
+                 timezone: str = "UTC"):
+        attribute_keys = as_names(attribute_keys)
+        if calendar_key not in ("none", "day"):
+            raise ValueError(f"unsupported calendar_key {calendar_key!r}")
+        if not attribute_keys and calendar_key == "none":
             raise ValueError("at least one of attribute_keys or calendar_key required")
+        super().__init__(attribute_keys, calendar_key, timezone)
 
 
 def _decode(data: bytes | str) -> str:
@@ -618,7 +612,8 @@ def parse_xes_minimal(data: bytes | str, warnings: list[str] | None = None) -> E
             events.append(Event(next_id, ts, attrs, label=Label(name)))
         traces.append(Trace(case_id, events))
     if skipped:
-        logger.warning("ignored %d unsupported XES attribute(s)", skipped)
+        import logging  # imported on use: most runs log nothing
+        logging.getLogger(__name__).warning("ignored %d unsupported XES attribute(s)", skipped)
         if warnings is not None:
             warnings.append(f"ignored {skipped} unsupported XES attribute(s)")
     return EventLog(traces)

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 from datetime import date, datetime, time, timezone, tzinfo
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
@@ -137,8 +136,67 @@ class Label:
 _set_parts = Label.parts.__set__
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Record:
+    """Base of the package's immutable records, whose fields are their
+    class's ``__slots__``, in order.
+
+    Records compare equal when they are of one class and their fields are
+    equal, hash as the tuple of their fields, and refuse assignment and
+    deletion.  A subclass's ``__init__`` checks and normalises its
+    arguments and passes them to ``Record.__init__``; ``replace`` runs it
+    again, and pickling and copying do not.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values: Any):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return _restore, (type(self), self._values())
+
+
+def _restore(cls: type, values: tuple) -> Record:
+    """A pickled or copied record, its fields set as they were."""
+    record = object.__new__(cls)
+    Record.__init__(record, *values)
+    return record
+
+
+def replace(record: Record, **changes: Any) -> Record:
+    """A copy of ``record`` with the fields named in ``changes`` changed,
+    built through its class's ``__init__``, which checks them again."""
+    return type(record)(**dict(zip(record.__slots__, record._values()), **changes))
+
+
+def as_names(value: str | Iterable[str]) -> tuple[str, ...]:
+    """Attribute or column names as a tuple; a bare string is one name."""
+    return (value,) if isinstance(value, str) else tuple(value)
+
+
+class Event(Record):
     """A single timestamped observation.
 
     ``attributes`` is an ordered name -> value map (values are strings,
@@ -149,10 +207,7 @@ class Event:
     kept as they are.
     """
 
-    id: Any
-    timestamp: datetime
-    attributes: tuple[tuple[str, Any], ...]
-    label: Label = None  # type: ignore[assignment]
+    __slots__ = ("id", "timestamp", "attributes", "label")
 
     def __init__(
         self,
@@ -210,8 +265,7 @@ def _event(id: Any, timestamp: datetime, attributes: tuple, label: Label) -> Eve
     return event
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
+class Trace(Record):
     """A time-ordered sequence of events sharing one case key.
 
     Events are sorted by (timestamp, id) on construction, so equal-timestamp
@@ -219,18 +273,16 @@ class Trace:
     the identity.
     """
 
-    case_id: Any
-    events: tuple[Event, ...]
+    __slots__ = ("case_id", "events")
 
     def __init__(self, case_id: Any, events: Iterable[Event]):
-        object.__setattr__(self, "case_id", case_id)
         ordered = tuple(sorted(events, key=Event.sort_key))
         seen: set = set()
         for e in ordered:
             if e.id in seen:
                 raise ValueError(f"duplicate event id {e.id!r} in trace {case_id!r}")
             seen.add(e.id)
-        object.__setattr__(self, "events", ordered)
+        super().__init__(case_id, ordered)
 
     def __len__(self) -> int:
         return len(self.events)
@@ -256,10 +308,7 @@ class Trace:
 
 def _trace(case_id: Any, events: tuple[Event, ...]) -> Trace:
     """A Trace of events already in order, with distinct ids."""
-    trace = object.__new__(Trace)
-    object.__setattr__(trace, "case_id", case_id)
-    object.__setattr__(trace, "events", events)
-    return trace
+    return _restore(Trace, (case_id, events))
 
 
 class InternedLog(NamedTuple):

@@ -47,12 +47,11 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain, compress, repeat
 from typing import Any, Iterable
 
-from .model import EventLog, InternedLog, Label
+from .model import EventLog, InternedLog, Label, Record
 from .relabel import Pairing, RelabelingFn, SplitPair, TimeThreshold, time_split_rows
 
 
@@ -77,13 +76,14 @@ DEFAULT_RELATIONS: tuple[OrderingRelation, ...] = (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class OrderingCounts:
+class OrderingCounts(Record):
     """Occurrences of a source label that do (pos) / do not (neg) satisfy a
     relation with respect to a context label."""
 
-    pos: int
-    neg: int
+    __slots__ = ("pos", "neg")
+
+    def __init__(self, pos: int, neg: int):
+        super().__init__(pos, neg)
 
     @property
     def total(self) -> int:
@@ -234,8 +234,7 @@ def relation_counts(log: EventLog, relation: OrderingRelation) -> dict[tuple[Lab
     return out
 
 
-@dataclass(frozen=True)
-class LogCounts:
+class LogCounts(Record):
     """One log's ordering counts per relation, as the kernel's int-coded rows.
 
     ``rows[relation][b][c]`` counts the occurrences of code b (codes from
@@ -244,9 +243,11 @@ class LogCounts:
     counted, and asking for any other source raises KeyError.
     """
 
-    interned: InternedLog
-    rows: dict[OrderingRelation, list[Counter | None]]
-    sources: frozenset[tuple] | None = None
+    __slots__ = ("interned", "rows", "sources")
+
+    def __init__(self, interned: InternedLog, rows: dict[OrderingRelation, list[Counter | None]],
+                 sources: frozenset[tuple] | None = None):
+        super().__init__(interned, rows, sources)
 
     @classmethod
     def of(cls, log: EventLog, relations: Iterable[OrderingRelation],
@@ -359,8 +360,7 @@ def split_counts(log: EventLog, candidates: Sequence[RelabelingFn],
     return out
 
 
-@dataclass(frozen=True)
-class RefinementCounts:
+class RefinementCounts(Record):
     """Everything the tables of one refinement are built from, counted once:
     both logs' counts, for each refined label the one coarse label seen at
     its positions (``coarse``), and the split set (``split_pairs``).
@@ -374,10 +374,11 @@ class RefinementCounts:
     relation: the parent columns ``build_tables`` cannot sum.
     """
 
-    base: LogCounts
-    refined: LogCounts
-    coarse: dict[Label, Label]
-    split_pairs: tuple[SplitPair, ...] = ()
+    __slots__ = ("base", "refined", "coarse", "split_pairs")
+
+    def __init__(self, base: LogCounts, refined: LogCounts, coarse: dict[Label, Label],
+                 split_pairs: tuple[SplitPair, ...] = ()):
+        super().__init__(base, refined, coarse, split_pairs)
 
     @classmethod
     def of(cls, l1_log: EventLog, l2_log: EventLog,
@@ -398,8 +399,7 @@ class RefinementCounts:
                    pairing.split_pairs)
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
+class ContingencyTable(Record):
     """Counts of one ordering statistic for a refined pair and its parent.
 
     ``col_a1``/``col_a2`` come from the refined log; ``parent_col`` is the
@@ -408,14 +408,14 @@ class ContingencyTable:
     label untouched by any split, it is the sum of all k child columns.
     """
 
-    relation: OrderingRelation
-    context_label: Label
-    a1: Label
-    a2: Label
-    col_a1: OrderingCounts
-    col_a2: OrderingCounts
-    parent_label: Label
-    parent_col: OrderingCounts
+    __slots__ = ("relation", "context_label", "a1", "a2", "col_a1", "col_a2", "parent_label",
+                 "parent_col")
+
+    def __init__(self, relation: OrderingRelation, context_label: Label, a1: Label, a2: Label,
+                 col_a1: OrderingCounts, col_a2: OrderingCounts, parent_label: Label,
+                 parent_col: OrderingCounts):
+        super().__init__(relation, context_label, a1, a2, col_a1, col_a2, parent_label,
+                         parent_col)
 
 
 class LazySequence(Sequence):

@@ -19,12 +19,11 @@ import re
 from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from datetime import time
 from itertools import compress
 from typing import Any, NamedTuple
 
-from .model import MISSING, EventLog, Label, local, time_zone
+from .model import MISSING, EventLog, Label, Record, as_names, local, time_zone
 
 
 class RefinementError(ValueError):
@@ -52,6 +51,7 @@ class RelabelingFn(ABC):
     their labels.
     """
 
+    __slots__ = ()
     description: str = ""
 
     @abstractmethod
@@ -63,16 +63,13 @@ class RelabelingFn(ABC):
         return log.relabeled(self.label_rows(log))
 
 
-@dataclass(frozen=True)
-class Projection(RelabelingFn):
+class Projection(RelabelingFn, Record):
     """Label each event by the values of the named attributes."""
 
-    attribute_names: tuple[str, ...]
+    __slots__ = ("attribute_names",)
 
-    def __init__(self, attribute_names):
-        if isinstance(attribute_names, str):
-            attribute_names = (attribute_names,)
-        object.__setattr__(self, "attribute_names", tuple(attribute_names))
+    def __init__(self, attribute_names: str | Sequence[str]):
+        super().__init__(as_names(attribute_names))
 
     @property
     def description(self) -> str:
@@ -82,8 +79,7 @@ class Projection(RelabelingFn):
         return log.columns.value_rows(self.attribute_names)
 
 
-@dataclass(frozen=True)
-class TimeThreshold(RelabelingFn):
+class TimeThreshold(RelabelingFn, Record):
     """Split one label in two by local time of day.
 
     Events carrying ``base_label`` get ``low_label`` when their local time
@@ -91,11 +87,11 @@ class TimeThreshold(RelabelingFn):
     it; every other event keeps its label.
     """
 
-    base_label: Label
-    threshold: time
-    low_label: Label
-    high_label: Label
-    timezone: str = "UTC"
+    __slots__ = ("base_label", "threshold", "low_label", "high_label", "timezone")
+
+    def __init__(self, base_label: Label, threshold: time, low_label: Label,
+                 high_label: Label, timezone: str = "UTC"):
+        super().__init__(base_label, threshold, low_label, high_label, timezone)
 
     @property
     def description(self) -> str:
@@ -167,12 +163,11 @@ def _coerce_pair(event_value: Any, rule_value: str):
         return None
 
 
-@dataclass(frozen=True)
-class Rule:
-    attribute: str
-    op: str  # "=", "!=", "<", ">="
-    value: str
-    label: Label
+class Rule(Record):
+    __slots__ = ("attribute", "op", "value", "label")  # op: "=", "!=", "<" or ">="
+
+    def __init__(self, attribute: str, op: str, value: str, label: Label):
+        super().__init__(attribute, op, value, label)
 
     def matches_value(self, actual: Any) -> bool:
         """Whether an event whose value of the attribute is ``actual``
@@ -190,16 +185,17 @@ class Rule:
         return left < right if self.op == "<" else left >= right
 
 
-@dataclass(frozen=True)
-class RuleBased(RelabelingFn):
+class RuleBased(RelabelingFn, Record):
     """First-match-wins relabeling from an ordered rule list.
 
     An event matching no rule is an error unless a default label is set.
     """
 
-    rules: tuple[Rule, ...]
-    default: Label | None = None
-    name: str = "rules"
+    __slots__ = ("rules", "default", "name")
+
+    def __init__(self, rules: tuple[Rule, ...], default: Label | None = None,
+                 name: str = "rules"):
+        super().__init__(rules, default, name)
 
     @property
     def description(self) -> str:
@@ -257,22 +253,21 @@ class RuleBased(RelabelingFn):
         return cls(tuple(rules), default, name)
 
 
-@dataclass(frozen=True)
-class RefinementCheck:
-    is_equal_length_refinement: bool
-    is_strict: bool
-    violations: tuple[Label, ...]
+class RefinementCheck(Record):
+    __slots__ = ("is_equal_length_refinement", "is_strict", "violations")
+
+    def __init__(self, is_equal_length_refinement: bool, is_strict: bool,
+                 violations: tuple[Label, ...]):
+        super().__init__(is_equal_length_refinement, is_strict, violations)
 
 
-@dataclass(frozen=True)
-class SplitPair:
+class SplitPair(Record):
     """A coarse label together with the refined labels observed under it."""
 
-    parent: Label
-    children: tuple[Label, ...]
+    __slots__ = ("parent", "children")
 
-    def __post_init__(self):
-        object.__setattr__(self, "children", tuple(sorted(self.children)))
+    def __init__(self, parent: Label, children: Sequence[Label]):
+        super().__init__(parent, tuple(sorted(children)))
 
 
 class Pairing(NamedTuple):

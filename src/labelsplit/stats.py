@@ -15,11 +15,10 @@ import math
 from bisect import bisect_right
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, replace
 from itertools import accumulate, chain
 from operator import index, mul
 
-from .model import Label
+from .model import Label, Record, replace
 from .ordering import ContingencyTable, OrderingRelation, PairBlocks, PairTables
 
 # Relative slack when comparing point probabilities for the two-sided sum:
@@ -174,8 +173,7 @@ def bonferroni_threshold(alpha: float, m: int) -> float:
     return alpha / m
 
 
-@dataclass(frozen=True)
-class CorrectionPolicy:
+class CorrectionPolicy(Record):
     """Multiple-testing correction: which kind and over which test family.
 
     ``per_candidate`` divides alpha by the number of tests run for one
@@ -183,14 +181,14 @@ class CorrectionPolicy:
     candidate scan.
     """
 
-    kind: str = "bonferroni"  # "none" | "bonferroni"
-    family_scope: str = "per_candidate"  # "per_candidate" | "per_candidate_set"
+    __slots__ = ("kind", "family_scope")
 
-    def __post_init__(self):
-        if self.kind not in ("none", "bonferroni"):
-            raise ValueError(f"unknown correction kind {self.kind!r}")
-        if self.family_scope not in ("per_candidate", "per_candidate_set"):
-            raise ValueError(f"unknown family scope {self.family_scope!r}")
+    def __init__(self, kind: str = "bonferroni", family_scope: str = "per_candidate"):
+        if kind not in ("none", "bonferroni"):
+            raise ValueError(f"unknown correction kind {kind!r}")
+        if family_scope not in ("per_candidate", "per_candidate_set"):
+            raise ValueError(f"unknown family scope {family_scope!r}")
+        super().__init__(kind, family_scope)
 
     def threshold(self, alpha: float, m: int) -> float:
         if self.kind == "bonferroni" and m >= 1:
@@ -198,21 +196,19 @@ class CorrectionPolicy:
         return alpha
 
 
-@dataclass(frozen=True)
-class TestResult:
+class TestResult(Record):
     """Outcome of one Fisher test on one contingency table."""
 
-    relation: OrderingRelation
-    context_label: Label
-    pair: tuple[Label, Label]
-    p_value: float
-    corrected_alpha: float
-    significant: bool
-    table: ContingencyTable
+    __slots__ = ("relation", "context_label", "pair", "p_value", "corrected_alpha",
+                 "significant", "table")
 
-    def __post_init__(self):
-        if self.significant != (self.p_value < self.corrected_alpha):
+    def __init__(self, relation: OrderingRelation, context_label: Label,
+                 pair: tuple[Label, Label], p_value: float, corrected_alpha: float,
+                 significant: bool, table: ContingencyTable):
+        if significant != (p_value < corrected_alpha):
             raise ValueError("significant must equal p_value < corrected_alpha")
+        super().__init__(relation, context_label, pair, p_value, corrected_alpha,
+                         significant, table)
 
 
 def fisher_test(table: ContingencyTable, corrected_alpha: float) -> TestResult:

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from dataclasses import replace
 from datetime import datetime, time, timedelta, timezone
 
 import pytest
@@ -14,6 +13,7 @@ from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, CorrectionPolicy, E
                         binary_entropy, build_tables, check_refinement, evaluate, fisher_test,
                         generate_median_time_candidates, rank_candidates, table_entropies)
 from labelsplit import ordering
+from labelsplit.model import replace
 from labelsplit.report import json_text, pretty_report, report_doc
 from conftest import label_rows, log_from_rows
 from oracles import naive_count, naive_relabel, prefix_violations
@@ -296,10 +296,10 @@ def _scan_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(_scan_inputs())
 def test_mask_path_equals_materialised_refinement(inputs):
-    # rank_candidates counts the first fresh-child split of each parent on
-    # the base log's child rows, in one pass for all of them, and any other
-    # split (a repeated parent, a child naming another label) on its
-    # applied log; evaluate always builds the refined log
+    # rank_candidates counts every fresh-child split on the base log's child
+    # rows, a parent's k-th split in round k, and any other split (one whose
+    # child names another label, or whose two children are one label) on
+    # its applied log; evaluate always builds the refined log
     base_log, candidates, config = inputs
     errors = []
     for fn in candidates:

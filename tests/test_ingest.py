@@ -141,6 +141,17 @@ def test_partition_sample_by_address_and_day():
     assert log.traces[0].case_id[0] == "Mountain Rd. 7"
 
 
+def test_a_bare_string_is_one_column_or_key_name():
+    schema = CsvSchema(timestamp_column="timestamp", attribute_columns="Sensor")
+    assert schema == CsvSchema(timestamp_column="timestamp", attribute_columns=("Sensor",))
+    events = parse_csv(sample_text(), schema)
+    assert [e.attributes for e in events[:2]] == [(("Sensor", "Bedroom motion"),)] * 2
+    key = PartitionKeySpec(attribute_keys="Sensor")
+    assert key.attribute_keys == ("Sensor",)
+    log = partition(events, key)
+    assert log == partition(events, PartitionKeySpec(("Sensor",))) and len(log) == 2
+
+
 def test_partition_single_event():
     events = parse_csv("timestamp,Sensor\n2020-01-01 00:00,a\n",
                        CsvSchema(timestamp_column="timestamp",
