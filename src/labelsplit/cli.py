@@ -28,9 +28,8 @@ from .ingest import (CsvFormatError, CsvSchema, PartitionKeySpec, XesFormatError
                      csv_header, parse_xes_minimal, read_csv, write_csv,
                      write_xes_minimal)
 from .model import EventLog, Label, MissingAttributeError, time_zone
-from .ordering import DEFAULT_RELATIONS, LogCounts, OrderingRelation
-from .relabel import (Projection, RefinementError, RuleBased, RuleError,
-                      TimeThreshold, parse_time_of_day)
+from .ordering import DEFAULT_RELATIONS, LogCounts, OrderingRelation, as_relations
+from .relabel import Projection, RefinementError, RuleBased, TimeThreshold, parse_time_of_day
 from .report import (StatsGroup, StatsRows, human_label, json_chunks, pretty_candidates,
                      pretty_ranking, pretty_report, pretty_stats, report_doc, stats_csv)
 from .stats import CorrectionPolicy
@@ -55,9 +54,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_kv_file(path: str) -> dict[str, str]:
+def _read_text(path: str, flag: str) -> str:
+    """The UTF-8 text of ``flag``'s file; ValueError naming both when it
+    cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValueError(f"cannot read {flag} {path}: {exc}") from None
+
+
+def _read_kv_file(path: str, flag: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, raw in enumerate(_read_text(path, flag).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -80,7 +88,7 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
                for flag in command._option_string_actions}
     own = parser.commands[args.command]._option_string_actions
     tokens = []
-    for key, raw in _read_kv_file(args.config).items():
+    for key, raw in _read_kv_file(args.config, "--config").items():
         flag = f"--{key}"
         if flag not in defined or flag in ("--config", "--help"):
             raise UsageError(f"unknown config key {key!r}")
@@ -178,15 +186,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _time_zone(name: str) -> str:
-    """``name``, checked to name a time zone."""
-    try:
-        time_zone(name)
-    except (KeyError, ValueError):  # ZoneInfoNotFoundError is a KeyError
-        raise UsageError(f"unknown time zone {name!r}") from None
-    return name
-
-
 def _names(text: str, flag: str, what: str = "label") -> list[str]:
     """The names in ``flag``'s value, read as one CSV record: names are
     split on commas and stripped, and empty ones dropped; a name in double
@@ -204,11 +203,13 @@ def _names(text: str, flag: str, what: str = "label") -> list[str]:
 
 def _resolve_schema(text: str, args) -> CsvSchema:
     if args.csv_schema is not None:
-        kv = _read_kv_file(args.csv_schema)
+        kv = _read_kv_file(args.csv_schema, "--csv-schema")
         unknown = set(kv) - {"id_column", "timestamp_column", "timestamp_format",
                              "attribute_columns", "delimiter", "timezone"}
         if unknown:
             raise UsageError(f"unknown schema keys: {sorted(unknown)}")
+        zone = kv.get("timezone", args.timezone)
+        time_zone(zone)  # read ahead of the wrapper below, in its own words
         try:
             return CsvSchema(
                 timestamp_column=kv.get("timestamp_column", "timestamp"),
@@ -217,7 +218,7 @@ def _resolve_schema(text: str, args) -> CsvSchema:
                 id_column=kv.get("id_column", "synthesize"),
                 timestamp_format=kv.get("timestamp_format") or None,
                 delimiter=kv.get("delimiter", ","),
-                timezone=_time_zone(kv.get("timezone", args.timezone)),
+                timezone=zone,
             )
         except ValueError as exc:
             raise UsageError(f"bad schema: {exc}") from exc
@@ -277,17 +278,13 @@ def _refined_log(args, base_log: EventLog):
     if args.refined_label is not None:
         fn = Projection(tuple(_names(args.refined_label, "--refined-label", "attribute")))
     elif args.rules is not None:
-        fn = RuleBased.from_text(Path(args.rules).read_text(encoding="utf-8"),
-                                 name=Path(args.rules).name)
+        fn = RuleBased.from_text(_read_text(args.rules, "--rules"), name=Path(args.rules).name)
     else:
         fields = _names(args.threshold, "--threshold")
         if len(fields) != 4:
             raise UsageError("--threshold expects BASE,HH:MM,LOW,HIGH")
         base, at, low, high = fields
-        try:
-            threshold = parse_time_of_day(at)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        threshold = parse_time_of_day(at)
         # BASE must label events; LOW or HIGH may be new names
         named = [_labels_named(base_log.interned.labels, [name], "--threshold", k > 0)
                  for k, name in enumerate((base, low, high))]
@@ -300,16 +297,8 @@ def _refined_log(args, base_log: EventLog):
 
 def _relations(args) -> tuple[OrderingRelation, ...]:
     """The relations named in --relations, each once, in first-named order."""
-    if args.relations is None:
-        return DEFAULT_RELATIONS
-    names = _names(args.relations, "--relations", "relation")
-    by_value = {r.value: r for r in OrderingRelation}
-    out = []
-    for name in names:
-        if name not in by_value:
-            raise UsageError(f"unknown relation {name!r}; valid: {sorted(by_value)}")
-        out.append(by_value[name])
-    return tuple(dict.fromkeys(out))
+    return DEFAULT_RELATIONS if args.relations is None else as_relations(
+        _names(args.relations, "--relations", "relation"))
 
 
 def _eval_config(args, labels: Iterable[Label]) -> EvaluationConfig:
@@ -319,17 +308,9 @@ def _eval_config(args, labels: Iterable[Label]) -> EvaluationConfig:
         contexts = tuple(_labels_named(
             labels, _names(args.context_labels, "--context-labels"),
             "--context-labels", keep_absent=True))
-    try:
-        return EvaluationConfig(
-            alpha=args.alpha,
-            relations=_relations(args),
-            # evaluate scores one candidate: its whole candidate set
-            correction=CorrectionPolicy(args.correction,
-                                        getattr(args, "family_scope", "per_candidate")),
-            context_labels=contexts,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # evaluate scores one candidate: its whole candidate set
+    correction = CorrectionPolicy(args.correction, getattr(args, "family_scope", "per_candidate"))
+    return EvaluationConfig(args.alpha, _relations(args), correction, contexts)
 
 
 def _emit(args, doc: Any, pretty: Callable[[], str] | None = None) -> None:
@@ -475,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         args = _with_config(parser, args, argv)
-        _time_zone(args.timezone)
+        time_zone(args.timezone)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         parser.print_usage(sys.stderr)
@@ -484,13 +465,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CsvFormatError, XesFormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (MissingAttributeError, RuleError, ValueError) as exc:
+    except (MissingAttributeError, OSError, ValueError) as exc:
         if isinstance(exc, RefinementError):
             print(f"refinement error: {exc}", file=sys.stderr)
             return EXIT_REFINEMENT
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SystemExit as exc:  # argparse --help

@@ -15,26 +15,33 @@ from collections.abc import Sequence
 from typing import Any, Container, Iterable, Iterator
 
 from .gain import EntropyBreakdown, relative_information_gain
-from .model import EventLog, Label, Record, local, time_zone
+from .model import EventLog, Label, Record, as_label, local, time_zone
 from .ordering import (DEFAULT_RELATIONS, OrderingRelation, PairTables, RefinementCounts,
-                       build_tables, split_counts)
+                       as_relations, build_tables, split_counts)
 from .relabel import RelabelingFn, SplitPair, TimeThreshold
 from .stats import CorrectionPolicy, PairTests, TestResult, fisher_p_values
 
 
 class EvaluationConfig(Record):
+    """What ``evaluate`` and ``rank_candidates`` test: ``relations`` as
+    ``as_relations`` reads them, and ``context_labels``, which are Labels."""
+
     __slots__ = ("alpha", "relations", "correction", "context_labels")
 
     def __init__(self, alpha: float = 0.01,
-                 relations: Iterable[OrderingRelation] = DEFAULT_RELATIONS,
+                 relations: str | Iterable[OrderingRelation | str] = DEFAULT_RELATIONS,
                  correction: CorrectionPolicy = CorrectionPolicy(),
                  context_labels: Iterable[Label] | None = None):
         if not 0 < alpha < 1:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         # a repeated relation or context label is dropped, so no table is
-        # tested twice
-        super().__init__(alpha, tuple(dict.fromkeys(relations)), correction,
-                         None if context_labels is None else tuple(dict.fromkeys(context_labels)))
+        # tested twice; a bare Label or string is one (and a string refused)
+        if isinstance(context_labels, (str, Label)):
+            context_labels = (context_labels,)
+        if context_labels is not None:
+            context_labels = tuple(dict.fromkeys(
+                as_label("context_labels", label) for label in context_labels))
+        super().__init__(alpha, as_relations(relations), correction, context_labels)
 
 
 class EvaluationReport(Record):
@@ -239,13 +246,7 @@ def generate_median_time_candidates(
                 "median split of %s leaves a child with <2 occurrences; "
                 "the tests will have little power", label)
         low, high = _fresh_children(label, interned.codes)
-        candidates.append(TimeThreshold(
-            base_label=label,
-            threshold=threshold,
-            low_label=low,
-            high_label=high,
-            timezone=timezone,
-        ))
+        candidates.append(TimeThreshold(label, threshold, low, high, timezone))
     return candidates
 
 

@@ -154,7 +154,7 @@ class CsvSchema(Record):
 
     ``id_column`` may be the sentinel "synthesize", in which case ids are the
     1-based data-row index.  ``timezone`` interprets naive timestamps; all
-    timestamps are stored UTC.
+    timestamps are stored UTC; ``model.time_zone`` checks its name here.
     """
 
     __slots__ = ("timestamp_column", "attribute_columns", "id_column", "timestamp_format",
@@ -170,6 +170,7 @@ class CsvSchema(Record):
             raise ValueError("attribute_columns must be non-empty")
         if len(delimiter) != 1:
             raise ValueError("delimiter must be a single character")
+        time_zone(timezone)
         super().__init__(timestamp_column, attribute_columns, id_column, timestamp_format,
                          delimiter, timezone)
 
@@ -179,7 +180,7 @@ class PartitionKeySpec(Record):
 
     The key of an event is the tuple of its values for ``attribute_keys``,
     optionally extended with the calendar day (midnight to midnight in
-    ``timezone``) of its timestamp.
+    ``timezone``, checked by ``model.time_zone``) of its timestamp.
     """
 
     __slots__ = ("attribute_keys", "calendar_key", "timezone")
@@ -191,6 +192,7 @@ class PartitionKeySpec(Record):
             raise ValueError(f"unsupported calendar_key {calendar_key!r}")
         if not attribute_keys and calendar_key == "none":
             raise ValueError("at least one of attribute_keys or calendar_key required")
+        time_zone(timezone)
         super().__init__(attribute_keys, calendar_key, timezone)
 
 
@@ -283,13 +285,13 @@ class CsvColumns(NamedTuple):
 
 
 def read_csv(data: bytes | str, schema: CsvSchema,
-             label_columns: Iterable[str] | None = None) -> CsvColumns:
+             label_columns: str | Iterable[str] | None = None) -> CsvColumns:
     """Read CSV text into columns, checking every row.
 
-    Each event's label is its values of ``label_columns``, in that order,
-    or of every attribute column (the default label) when None.  Header
-    names are stripped of surrounding whitespace, as ``csv_header`` does,
-    before the schema's columns are looked up.  Synthesized ids are the
+    Each event's label is its values of ``label_columns`` (a bare string
+    is one column), in that order, or of every attribute column (the
+    default label) when None.  Header names are stripped of surrounding
+    whitespace, as ``csv_header`` does, before the columns are looked up.  Synthesized ids are the
     1-based data-row index.  Raises CsvFormatError on ragged rows,
     unparseable timestamps, duplicate explicit ids, or text that is not
     RFC-4180 CSV (a quote left open at the end, text after a closing
@@ -321,7 +323,7 @@ def read_csv(data: bytes | str, schema: CsvSchema,
 
     width = len(header)
     id_at = None if schema.id_column == SYNTHESIZE else columns[schema.id_column]
-    label_names = schema.attribute_columns if label_columns is None else tuple(label_columns)
+    label_names = schema.attribute_columns if label_columns is None else as_names(label_columns)
     # the columns read: each row's timestamp, explicit id and attribute cells
     at = list(dict.fromkeys([columns[schema.timestamp_column],
                              *([] if id_at is None else [id_at]),
@@ -496,7 +498,7 @@ def _check(text: str, schema: CsvSchema, stamps: Sequence[str], start: int,
 
 
 def parse_csv(data: bytes | str, schema: CsvSchema,
-              label_columns: Iterable[str] | None = None) -> list[Event]:
+              label_columns: str | Iterable[str] | None = None) -> list[Event]:
     """Parse CSV text into one Event per data row, labelled as it is built.
 
     ``read_csv`` reads and checks the rows (see there for the errors); each

@@ -14,7 +14,7 @@ values; every labeling of one base log shares them, so relabeling a log
 else.  ``Trace`` and ``Event`` objects are built from the columns on the
 first access to ``EventLog.traces`` (iterating the log does that) and
 cached.  A log built from Trace objects keeps them and derives its columns
-once, on first use.
+and label codes when it is built.
 
 All these types are immutable.  ``Event(...)`` and ``Trace(...)`` normalise
 and check whatever they are given, so each event is validated once, when it
@@ -194,6 +194,14 @@ def replace(record: Record, **changes: Any) -> Record:
 def as_names(value: str | Iterable[str]) -> tuple[str, ...]:
     """Attribute or column names as a tuple; a bare string is one name."""
     return (value,) if isinstance(value, str) else tuple(value)
+
+
+def as_label(field: str, value: Any) -> Label:
+    """``value``, a record's Label field ``field``; TypeError naming both
+    unless it is a Label."""
+    if not isinstance(value, Label):
+        raise TypeError(f"{field} must be a Label, got {value!r}")
+    return value
 
 
 class Event(Record):
@@ -436,16 +444,19 @@ class LogColumns(NamedTuple):
 
 
 class EventLog:
-    """A finite multiset of traces, held as columns (see the module notes).
+    """A finite multiset of traces, held as ``columns`` and label codes
+    (``interned``; see the module notes).
 
-    ``EventLog(traces)`` keeps the Trace objects it is given;
-    ``EventLog.of_rows`` and ``relabeled`` build logs from columns, whose
-    traces are built on first access.  Logs compare equal when their
-    traces do.
+    ``EventLog(traces)`` keeps the Trace objects it is given and derives
+    both from them; ``EventLog.of_rows`` and ``relabeled`` build logs from
+    columns, whose traces are built on first access.  Logs compare equal
+    when their traces do.
     """
 
     def __init__(self, traces: Iterable[Trace] = ()):
-        vars(self)["traces"] = tuple(traces)
+        traces = tuple(traces)
+        vars(self).update(traces=traces, columns=LogColumns.of(traces),
+                          interned=InternedLog.of(traces))
 
     @classmethod
     def _of(cls, columns: LogColumns, interned: InternedLog) -> "EventLog":
@@ -515,17 +526,6 @@ class EventLog:
                                                     map(label, row)))))
         return tuple(traces)
 
-    @functools.cached_property
-    def columns(self) -> LogColumns:
-        """The ids, times and attribute values, derived once from the traces
-        of a log built from Trace objects."""
-        return LogColumns.of(self.traces)
-
-    @functools.cached_property
-    def interned(self) -> InternedLog:
-        """The log's labels as small ints, shared by every count over it."""
-        return InternedLog.of(self.traces)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EventLog):
             return NotImplemented
@@ -538,8 +538,7 @@ class EventLog:
         return f"EventLog(traces={self.traces!r})"
 
     def __len__(self) -> int:
-        traces = vars(self).get("traces")
-        return len(self.columns.case_ids) if traces is None else len(traces)
+        return len(self.columns.case_ids)
 
     def __iter__(self) -> Iterator[Trace]:
         return iter(self.traces)
@@ -556,14 +555,17 @@ class EventLog:
 
 def time_zone(name: str) -> tzinfo:
     """The time zone called ``name``: ``timezone.utc`` for "UTC", which
-    needs no conversion of UTC instants, else a ZoneInfo, which raises
-    ZoneInfoNotFoundError (a KeyError) or ValueError for unknown names."""
+    needs no conversion of UTC instants, else a ZoneInfo.  The package's
+    one reader of zone names: any other value raises ValueError."""
     if name == "UTC":
         return timezone.utc
     # imported on first use: importing zoneinfo reads the platform's
     # configuration, which a process that only sees UTC need not pay for
     from zoneinfo import ZoneInfo
-    return ZoneInfo(name)
+    try:
+        return ZoneInfo(name)
+    except (KeyError, OSError, TypeError, ValueError):  # ZoneInfoNotFoundError is a KeyError
+        raise ValueError(f"unknown time zone {name!r}") from None
 
 
 def local(times: Iterable[datetime], tz: tzinfo) -> list[datetime]:

@@ -76,6 +76,20 @@ DEFAULT_RELATIONS: tuple[OrderingRelation, ...] = (
 )
 
 
+def as_relations(value: OrderingRelation | str | Iterable[OrderingRelation | str]
+                 ) -> tuple[OrderingRelation, ...]:
+    """Relations given as members or names, each once, in first-given order
+    (a bare one is one relation); ValueError naming an unknown value."""
+    out: dict[OrderingRelation, None] = {}
+    for item in (value,) if isinstance(value, (str, OrderingRelation)) else value:
+        try:
+            out[OrderingRelation(item)] = None
+        except ValueError:
+            raise ValueError(f"unknown relation {item!r}; valid: "
+                             f"{sorted(r.value for r in OrderingRelation)}") from None
+    return tuple(out)
+
+
 class OrderingCounts(Record):
     """Occurrences of a source label that do (pos) / do not (neg) satisfy a
     relation with respect to a context label."""
@@ -199,11 +213,9 @@ def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
             pairs.update(zip(row, ctx[1:]))
         elif relation is OrderingRelation.DIRECTLY_FOLLOWS:
             pairs.update(zip(row[1:], ctx))
-        elif relation is OrderingRelation.LENGTH_TWO_LOOP:
+        else:  # length_two_loop
             pairs.update((b, c) for b, x, c, again in zip(row, ctx, ctx[1:], row[2:])
                          if b == again and c != x)
-        else:
-            raise ValueError(f"unknown relation {relation!r}")
     for (b, c), k in pairs.items():
         hit = hits[b]
         if hit is not None:
@@ -264,7 +276,7 @@ class LogCounts(Record):
         size = len(interned.labels)
         if codes is not None and len(codes) == size:
             codes = None  # every label is a source: no per-trace source counts
-        relations = tuple(relations)
+        relations = as_relations(relations)
         df, dp = OrderingRelation.DIRECTLY_FOLLOWS, OrderingRelation.DIRECTLY_PRECEDES
         paired = df in relations and dp in relations
         rows = {relation: _hits(interned.rows, size, relation,
@@ -317,7 +329,7 @@ def split_counts(log: EventLog, candidates: Sequence[RelabelingFn],
     counts hold the parents' length_two_loop rows, if asked for.  A split
     leaving a child no occurrence is not strict: it holds no split pair.
     """
-    relations = tuple(relations)
+    relations = as_relations(relations)
     out: list[RefinementCounts | None] = [None] * len(candidates)
     interned = log.interned
     taken: Counter[tuple] = Counter()  # each parent's splits so far
@@ -389,7 +401,7 @@ class RefinementCounts(Record):
         seen under two or more coarse labels."""
         pairing = Pairing.of(l1_log, l2_log)
         coarse = pairing.coarse()
-        relations = tuple(relations) if pairing.split_pairs else ()
+        relations = as_relations(relations) if pairing.split_pairs else ()
         parents = [split.parent for split in pairing.split_pairs]
         base = LogCounts.of(l1_log, relations if len(parents) > 1 else
                             [r for r in relations if r is OrderingRelation.LENGTH_TWO_LOOP],
@@ -565,7 +577,7 @@ def build_tables(
             if note not in notes:
                 notes.append(note)
 
-    relations = tuple(relations)
+    relations = as_relations(relations)
     columns = {child.parts: counts.refined.positives(child, contexts, relations)
                for child in pair.children}
     (n1, a1_pos), (n2, a2_pos) = columns[a1.parts], columns[a2.parts]

@@ -23,7 +23,7 @@ from datetime import time
 from itertools import compress
 from typing import Any, NamedTuple
 
-from .model import MISSING, EventLog, Label, Record, as_names, local, time_zone
+from .model import MISSING, EventLog, Label, Record, as_label, as_names, local, time_zone
 
 
 class RefinementError(ValueError):
@@ -84,14 +84,18 @@ class TimeThreshold(RelabelingFn, Record):
 
     Events carrying ``base_label`` get ``low_label`` when their local time
     of day is strictly before the threshold and ``high_label`` at or after
-    it; every other event keeps its label.
+    it; every other event keeps its label.  The three labels must be
+    Labels and ``timezone`` must name a zone (``model.time_zone``).
     """
 
     __slots__ = ("base_label", "threshold", "low_label", "high_label", "timezone")
 
     def __init__(self, base_label: Label, threshold: time, low_label: Label,
                  high_label: Label, timezone: str = "UTC"):
-        super().__init__(base_label, threshold, low_label, high_label, timezone)
+        time_zone(timezone)
+        super().__init__(as_label("base_label", base_label), threshold,
+                         as_label("low_label", low_label), as_label("high_label", high_label),
+                         timezone)
 
     @property
     def description(self) -> str:
@@ -142,32 +146,32 @@ _TIME_RE = re.compile(r"^(\d{1,2}):(\d{2})(?::(\d{2}))?$")
 
 
 def parse_time_of_day(text: str) -> time:
-    """Parse H:MM or HH:MM[:SS] into a time of day."""
+    """Parse H:MM or HH:MM[:SS] into a time of day, or ValueError naming ``text``."""
     m = _TIME_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"not a time of day: {text!r}")
-    hour, minute, second = int(m.group(1)), int(m.group(2)), int(m.group(3) or 0)
-    return time(hour, minute, second)
-
-
-def _coerce_pair(event_value: Any, rule_value: str):
-    """Coerce both sides of an ordered comparison to numbers or times."""
-    if _TIME_RE.match(rule_value):
-        try:
-            return parse_time_of_day(str(event_value)), parse_time_of_day(rule_value)
-        except ValueError:
-            return None
     try:
-        return float(event_value), float(rule_value)
-    except (TypeError, ValueError):
-        return None
+        return time(int(m[1]), int(m[2]), int(m[3] or 0))  # type: ignore[index]
+    except (TypeError, ValueError):  # no match (None[1]), or a field out of range
+        raise ValueError(f"not a time of day: {text!r}") from None
+
+
+def _ordered(text: str) -> time | float:
+    """An ordered rule's value: a time of day when it looks like one, else
+    a number; ValueError naming ``text`` when it is neither."""
+    if _TIME_RE.match(text):
+        return parse_time_of_day(text)
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"not a time of day or a number: {text!r}") from None
 
 
 class Rule(Record):
     __slots__ = ("attribute", "op", "value", "label")  # op: "=", "!=", "<" or ">="
 
     def __init__(self, attribute: str, op: str, value: str, label: Label):
-        super().__init__(attribute, op, value, label)
+        if op in ("<", ">="):
+            _ordered(value)  # a time of day or a number, read once here
+        super().__init__(attribute, op, value, as_label("label", label))
 
     def matches_value(self, actual: Any) -> bool:
         """Whether an event whose value of the attribute is ``actual``
@@ -178,10 +182,11 @@ class Rule(Record):
             return str(actual) == self.value
         if self.op == "!=":
             return str(actual) != self.value
-        pair = _coerce_pair(actual, self.value)
-        if pair is None:
+        right = _ordered(self.value)
+        try:
+            left = parse_time_of_day(str(actual)) if isinstance(right, time) else float(actual)
+        except (TypeError, ValueError):
             return False
-        left, right = pair
         return left < right if self.op == "<" else left >= right
 
 
@@ -195,7 +200,7 @@ class RuleBased(RelabelingFn, Record):
 
     def __init__(self, rules: tuple[Rule, ...], default: Label | None = None,
                  name: str = "rules"):
-        super().__init__(rules, default, name)
+        super().__init__(rules, None if default is None else as_label("default", default), name)
 
     @property
     def description(self) -> str:
@@ -242,12 +247,11 @@ class RuleBased(RelabelingFn, Record):
             m = _RULE_RE.match(line)
             if not m:
                 raise RuleError(f"line {line_no}: cannot parse rule {line!r}")
-            rules.append(Rule(
-                attribute=m.group("attr").strip(),
-                op=m.group("op"),
-                value=m.group("value"),
-                label=Label(m.group("label").strip()),
-            ))
+            try:
+                rules.append(Rule(m.group("attr").strip(), m.group("op"), m.group("value"),
+                                  Label(m.group("label").strip())))
+            except ValueError as exc:
+                raise RuleError(f"line {line_no}: {exc}") from None
         if not rules and default is None:
             raise RuleError("rule text contains no rules")
         return cls(tuple(rules), default, name)

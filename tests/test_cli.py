@@ -1008,6 +1008,48 @@ def test_unknown_time_zone_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--timezone", "Not/AZone"], "unknown time zone 'Not/AZone'"),
+    (["scan", "--relations", "directly_follows,sideways"],
+     "unknown relation 'sideways'; valid: ['directly_follows', 'directly_precedes', "
+     "'eventually_follows', 'eventually_precedes', 'length_two_loop']"),
+    (["stats", "--relations", "sideways"], "unknown relation 'sideways'; valid: "
+     "['directly_follows', 'directly_precedes', 'eventually_follows', "
+     "'eventually_precedes', 'length_two_loop']"),
+    (["evaluate", "--threshold", "Bedroom motion,25:00,early,late"],
+     "not a time of day: '25:00'"),
+    (["evaluate", "--refined-label", "Activity", "--alpha", "2"],
+     "alpha must be in (0, 1), got 2.0"),
+])
+def test_a_value_the_library_refuses_is_one_error_line(capsys, argv, message):
+    # the library reads the value and words the message; the CLI prints it
+    # as it prints every ValueError, with no usage line
+    code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", "Sensor")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--config", ["scan"]),
+    ("--csv-schema", ["scan"]),
+    ("--rules", ["evaluate"]),
+])
+@pytest.mark.parametrize("fault", ["not utf-8", "missing", "a directory"])
+def test_an_unreadable_settings_file_names_its_flag_and_path(tmp_path, capsys, flag, argv,
+                                                            fault):
+    path = tmp_path / "settings"
+    if fault == "not utf-8":
+        path.write_bytes(b"alpha=0.05\n\xaf\n")
+        reason = "'utf-8' codec can't decode byte 0xaf in position 11: invalid start byte"
+    elif fault == "missing":
+        reason = f"[Errno 2] No such file or directory: '{path}'"
+    else:
+        path.mkdir()
+        reason = f"[Errno 21] Is a directory: '{path}'"
+    code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", "Sensor",
+                         flag, str(path))
+    assert (code, out, err) == (1, "", f"error: cannot read {flag} {path}: {reason}\n")
+
+
 def test_unknown_time_zone_in_schema_is_usage_error(tmp_path, capsys):
     schema = tmp_path / "schema.cfg"
     schema.write_text("attribute_columns=case,Sensor,Activity\ntimezone=Not/AZone\n")

@@ -9,7 +9,7 @@ from labelsplit import (Event, EventLog, Label, NotARefinementError, PartitionKe
                         Projection, RuleBased, RuleError, ShapeMismatchError, SplitPair,
                         TimeThreshold, Trace, check_refinement, extract_split_set,
                         parse_time_of_day, partition)
-from labelsplit.model import InternedLog
+from labelsplit.model import MISSING, InternedLog
 
 from conftest import label_rows, log_from_rows
 from oracles import naive_relabel
@@ -123,6 +123,37 @@ def test_parse_time_of_day():
     assert parse_time_of_day("08:30:15") == time(8, 30, 15)
     with pytest.raises(ValueError):
         parse_time_of_day("noon")
+
+
+@pytest.mark.parametrize("text", ["25:00", "8:60", "08:30:61", "noon", "8.30"])
+def test_parse_time_of_day_names_its_text(text):
+    # an out-of-range field used to raise time()'s own "hour must be in 0..23"
+    with pytest.raises(ValueError, match=rf"^not a time of day: {text!r}$"):
+        parse_time_of_day(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("At < 25:00 -> early\ndefault -> other", "line 1: not a time of day: '25:00'"),
+    ("# times\nSensor = a -> b\nAt >= 7:75 -> late", "line 3: not a time of day: '7:75'"),
+    ("Heart rate < high -> calm", "line 1: not a time of day or a number: 'high'"),
+    ("Heart rate >= -> calm", "line 1: not a time of day or a number: ''"),
+])
+def test_an_ordered_rule_reads_its_time_or_number_when_the_file_is_read(text, message):
+    # such a rule used to parse, then match no event: the error was
+    # swallowed for every event
+    with pytest.raises(RuleError, match=f"^{message}$"):
+        RuleBased.from_text(text)
+
+
+def test_an_ordered_rule_compares_times_with_times_and_numbers_with_numbers():
+    early, calm = (RuleBased.from_text(text).rules[0]
+                   for text in ("At < 9:00 -> early", "Rate < 75.5 -> calm"))
+    assert [early.matches_value(v) for v in ("08:59", "09:00", "75", MISSING)] == \
+        [True, False, False, False]
+    assert [calm.matches_value(v) for v in ("75", 75, "76", "08:00", None)] == \
+        [True, True, False, False, False]
+    # = and != compare text, so their values need be neither
+    assert RuleBased.from_text("At = 25:00 -> odd").rules[0].matches_value("25:00")
 
 
 def test_check_refinement_sample_is_strict(sensor_log, activity_log):
