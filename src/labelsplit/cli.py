@@ -13,12 +13,14 @@ failure.  Diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from datetime import datetime, timezone
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -54,18 +56,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_text(path: str, flag: str) -> str:
-    """The UTF-8 text of ``flag``'s file; ValueError naming both when it
-    cannot be read."""
+@contextlib.contextmanager
+def _settings(flag: str, path: str) -> Iterator[str]:
+    """The text of ``flag``'s UTF-8 file ``path``, for a block that reads
+    it: a ValueError from either names the flag and the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {flag} {path}: {exc}") from None
+    try:
+        yield text
+    except ValueError as exc:
+        exc.args = (f"{exc} (in {flag} {path})",)
+        raise
 
 
-def _read_kv_file(path: str, flag: str) -> dict[str, str]:
+def _key_values(text: str, path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for line_no, raw in enumerate(_read_text(path, flag).splitlines(), 1):
+    for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -88,16 +96,17 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
                for flag in command._option_string_actions}
     own = parser.commands[args.command]._option_string_actions
     tokens = []
-    for key, raw in _read_kv_file(args.config, "--config").items():
-        flag = f"--{key}"
-        if flag not in defined or flag in ("--config", "--help"):
-            raise UsageError(f"unknown config key {key!r}")
-        if flag not in own:
-            continue
-        if own[flag].nargs != 0:
-            tokens.append(f"{flag}={raw}")
-        elif raw.lower() in ("1", "true", "yes"):
-            tokens.append(flag)
+    with _settings("--config", args.config) as text:
+        for key, raw in _key_values(text, args.config).items():
+            flag = f"--{key}"
+            if flag not in defined or flag in ("--config", "--help"):
+                raise UsageError(f"unknown config key {key!r}")
+            if flag not in own:
+                continue
+            if own[flag].nargs != 0:
+                tokens.append(f"{flag}={raw}")
+            elif raw.lower() in ("1", "true", "yes"):
+                tokens.append(flag)
     at = argv.index(args.command) + 1
     return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 
@@ -203,25 +212,19 @@ def _names(text: str, flag: str, what: str = "label") -> list[str]:
 
 def _resolve_schema(text: str, args) -> CsvSchema:
     if args.csv_schema is not None:
-        kv = _read_kv_file(args.csv_schema, "--csv-schema")
-        unknown = set(kv) - {"id_column", "timestamp_column", "timestamp_format",
-                             "attribute_columns", "delimiter", "timezone"}
-        if unknown:
-            raise UsageError(f"unknown schema keys: {sorted(unknown)}")
-        zone = kv.get("timezone", args.timezone)
-        time_zone(zone)  # read ahead of the wrapper below, in its own words
-        try:
+        with _settings("--csv-schema", args.csv_schema) as settings:
+            kv = _key_values(settings, args.csv_schema)
+            unknown = set(kv) - {"id_column", "timestamp_column", "timestamp_format",
+                                 "attribute_columns", "delimiter", "timezone"}
+            if unknown:
+                raise UsageError(f"unknown schema keys: {sorted(unknown)}")
             return CsvSchema(
                 timestamp_column=kv.get("timestamp_column", "timestamp"),
-                attribute_columns=tuple(_names(kv.get("attribute_columns", ""),
-                                               "--csv-schema attribute_columns", "column")),
+                attribute_columns=_names(kv.get("attribute_columns", ""),
+                                         "--csv-schema attribute_columns", "column"),
                 id_column=kv.get("id_column", "synthesize"),
                 timestamp_format=kv.get("timestamp_format") or None,
-                delimiter=kv.get("delimiter", ","),
-                timezone=zone,
-            )
-        except ValueError as exc:
-            raise UsageError(f"bad schema: {exc}") from exc
+                delimiter=kv.get("delimiter", ","), timezone=kv.get("timezone", args.timezone))
     # default schema sniffed from the header, read with the default schema's
     # delimiter (","): id/timestamp columns by name, everything else an attribute
     header = csv_header(text, ",")
@@ -255,12 +258,8 @@ def _load_base_log(args) -> EventLog:
         columns = read_csv(text, schema, base_label)
         del text  # not held while the rows are grouped
         if args.case_key is not None or args.calendar_key != "none":
-            return columns.log(PartitionKeySpec(
-                attribute_keys=() if args.case_key is None else
-                tuple(_names(args.case_key, "--case-key", "attribute")),
-                calendar_key=args.calendar_key,
-                timezone=args.timezone,
-            ))
+            keys = () if args.case_key is None else _names(args.case_key, "--case-key", "attribute")
+            return columns.log(PartitionKeySpec(keys, args.calendar_key, args.timezone))
         return columns.log(PartitionKeySpec(("case",))
                            if "case" in schema.attribute_columns else None)
     try:
@@ -278,7 +277,9 @@ def _refined_log(args, base_log: EventLog):
     if args.refined_label is not None:
         fn = Projection(tuple(_names(args.refined_label, "--refined-label", "attribute")))
     elif args.rules is not None:
-        fn = RuleBased.from_text(_read_text(args.rules, "--rules"), name=Path(args.rules).name)
+        with _settings("--rules", args.rules) as text:  # a bad rule, or an event none matches
+            fn = RuleBased.from_text(text, name=Path(args.rules).name)
+            return fn.apply(base_log), fn.description
     else:
         fields = _names(args.threshold, "--threshold")
         if len(fields) != 4:
@@ -313,44 +314,53 @@ def _eval_config(args, labels: Iterable[Label]) -> EvaluationConfig:
     return EvaluationConfig(args.alpha, _relations(args), correction, contexts)
 
 
-def _emit(args, doc: Any, pretty: Callable[[], str] | None = None) -> None:
-    """Write ``doc`` as JSON, ending with its run metadata unless
-    --deterministic, or under --pretty the text ``pretty()`` builds."""
-    if args.pretty and pretty is not None:
-        _write(args, [pretty()])
+def _output(args, doc: Any, pretty: Callable[[], str]) -> Iterator[str]:
+    """``doc`` as JSON, ending with its run metadata unless --deterministic,
+    or under --pretty the text ``pretty()`` builds; built as it is read."""
+    if args.pretty:
+        yield pretty()
         return
-    if isinstance(doc, dict) and not args.deterministic:
+    if not args.deterministic:
         doc = {**doc, "generated_at": datetime.now(timezone.utc).isoformat()}
-    _write(args, chain(json_chunks(doc), ["\n"]))
+    yield from json_chunks(doc)
+    yield "\n"
 
 
-def _write(args, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` to --out, or to stdout, one at a time: no chunk is
-    joined to another, and a failure part way leaves what was written."""
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as out:
-            out.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
+def _check_out(path: str) -> None:
+    """Refuse an --out path that cannot be opened for writing, changing no file."""
+    try:
+        if not os.path.lexists(path):
+            open(path, "xb").close()
+            os.remove(path)
+        elif os.path.isfile(path) or os.path.isdir(path):  # a pipe is opened once, to write
+            open(path, "ab").close()
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc}") from None
 
 
-def cmd_evaluate(args) -> int:
+def _emit(args, chunks: Iterable[str]) -> None:
+    """Write ``chunks``, a command's output, to --out or stdout one at a
+    time: the one writer.  A failure part way leaves what was written."""
+    with (contextlib.nullcontext(sys.stdout) if args.out is None else
+          open(args.out, "w", encoding="utf-8")) as out:
+        out.writelines(chunks)
+
+
+def cmd_evaluate(args) -> Iterator[str]:
     base_log = _load_base_log(args)
     refined, description = _refined_log(args, base_log)
     config = _eval_config(args, (*base_log.interned.labels, *refined.interned.labels))
     report = evaluate(base_log, refined, config, description)
-    _emit(args, report_doc(report), lambda: pretty_report(report))
-    return EXIT_OK
+    return _output(args, report_doc(report), lambda: pretty_report(report))
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> Iterator[str]:
     base_log = _load_base_log(args)
     skipped: list[str] = []
     candidates = generate_median_time_candidates(base_log, args.timezone, skipped)
     reports = rank_candidates(base_log, candidates, _eval_config(args, base_log.interned.labels))
     doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": skipped}
-    _emit(args, doc, lambda: pretty_ranking(reports, skipped))
-    return EXIT_OK
+    return _output(args, doc, lambda: pretty_ranking(reports, skipped))
 
 
 def _labels_named(labels: Iterable[Label], names: Iterable[str], flag: str,
@@ -379,7 +389,7 @@ def _chosen_codes(labels: tuple[Label, ...], codes: list[int], names: str | None
     return [code for code in codes if labels[code].parts in wanted]
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> Iterator[str]:
     log = _load_base_log(args)
     relations = _relations(args)
     labels, occurrences = log.interned.labels, log.interned.occurrences
@@ -400,51 +410,38 @@ def cmd_stats(args) -> int:
                 yield name, b, occurrences[b], zip(cs, map(rows[b].get, cs, repeat(0)))
 
     if args.format == "csv":
-        _write(args, stats_csv(labels, groups()))
-    elif args.pretty:
+        return stats_csv(labels, groups())
+
+    def pretty() -> str:
         names = [human_label(label) for label in labels]
-        _write(args, [pretty_stats((relation, names[b], names[c], pos, n - pos)
-                                   for relation, b, n, cells in groups() for c, pos in cells)])
-    else:
-        _emit(args, {"rows": StatsRows(labels, groups())})
-    return EXIT_OK
+        return pretty_stats((relation, names[b], names[c], pos, n - pos)
+                            for relation, b, n, cells in groups() for c, pos in cells)
+    return _output(args, {"rows": StatsRows(labels, groups())}, pretty)
 
 
-def cmd_gen_candidates(args) -> int:
+def cmd_gen_candidates(args) -> Iterator[str]:
     log = _load_base_log(args)
     skipped: list[str] = []
     candidates = generate_median_time_candidates(log, args.timezone, skipped)
-    doc = {
-        "candidates": [
-            {"base_label": fn.base_label.json_parts(),
-             "threshold": fn.threshold.isoformat(),
-             "low_label": fn.low_label.json_parts(),
-             "high_label": fn.high_label.json_parts(),
-             "timezone": fn.timezone,
-             "description": fn.description}
-            for fn in candidates
-        ],
-        "skipped_labels": skipped,
-    }
-    _emit(args, doc, lambda: pretty_candidates(candidates, skipped))
-    return EXIT_OK
+    doc = {"candidates": [{"base_label": fn.base_label.json_parts(),
+                           "threshold": fn.threshold.isoformat(),
+                           "low_label": fn.low_label.json_parts(),
+                           "high_label": fn.high_label.json_parts(),
+                           "timezone": fn.timezone, "description": fn.description}
+                          for fn in candidates],
+           "skipped_labels": skipped}
+    return _output(args, doc, lambda: pretty_candidates(candidates, skipped))
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> Iterator[str]:
     if args.to is None:  # not required by argparse, so that a --config file may give it
         raise UsageError("the following arguments are required: --to")
     log = _load_base_log(args)
-    _write(args, [write_csv(log) if args.to == "csv" else write_xes_minimal(log)])
-    return EXIT_OK
+    return map(write_csv if args.to == "csv" else write_xes_minimal, [log])
 
 
-_COMMANDS = {
-    "evaluate": cmd_evaluate,
-    "scan": cmd_scan,
-    "stats": cmd_stats,
-    "gen-candidates": cmd_gen_candidates,
-    "convert": cmd_convert,
-}
+_COMMANDS = {"evaluate": cmd_evaluate, "scan": cmd_scan, "stats": cmd_stats,
+             "gen-candidates": cmd_gen_candidates, "convert": cmd_convert}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -457,7 +454,10 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_USAGE
         args = _with_config(parser, args, argv)
         time_zone(args.timezone)
-        return _COMMANDS[args.command](args)
+        if args.out is not None:
+            _check_out(args.out)
+        _emit(args, _COMMANDS[args.command](args))
+        return EXIT_OK
     except UsageError as exc:
         parser.print_usage(sys.stderr)
         print(f"error: {exc}", file=sys.stderr)

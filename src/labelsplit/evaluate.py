@@ -19,7 +19,7 @@ from .model import EventLog, Label, Record, as_label, local, time_zone
 from .ordering import (DEFAULT_RELATIONS, OrderingRelation, PairTables, RefinementCounts,
                        as_relations, build_tables, split_counts)
 from .relabel import RelabelingFn, SplitPair, TimeThreshold
-from .stats import CorrectionPolicy, PairTests, TestResult, fisher_p_values
+from .stats import CorrectionPolicy, PairTests, TestResult, check_alpha, fisher_p_values
 
 
 class EvaluationConfig(Record):
@@ -32,8 +32,6 @@ class EvaluationConfig(Record):
                  relations: str | Iterable[OrderingRelation | str] = DEFAULT_RELATIONS,
                  correction: CorrectionPolicy = CorrectionPolicy(),
                  context_labels: Iterable[Label] | None = None):
-        if not 0 < alpha < 1:
-            raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         # a repeated relation or context label is dropped, so no table is
         # tested twice; a bare Label or string is one (and a string refused)
         if isinstance(context_labels, (str, Label)):
@@ -41,7 +39,7 @@ class EvaluationConfig(Record):
         if context_labels is not None:
             context_labels = tuple(dict.fromkeys(
                 as_label("context_labels", label) for label in context_labels))
-        super().__init__(alpha, as_relations(relations), correction, context_labels)
+        super().__init__(check_alpha(alpha), as_relations(relations), correction, context_labels)
 
 
 class EvaluationReport(Record):

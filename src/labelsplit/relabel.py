@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from datetime import time
 from itertools import compress
 from typing import Any, NamedTuple
@@ -176,18 +176,22 @@ class Rule(Record):
     def matches_value(self, actual: Any) -> bool:
         """Whether an event whose value of the attribute is ``actual``
         (``MISSING`` when it has none) matches."""
-        if actual is MISSING:
-            return False
-        if self.op == "=":
-            return str(actual) == self.value
-        if self.op == "!=":
-            return str(actual) != self.value
-        right = _ordered(self.value)
-        try:
-            left = parse_time_of_day(str(actual)) if isinstance(right, time) else float(actual)
-        except (TypeError, ValueError):
-            return False
-        return left < right if self.op == "<" else left >= right
+        return self._matcher()(actual)
+
+    def _matcher(self) -> Callable[[Any], bool]:
+        """``matches_value``, with the rule's value read once here."""
+        if self.op in ("=", "!="):
+            value, equal = self.value, self.op == "="
+            return lambda actual: actual is not MISSING and (str(actual) == value) is equal
+        right, below = _ordered(self.value), self.op == "<"
+
+        def matches(actual: Any) -> bool:
+            try:
+                left = parse_time_of_day(str(actual)) if isinstance(right, time) else float(actual)
+            except (TypeError, ValueError):  # MISSING among them
+                return False
+            return left < right if below else left >= right
+        return matches
 
 
 class RuleBased(RelabelingFn, Record):
@@ -207,14 +211,15 @@ class RuleBased(RelabelingFn, Record):
         return f"rule_file[{self.name}]"
 
     def label_rows(self, log: EventLog) -> list[list[tuple]]:
-        columns = [log.columns.attributes.get(rule.attribute) for rule in self.rules]
+        tests = [(rule._matcher(), column, rule.label.parts) for rule in self.rules
+                 if (column := log.columns.attributes.get(rule.attribute)) is not None]
         out = []
         for t, ids in enumerate(log.columns.ids):
             keys = []
             for i, event_id in enumerate(ids):
-                for rule, column in zip(self.rules, columns):
-                    if column is not None and rule.matches_value(column[t][i]):
-                        keys.append(rule.label.parts)
+                for matches, column, parts in tests:
+                    if matches(column[t][i]):
+                        keys.append(parts)
                         break
                 else:
                     if self.default is None:

@@ -164,10 +164,16 @@ def _walk(a1_pos: int, a1_neg: int, a2_pos: int, a2_neg: int) -> float:
     return min(1.0, max(0.0, p))
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha``; ValueError naming it unless it is an int or a float in (0, 1)."""
+    if not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha!r}")
+    return alpha
+
+
 def bonferroni_threshold(alpha: float, m: int) -> float:
     """Per-test significance threshold keeping the familywise rate at alpha."""
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if m < 1:
         raise ValueError(f"test count must be >= 1, got {m}")
     return alpha / m

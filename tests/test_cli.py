@@ -1,7 +1,9 @@
 import csv
 import io
 import json
+import os
 import random
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -1061,7 +1063,8 @@ def test_unknown_time_zone_in_schema_is_usage_error(tmp_path, capsys):
 
 # --- the output sink: --out and stdout -------------------------------------
 
-@pytest.mark.parametrize("argv", [
+# one run of each kind of output
+_OUTPUTS = [
     ["scan"],
     ["scan", "--pretty"],
     ["evaluate", "--refined-label", "Sensor,Activity"],
@@ -1071,7 +1074,10 @@ def test_unknown_time_zone_in_schema_is_usage_error(tmp_path, capsys):
     ["gen-candidates"],
     ["convert", "--to", "csv"],
     ["convert", "--to", "xes"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _OUTPUTS)
 def test_out_file_and_stdout_get_the_same_bytes(argv, tmp_path, capsys):
     common = ["--csv", SMART_HOME, "--base-label", "Sensor", "--deterministic"]
     code, out, err = run(capsys, *argv, *common)
@@ -1111,6 +1117,102 @@ def test_a_write_that_fails_part_way_leaves_what_was_written(tmp_path, capsys, m
     written = ascii_out.buffer.getvalue().decode("ascii")
     assert code == 1 and err.startswith("error: ") and "Traceback" not in err
     assert written == "relation,b,c,pos,neg\n" and full.startswith(written)
+
+
+@pytest.mark.parametrize("argv", _OUTPUTS)
+def test_every_output_is_written_by_one_emit_call(argv, tmp_path, monkeypatch):
+    # stats --format csv, stats --pretty and convert used to write past
+    # _emit, so a timer on it saw no time and a hook on it no text
+    emit, given = cli._emit, []
+
+    def recording_emit(args, chunks):
+        given.append([])
+        emit(args, (given[-1].append(chunk) or chunk for chunk in chunks))
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    path = tmp_path / "out"
+    assert main([*argv, "--csv", SMART_HOME, "--base-label", "Sensor", "--deterministic",
+                 "--out", str(path)]) == 0
+    assert len(given) == 1 and given[0]
+    assert path.read_bytes() == "".join(given[0]).encode("utf-8")
+
+
+def test_out_that_cannot_be_written_is_refused_before_the_input_is_read(tmp_path, capsys):
+    # it used to be opened after the whole analysis, and its error named
+    # no flag; here the input is missing too, and --out is named first
+    code, out, err = run(capsys, "scan", "--csv", str(tmp_path / "missing.csv"),
+                         "--base-label", "Sensor", "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    reason = f"[Errno 21] Is a directory: '{tmp_path}'"
+    assert err == f"error: cannot write --out {tmp_path}: {reason}\n"
+
+
+def test_convert_may_write_over_its_own_input(tmp_path, capsys):
+    # --out is checked without emptying it, and written once the input is read
+    path = tmp_path / "log.csv"
+    path.write_bytes(Path(SMART_HOME).read_bytes())
+    code, out, err = run(capsys, "convert", "--csv", str(path), "--base-label", "Sensor",
+                         "--to", "csv", "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_bytes() == (DATA / "golden" / "convert.csv").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_out_may_be_a_named_pipe_opened_once(tmp_path, capsys):
+    # the check leaves a pipe alone: opening it would wait for a reader,
+    # and closing it would give that reader an early end of file
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    check = threading.Thread(target=cli._check_out, args=(str(fifo),), daemon=True)
+    check.start()
+    check.join(5)
+    assert not check.is_alive()
+    reads: list[str] = []
+
+    def read():
+        with open(fifo, encoding="utf-8") as f:
+            reads.append(f.read())
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    argv = ["gen-candidates", "--csv", SMART_HOME, "--base-label", "Sensor", "--deterministic"]
+    assert run(capsys, *argv, "--out", str(fifo))[0] == 0
+    reader.join(10)
+    assert reads == [(DATA / "golden" / "gen-candidates.json").read_text(encoding="utf-8")]
+
+
+@pytest.mark.parametrize("before", [b"kept\n", None])
+def test_a_failing_run_leaves_out_as_it_was(tmp_path, capsys, before):
+    # an existing file keeps its bytes, and a missing one is not made
+    path = tmp_path / "out.json"
+    if before is not None:
+        path.write_bytes(before)
+    code, _, err = run(capsys, "evaluate", "--csv", SMART_HOME, "--base-label", "Sensor",
+                       "--threshold", "Bedroom motion,08:30,Living room motion,Getting up",
+                       "--out", str(path))
+    assert code == 3 and err.startswith("refinement error: "), err
+    assert (path.read_bytes() if path.exists() else None) == before
+
+
+@pytest.mark.parametrize("flag, text, argv, message", [
+    ("--csv-schema", "attribute_columns=case,Sensor,Activity\ndelimiter=;;\n", ["scan"],
+     "delimiter must be a single character"),
+    ("--csv-schema", "attribute_columns=case,Sensor,Activity\ntimezone=Not/AZone\n", ["scan"],
+     "unknown time zone 'Not/AZone'"),
+    ("--rules", "Sensor < abc -> x\n", ["evaluate"],
+     "line 1: not a time of day or a number: 'abc'"),
+    ("--rules", "Sensor = nothing -> x\n", ["evaluate"],
+     "no rule matches event '1' and no default is set"),
+], ids=["schema-delimiter", "schema-timezone", "rule-value", "rule-matching-nothing"])
+def test_an_error_in_a_settings_file_names_its_flag_and_path(tmp_path, capsys, flag, text,
+                                                             argv, message):
+    # these used to name neither, and a bad schema value came after the
+    # usage line as "bad schema: ..."
+    path = tmp_path / "settings"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", "Sensor",
+                         flag, str(path))
+    assert (code, out, err) == (1, "", f"error: {message} (in {flag} {path})\n")
 
 
 def _wide_csv(path: Path, labels: int = 40, days: int = 30, per_day: int = 40) -> str:

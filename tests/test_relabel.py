@@ -9,6 +9,7 @@ from labelsplit import (Event, EventLog, Label, NotARefinementError, PartitionKe
                         Projection, RuleBased, RuleError, ShapeMismatchError, SplitPair,
                         TimeThreshold, Trace, check_refinement, extract_split_set,
                         parse_time_of_day, partition)
+from labelsplit import relabel
 from labelsplit.model import MISSING, InternedLog
 
 from conftest import label_rows, log_from_rows
@@ -154,6 +155,22 @@ def test_an_ordered_rule_compares_times_with_times_and_numbers_with_numbers():
         [True, True, False, False, False]
     # = and != compare text, so their values need be neither
     assert RuleBased.from_text("At = 25:00 -> odd").rules[0].matches_value("25:00")
+
+
+def test_an_ordered_rule_reads_its_value_once_per_relabeling(monkeypatch):
+    # its value used to be read again for every event the rule was tried on
+    rates = [str(50 + k % 50) for k in range(1000)]
+    start = datetime(2020, 1, 1, tzinfo=timezone.utc)
+    log = EventLog([Trace("t", [Event(k, start + timedelta(minutes=k), {"Rate": rate})
+                                for k, rate in enumerate(rates)])])
+    fn = RuleBased.from_text("Rate < 75 -> calm\nRate >= 90 -> racing\nGone < 1 -> x\n"
+                             "default -> other")
+    parsed, ordered = [], relabel._ordered
+    monkeypatch.setattr(relabel, "_ordered", lambda text: parsed.append(text) or ordered(text))
+    labels = [str(e.label) for e in fn.apply(log).traces[0]]
+    assert parsed == ["75", "90"]  # the log has no Gone column: that rule matches nothing
+    assert labels == ["calm" if int(r) < 75 else "racing" if int(r) >= 90 else "other"
+                      for r in rates]
 
 
 def test_check_refinement_sample_is_strict(sensor_log, activity_log):

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from labelsplit import CorrectionPolicy, bonferroni_threshold, fisher_exact_two_sided
+from labelsplit import (CorrectionPolicy, EvaluationConfig, bonferroni_threshold,
+                        fisher_exact_two_sided)
 from labelsplit import stats
 from labelsplit.stats import fisher_p_values
 
@@ -206,6 +207,18 @@ def test_bonferroni_rejects_bad_inputs():
         bonferroni_threshold(0.0, 4)
     with pytest.raises(ValueError):
         bonferroni_threshold(1.0, 4)
+
+
+@pytest.mark.parametrize("alpha", ["0.5", None, [0.5], True])
+def test_an_alpha_that_is_no_number_is_refused_by_name(alpha):
+    # a string or None used to fail comparing with 0, as Python's own
+    # TypeError naming neither the argument nor the value
+    message = f"alpha must be in (0, 1), got {alpha!r}"
+    with pytest.raises(ValueError) as bonferroni:
+        bonferroni_threshold(alpha, 4)
+    with pytest.raises(ValueError) as config:
+        EvaluationConfig(alpha=alpha)
+    assert str(bonferroni.value) == str(config.value) == message
 
 
 def test_correction_policy_thresholds():
