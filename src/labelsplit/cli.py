@@ -124,7 +124,8 @@ _FLAGS: dict[str, dict[str, Any]] = {
     "--xes": dict(metavar="FILE", type=_path, help="minimal-XES event log input"),
     "--csv-schema": dict(metavar="FILE", type=_path,
                          help="key=value schema file (id_column, timestamp_column, "
-                              "timestamp_format, attribute_columns, delimiter, timezone)"),
+                              "timestamp_format, attribute_columns, delimiter, timezone: "
+                              "how naive times are read; --timezone sets days and times of day)"),
     "--case-key": dict(metavar="ATTRS",
                        help="attributes grouping events into traces, as one CSV record"),
     "--calendar-key": dict(choices=["none", "day"], default="none",
@@ -217,7 +218,7 @@ def _resolve_schema(text: str, args) -> CsvSchema:
             unknown = set(kv) - {"id_column", "timestamp_column", "timestamp_format",
                                  "attribute_columns", "delimiter", "timezone"}
             if unknown:
-                raise UsageError(f"unknown schema keys: {sorted(unknown)}")
+                raise ValueError(f"unknown schema keys: {sorted(unknown)}")
             return CsvSchema(
                 timestamp_column=kv.get("timestamp_column", "timestamp"),
                 attribute_columns=_names(kv.get("attribute_columns", ""),
@@ -379,23 +380,21 @@ def _labels_named(labels: Iterable[Label], names: Iterable[str], flag: str,
     return [label for name in names for label in by_text.get(name, [Label(name)])]
 
 
-def _chosen_codes(labels: tuple[Label, ...], codes: list[int], names: str | None,
-                  flag: str) -> list[int]:
-    """The codes of the labels named in ``flag``'s value ``names``; all of
-    ``codes`` when the flag is not given."""
+def _chosen_codes(labels: tuple[Label, ...], names: str | None, flag: str) -> list[int]:
+    """The codes, in label order, of the labels named in ``flag``'s value
+    ``names``; every code when the flag is not given."""
     if names is None:
-        return codes
+        return list(range(len(labels)))
     wanted = {label.parts for label in _labels_named(labels, _names(names, flag), flag)}
-    return [code for code in codes if labels[code].parts in wanted]
+    return [code for code, label in enumerate(labels) if label.parts in wanted]
 
 
 def cmd_stats(args) -> Iterator[str]:
     log = _load_base_log(args)
     relations = _relations(args)
     labels, occurrences = log.interned.labels, log.interned.occurrences
-    codes = sorted(range(len(labels)), key=lambda code: labels[code].sort_key())
-    b_codes = _chosen_codes(labels, codes, args.b_labels, "--b-labels")
-    c_codes = _chosen_codes(labels, codes, args.c_labels, "--c-labels")
+    b_codes = _chosen_codes(labels, args.b_labels, "--b-labels")
+    c_codes = _chosen_codes(labels, args.c_labels, "--c-labels")
     counts = LogCounts.of(log, relations, [labels[b] for b in b_codes])
     at = {c: k for k, c in enumerate(c_codes)}
 

@@ -226,10 +226,7 @@ def generate_median_time_candidates(
             times_by_code[code].append(instant.time())
 
     candidates: list[RelabelingFn] = []
-    labels = interned.labels
-    for code in sorted(range(len(labels)), key=lambda code: labels[code].sort_key()):
-        label = labels[code]
-        times = sorted(times_by_code[code])
+    for label, times in zip(interned.labels, map(sorted, times_by_code)):
         if len(times) < 2:
             _note_skip(skipped, f"{label}: fewer than 2 occurrences")
             continue

@@ -320,7 +320,7 @@ def _trace(case_id: Any, events: tuple[Event, ...]) -> Trace:
 
 
 class InternedLog(NamedTuple):
-    """A log's labels as small ints, in order of first occurrence.
+    """A log's labels as small ints, numbered in label order (``of_keys``).
 
     ``labels[code]`` is the Label of a code, ``codes`` maps a label's
     ``parts`` back to its code, ``rows`` holds one code row per trace and
@@ -349,8 +349,10 @@ class InternedLog(NamedTuple):
                 one_part: bool = False) -> "InternedLog":
         """Intern labels given as each event's key, in log order, and each
         trace's length.  A key is the label's ``Label.parts``, or with
-        ``one_part`` its only part, so no tuple is built per event."""
-        codes = dict(zip(dict.fromkeys(keys), count()))
+        ``one_part`` its only part, so no tuple is built per event.  Codes
+        follow label order: the key ``Label.sort_key`` computes, then log order."""
+        order = _value_key if one_part else lambda parts: tuple(map(_value_key, parts))
+        codes = dict(zip(sorted(dict.fromkeys(keys), key=order), count()))
         flat = list(map(codes.__getitem__, keys))
         counts = Counter(flat)
         if one_part:
@@ -549,8 +551,8 @@ class EventLog:
 
     @property
     def alphabet(self) -> tuple[Label, ...]:
-        """Distinct labels occurring in the log, in sorted (deterministic) order."""
-        return tuple(sorted(self.interned.labels, key=Label.sort_key))
+        """Distinct labels occurring in the log, in label order."""
+        return self.interned.labels
 
 
 def time_zone(name: str) -> tzinfo:

@@ -224,7 +224,7 @@ def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
 
 
 def relation_counts(log: EventLog, relation: OrderingRelation) -> dict[tuple[Label, Label], OrderingCounts]:
-    """OrderingCounts for every ordered pair (b, c) of the log's alphabet.
+    """OrderingCounts for every ordered pair (b, c) of the alphabet, in label order.
 
     A dense view of ``LogCounts.of(log, (relation,))``, |alphabet|² entries
     keyed by Label pairs.  The kernel behind it reads the log's interning
@@ -376,6 +376,9 @@ class RefinementCounts(Record):
     """Everything the tables of one refinement are built from, counted once:
     both logs' counts, for each refined label the one coarse label seen at
     its positions (``coarse``), and the split set (``split_pairs``).
+    ``coarse`` lists the refined labels in label order, but ``split_counts``
+    puts a split's two children last: siblings, never contexts of that
+    split.  So ``build_tables`` takes its default contexts in that order.
 
     The refined counts hold only the rows of split children, the only
     refined sources a table reads: a refined log's ``LogCounts`` restricted
@@ -561,7 +564,7 @@ def build_tables(
     coarse = counts.coarse
     siblings = set(pair.children)
     if context_labels is None:
-        contexts = [b for b in sorted(coarse, key=Label.sort_key) if b not in siblings]
+        contexts = [b for b in coarse if b not in siblings]
     else:
         base_codes = counts.base.interned.codes
         contexts, removed = [], []

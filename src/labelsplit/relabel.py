@@ -284,10 +284,10 @@ class Pairing(NamedTuple):
     package's one refinement check.
 
     ``parents`` holds, for each refined label, how often each coarse label
-    co-occurs with it; ``split_pairs`` is the split set; ``merged`` lists,
-    sorted, the refined labels seen under two or more coarse labels.  Each
-    such label merges coarse labels, so the refined labeling does not refine
-    the coarse one.
+    co-occurs with it; ``split_pairs`` is the split set; ``merged`` lists
+    the refined labels seen under two or more coarse labels, which merge
+    coarse labels, so the refined labeling does not refine the coarse one.
+    All list labels in label order, the order of both logs' codes.
     """
 
     parents: dict[Label, dict[Label, int]]
@@ -316,22 +316,21 @@ class Pairing(NamedTuple):
         for codes1, codes2 in zip(coarse.rows, refined.rows):
             seen.update(zip(codes2, codes1))
         parents: dict[Label, dict[Label, int]] = {}
-        children: dict[Label, list[Label]] = {}
-        for (child, parent), n in seen.items():
-            child_label, parent_label = refined.labels[child], coarse.labels[parent]
-            parents.setdefault(child_label, {})[parent_label] = n
-            children.setdefault(parent_label, []).append(child_label)
-        split_pairs = tuple(SplitPair(parent, tuple(children[parent]))
-                            for parent in sorted(children, key=Label.sort_key)
-                            if len(children[parent]) >= 2)
-        merged = tuple(sorted(child for child, under in parents.items() if len(under) > 1))
+        children: list[list[Label]] = [[] for _ in coarse.labels]
+        for (child, parent), n in sorted(seen.items()):  # codes follow label order
+            child_label = refined.labels[child]
+            parents.setdefault(child_label, {})[coarse.labels[parent]] = n
+            children[parent].append(child_label)
+        split_pairs = tuple(SplitPair(parent, tuple(under))
+                            for parent, under in zip(coarse.labels, children) if len(under) >= 2)
+        merged = tuple(child for child, under in parents.items() if len(under) > 1)
         return cls(parents, split_pairs, merged)
 
     def coarse(self) -> dict[Label, Label]:
         """Each refined label's one coarse label; NotARefinementError when a
         refined label merges coarse labels."""
         if self.merged:
-            coarse = ", ".join(str(label) for label in sorted(self.parents[self.merged[0]]))
+            coarse = ", ".join(map(str, self.parents[self.merged[0]]))
             raise NotARefinementError(
                 f"refined labeling does not refine the base one: refined label "
                 f"{self.merged[0]} is observed under several coarse labels ({coarse})")

@@ -1,15 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import random
 import threading
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from labelsplit import EvaluationReport, cli
+from labelsplit import EvaluationReport, OrderingRelation, cli
 from labelsplit.ingest import CsvFormatError, CsvSchema, read_csv
 from labelsplit.cli import main
 
@@ -67,6 +70,54 @@ def test_csv_schema_file(tmp_path, capsys):
     rows = json.loads(out)["rows"]
     cell = {(r["relation"], r["b"][0], r["c"][0]): (r["pos"], r["neg"]) for r in rows}
     assert cell[("directly_precedes", "s1", "s2")] == (2, 0)
+
+
+def _row_order_rows() -> list[str]:
+    """Data rows of three homes over two days, with explicit ids (synthesized
+    ones are row numbers, which would order equal times) and many events at
+    each time of day."""
+    rng = random.Random(11)
+    rows = []
+    for home in ("h1", "h2", "h3"):
+        for day in (1, 2):
+            for _ in range(14):
+                minute = rng.randrange(0, 24 * 60, 90)
+                rows.append(f"{len(rows)},2020-03-0{day} {minute // 60:02d}:{minute % 60:02d},"
+                            f"{home},{rng.choice('abcde')},{rng.choice('xy')}")
+    return rows
+
+
+_ROW_ORDER_COMMANDS = (["scan"], ["evaluate", "--refined-label", "sensor,activity"],
+                       ["stats", "--relations", ",".join(r.value for r in OrderingRelation)],
+                       ["stats", "--format", "csv"])
+
+
+def test_row_order_leaves_every_output_unchanged():
+    # moving rows within the CSV changes neither the traces nor any output
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.csv"
+
+        def outputs(rows: list[str]) -> list[tuple[int, str]]:
+            path.write_text("id,timestamp,home,sensor,activity\n" + "\n".join(rows) + "\n",
+                            encoding="utf-8")
+            out = []
+            for command in _ROW_ORDER_COMMANDS:
+                with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                    code = main([*command, "--csv", str(path), "--base-label", "sensor",
+                                 "--case-key", "home", "--calendar-key", "day",
+                                 "--deterministic"])
+                out.append((code, stdout.getvalue()))
+            return out
+
+        rows = _row_order_rows()
+        expected = outputs(rows)
+        assert [code for code, _ in expected] == [0] * len(_ROW_ORDER_COMMANDS)
+
+        @settings(max_examples=20, deadline=None)
+        @given(st.permutations(rows))
+        def check(shuffled):
+            assert outputs(shuffled) == expected
+        check()
 
 
 def test_no_command_prints_usage(capsys):
@@ -1199,11 +1250,13 @@ def test_a_failing_run_leaves_out_as_it_was(tmp_path, capsys, before):
      "delimiter must be a single character"),
     ("--csv-schema", "attribute_columns=case,Sensor,Activity\ntimezone=Not/AZone\n", ["scan"],
      "unknown time zone 'Not/AZone'"),
+    ("--csv-schema", "bogus=1\n", ["scan"], "unknown schema keys: ['bogus']"),
     ("--rules", "Sensor < abc -> x\n", ["evaluate"],
      "line 1: not a time of day or a number: 'abc'"),
     ("--rules", "Sensor = nothing -> x\n", ["evaluate"],
      "no rule matches event '1' and no default is set"),
-], ids=["schema-delimiter", "schema-timezone", "rule-value", "rule-matching-nothing"])
+], ids=["schema-delimiter", "schema-timezone", "schema-unknown-key", "rule-value",
+        "rule-matching-nothing"])
 def test_an_error_in_a_settings_file_names_its_flag_and_path(tmp_path, capsys, flag, text,
                                                              argv, message):
     # these used to name neither, and a bad schema value came after the

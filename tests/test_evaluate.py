@@ -340,6 +340,22 @@ def test_scan_counts_all_fresh_splits_at_once(monkeypatch):
     assert made == [len(DEFAULT_RELATIONS)] * 2
 
 
+def test_a_scan_sorts_no_labels(monkeypatch):
+    # label order is decided when a log is interned, so a scan calls
+    # Label.sort_key only to order each split pair's two children
+    rng = random.Random(3)
+    names = [f"s{k}" for k in range(200)]
+    rng.shuffle(names)
+    log = log_from_rows([[rng.choice(names) for _ in range(60)] for _ in range(12)])
+    size = len(log.interned.labels)
+    assert size > 190
+    calls = []
+    sort_key = Label.sort_key
+    monkeypatch.setattr(Label, "sort_key", lambda label: calls.append(label) or sort_key(label))
+    reports = rank_candidates(log, generate_median_time_candidates(log))
+    assert len(reports) > 150 and len(calls) <= 4 * size
+
+
 def test_scan_counts_every_split_of_a_parent_in_rounds(monkeypatch):
     # four thresholds per label, each with fresh children: the k-th split of
     # every parent is counted in round k, one kernel call per relation and

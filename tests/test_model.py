@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from labelsplit import Event, EventLog, Label, MissingAttributeError, Projection, Trace
+from labelsplit.ingest import CsvSchema, PartitionKeySpec, read_csv
 from labelsplit.model import InternedLog
 
 from conftest import log_from_rows, sample_events
@@ -186,6 +187,41 @@ def test_cached_interning_equals_fresh_interning(rows):
     counts = Counter(e.label for t in log for e in t)
     assert dict(zip(cached.labels, cached.occurrences)) == counts
     assert cached.codes == {label.parts: code for code, label in enumerate(cached.labels)}
+
+
+# first occurrence is not label order: "s10" sorts before "s9", 9 before 10
+# and 2.5, and every number before every string
+_TEXTS = ["s9", "s10", "s1", "b", "a"]
+_VALUES = [*_TEXTS, 10, 9, 2.5]
+
+
+def _assert_interned_in_label_order(log: EventLog) -> None:
+    interned = log.interned
+    traces = [list(trace.labels()) for trace in log]
+    distinct = {label for trace in traces for label in trace}
+    assert interned.labels == tuple(sorted(distinct, key=Label.sort_key)) == log.alphabet
+    assert [[interned.labels[code] for code in row] for row in interned.rows] == traces
+    assert interned.codes == {label.parts: code for code, label in enumerate(interned.labels)}
+
+
+@given(st.lists(st.lists(st.tuples(st.sampled_from(_VALUES), st.sampled_from(_TEXTS)),
+                         min_size=1, max_size=6), min_size=1, max_size=4))
+def test_labels_are_interned_in_label_order(rows):
+    start = datetime(2020, 1, 1, tzinfo=UTC)
+    traces = [Trace(f"t{t}", [Event(f"{t}-{i}", start + timedelta(minutes=i), {"x": x, "y": y})
+                              for i, (x, y) in enumerate(row)])
+              for t, row in enumerate(rows)]
+    log = EventLog(traces)  # numbers and strings mixed, two-part labels
+    _assert_interned_in_label_order(log)
+    _assert_interned_in_label_order(Projection("x").apply(log))
+    _assert_interned_in_label_order(Projection(["y", "x"]).apply(log))
+    lines = ["id,timestamp,case,x,y"] + [
+        f"{t}-{i},2020-01-01 00:{i:02d},t{t},{x},{y}"
+        for t, row in enumerate(rows) for i, (x, y) in enumerate(row)]
+    schema = CsvSchema("timestamp", ["case", "x", "y"], id_column="id")
+    for label_columns in (["x"], ["y", "x"]):  # one-part columns, and a projection
+        columns = read_csv("\n".join(lines) + "\n", schema, label_columns)
+        _assert_interned_in_label_order(columns.log(PartitionKeySpec("case")))
 
 
 def test_label_pickles_and_deep_copies():
