@@ -9,8 +9,8 @@ decides whether the refinement is useful for process discovery.
 
 from .evaluate import (EvaluationConfig, EvaluationReport, evaluate,
                        generate_median_time_candidates, rank_candidates)
-from .gain import (EntropyBreakdown, TableEntropy, binary_entropy,
-                   relative_information_gain, table_entropies)
+from .gain import (EntropyBreakdown, binary_entropy, relative_information_gain,
+                   table_entropies)
 from .ingest import (CsvFormatError, CsvSchema, PartitionKeySpec, XesFormatError,
                      parse_csv, parse_xes_minimal, partition, write_csv,
                      write_xes_minimal)
@@ -55,7 +55,6 @@ __all__ = [
     "RuleError",
     "ShapeMismatchError",
     "SplitPair",
-    "TableEntropy",
     "TestResult",
     "TimeThreshold",
     "Trace",

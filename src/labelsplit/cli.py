@@ -59,26 +59,25 @@ class _Parser(argparse.ArgumentParser):
 @contextlib.contextmanager
 def _settings(flag: str, path: str) -> Iterator[str]:
     """The text of ``flag``'s UTF-8 file ``path``, for a block that reads
-    it: a ValueError from either names the flag and the file."""
+    it: a ValueError or UsageError in either is a ValueError naming both."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {flag} {path}: {exc}") from None
     try:
         yield text
-    except ValueError as exc:
-        exc.args = (f"{exc} (in {flag} {path})",)
-        raise
+    except (UsageError, ValueError) as exc:
+        raise ValueError(f"{exc} (in {flag} {path})") from None
 
 
-def _key_values(text: str, path: str) -> dict[str, str]:
+def _key_values(text: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise UsageError(f"{path}:{line_no}: expected key=value, got {line!r}")
+            raise ValueError(f"line {line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out
@@ -97,7 +96,7 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
     own = parser.commands[args.command]._option_string_actions
     tokens = []
     with _settings("--config", args.config) as text:
-        for key, raw in _key_values(text, args.config).items():
+        for key, raw in _key_values(text).items():
             flag = f"--{key}"
             if flag not in defined or flag in ("--config", "--help"):
                 raise UsageError(f"unknown config key {key!r}")
@@ -214,7 +213,7 @@ def _names(text: str, flag: str, what: str = "label") -> list[str]:
 def _resolve_schema(text: str, args) -> CsvSchema:
     if args.csv_schema is not None:
         with _settings("--csv-schema", args.csv_schema) as settings:
-            kv = _key_values(settings, args.csv_schema)
+            kv = _key_values(settings)
             unknown = set(kv) - {"id_column", "timestamp_column", "timestamp_format",
                                  "attribute_columns", "delimiter", "timezone"}
             if unknown:

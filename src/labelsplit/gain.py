@@ -11,10 +11,10 @@ the before-split total.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
-from .model import Label, Record
-from .ordering import ContingencyTable, OrderingRelation, PairBlocks, PairTables
+from .model import Record
+from .ordering import ContingencyTable, PairTables
 
 
 def binary_entropy(p: float) -> float:
@@ -52,41 +52,15 @@ def _entropies(p: int, n: int, p1: int, n1: int, p2: int, n2: int) -> tuple[floa
     return h_before, h_after
 
 
-class TableEntropy(Record):
-    __slots__ = ("relation", "context_label", "h_before", "h_after", "weight_a1", "weight_a2")
-
-    def __init__(self, relation: OrderingRelation, context_label: Label, h_before: float,
-                 h_after: float, weight_a1: float, weight_a2: float):
-        super().__init__(relation, context_label, h_before, h_after, weight_a1, weight_a2)
-
-
-class TableEntropies(PairBlocks):
-    """The ``TableEntropy`` of each table of a run of PairTables, built on
-    access."""
-
-    __slots__ = ()
-
-    def _block_item(self, b: int, k: int) -> TableEntropy:
-        tables = self.blocks[b]
-        r, c = divmod(k, len(tables.contexts))
-        n, n1, n2 = tables.n, tables.n1, tables.n2
-        h_before, h_after = _entropies(tables.parent_pos[r][c], n, tables.a1_pos[r][c], n1,
-                                       tables.a2_pos[r][c], n2)
-        return TableEntropy(tables.relations[r], tables.contexts[c], h_before, h_after,
-                            n1 / n if n else 0.0, n2 / n if n else 0.0)
-
-
 class EntropyBreakdown(Record):
     """Entropy accounting for one candidate refinement."""
 
-    __slots__ = ("per_table", "total_before", "total_after", "information_gain",
+    __slots__ = ("total_before", "total_after", "information_gain",
                  "relative_information_gain")
 
-    def __init__(self, per_table: Sequence[TableEntropy], total_before: float,
-                 total_after: float, information_gain: float,
+    def __init__(self, total_before: float, total_after: float, information_gain: float,
                  relative_information_gain: float):
-        super().__init__(per_table, total_before, total_after, information_gain,
-                         relative_information_gain)
+        super().__init__(total_before, total_after, information_gain, relative_information_gain)
 
 
 def relative_information_gain(tables: Iterable[ContingencyTable | PairTables]) -> EntropyBreakdown:
@@ -97,10 +71,9 @@ def relative_information_gain(tables: Iterable[ContingencyTable | PairTables]) -
     total_after) / total_before, defined as 0 when there is no
     before-split entropy to reduce.
     """
-    blocks = [t if isinstance(t, PairTables) else PairTables.of(t) for t in tables]
     total_before = 0.0
     total_after = 0.0
-    for block in blocks:
+    for block in (t if isinstance(t, PairTables) else PairTables.of(t) for t in tables):
         n, n1, n2 = block.n, block.n1, block.n2
         # (p, p1, p2) -> its entropies, each computed once per block: the
         # block fixes n, n1 and n2
@@ -116,7 +89,6 @@ def relative_information_gain(tables: Iterable[ContingencyTable | PairTables]) -
     gain = total_before - total_after
     rig = gain / total_before if total_before > 0.0 else 0.0
     return EntropyBreakdown(
-        per_table=TableEntropies(blocks),
         total_before=total_before,
         total_after=total_after,
         information_gain=gain,

@@ -44,11 +44,10 @@ from __future__ import annotations
 import operator
 import sys
 from array import array
-from bisect import bisect_right
 from collections import Counter
 from collections.abc import Sequence
 from enum import Enum
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from typing import Any, Iterable
 
 from .model import EventLog, InternedLog, Label, Record
@@ -512,28 +511,6 @@ class PairTables(LazySequence):
         return ContingencyTable(self.relations[r], self.contexts[k], self.a1, self.a2,
                                 OrderingCounts(p1, self.n1 - p1), OrderingCounts(p2, self.n2 - p2),
                                 self.parent, OrderingCounts(p, self.n - p))
-
-
-class PairBlocks(LazySequence):
-    """Items built on access, one per table of ``blocks`` (a run of
-    PairTables), block by block."""
-
-    __slots__ = ("blocks", "_ends")
-
-    def __init__(self, blocks: Iterable[PairTables]):
-        self.blocks = tuple(blocks)
-        self._ends = list(accumulate(map(len, self.blocks)))
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def _item(self, i: int) -> Any:
-        b = bisect_right(self._ends, i)
-        return self._block_item(b, i - self._ends[b - 1] if b else i)
-
-    def _block_item(self, b: int, k: int) -> Any:
-        """Item k of block b."""
-        raise NotImplementedError
 
 
 def build_tables(

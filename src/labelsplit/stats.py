@@ -19,7 +19,7 @@ from itertools import accumulate, chain
 from operator import index, mul
 
 from .model import Label, Record, replace
-from .ordering import ContingencyTable, OrderingRelation, PairBlocks, PairTables
+from .ordering import ContingencyTable, LazySequence, OrderingRelation, PairTables
 
 # Relative slack when comparing point probabilities for the two-sided sum:
 # 1e-7, kept as its reciprocal for the exact comparison.
@@ -231,17 +231,18 @@ def fisher_test(table: ContingencyTable, corrected_alpha: float) -> TestResult:
     )
 
 
-class PairTests(PairBlocks):
-    """The ``TestResult`` of each table of a run of PairTables, built on
-    access: ``p_values[b][k]`` is the p of table k of block b, tested at
-    ``alphas[b]``."""
+class PairTests(LazySequence):
+    """The ``TestResult`` of each table of a run of PairTables ``blocks``,
+    built on access: ``p_values[b][k]`` is the p of table k of block b,
+    tested at ``alphas[b]``."""
 
-    __slots__ = ("p_values", "alphas")
+    __slots__ = ("blocks", "p_values", "alphas", "_ends")
 
     def __init__(self, blocks: Iterable[PairTables], p_values: Sequence[Sequence[float]],
                  alphas: Sequence[float]):
-        super().__init__(blocks)
+        self.blocks = tuple(blocks)
         self.p_values, self.alphas = p_values, alphas
+        self._ends = list(accumulate(map(len, self.blocks)))
 
     @classmethod
     def of(cls, tests: Iterable[TestResult]) -> "PairTests":
@@ -254,7 +255,12 @@ class PairTests(PairBlocks):
                   for t in tests]
         return cls(blocks, [[t.p_value] for t in tests], [t.corrected_alpha for t in tests])
 
-    def _block_item(self, b: int, k: int) -> TestResult:
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def _item(self, i: int) -> TestResult:
+        b = bisect_right(self._ends, i)
+        k = i - self._ends[b - 1] if b else i
         table = self.blocks[b][k]
         p, alpha = self.p_values[b][k], self.alphas[b]
         return TestResult(table.relation, table.context_label, (table.a1, table.a2), p, alpha,

@@ -700,7 +700,7 @@ def test_a_dropped_flag_is_refused_and_its_config_key_ignored(tmp_path, capsys, 
     code, out, err = run(capsys, *common, "--config", str(cfg))
     if flag == "--json":  # no subcommand defines it any more
         assert (code, out) == (1, "")
-        assert err.splitlines()[-1] == "error: unknown config key 'json'"
+        assert err.splitlines()[-1] == f"error: unknown config key 'json' (in --config {cfg})"
     else:  # another subcommand defines it
         assert (code, out, err) == (0, plain, "")
 
@@ -929,7 +929,8 @@ def test_schema_attribute_columns_that_name_nothing_exit_one(tmp_path, capsys, v
     code, out, err = run(capsys, "stats", "--csv", SMART_HOME, "--csv-schema", str(schema),
                          "--base-label", "Sensor")
     assert (code, out) == (1, "")
-    assert err.splitlines()[-1] == "error: --csv-schema attribute_columns names no column"
+    assert err.splitlines()[-1] == ("error: --csv-schema attribute_columns names no column "
+                                    f"(in --csv-schema {schema})")
 
 
 _EMPTY_PATHS = [(("scan", "--csv", SMART_HOME), "--out"),
@@ -1255,12 +1256,18 @@ def test_a_failing_run_leaves_out_as_it_was(tmp_path, capsys, before):
      "line 1: not a time of day or a number: 'abc'"),
     ("--rules", "Sensor = nothing -> x\n", ["evaluate"],
      "no rule matches event '1' and no default is set"),
+    ("--config", "junk\n", ["scan"], "line 1: expected key=value, got 'junk'"),
+    ("--csv-schema", "junk\n", ["scan"], "line 1: expected key=value, got 'junk'"),
+    ("--csv-schema", "attribute_columns=\n", ["scan"],
+     "--csv-schema attribute_columns names no column"),
+    ("--config", "bogus_key=1\n", ["scan"], "unknown config key 'bogus_key'"),
 ], ids=["schema-delimiter", "schema-timezone", "schema-unknown-key", "rule-value",
-        "rule-matching-nothing"])
+        "rule-matching-nothing", "config-line", "schema-line", "schema-no-column",
+        "config-unknown-key"])
 def test_an_error_in_a_settings_file_names_its_flag_and_path(tmp_path, capsys, flag, text,
                                                              argv, message):
-    # these used to name neither, and a bad schema value came after the
-    # usage line as "bad schema: ..."
+    # these used to name neither, and a bad schema value, a line without
+    # "=" or an unknown config key came after the usage line
     path = tmp_path / "settings"
     path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", "Sensor",

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from labelsplit import (ContingencyTable, CsvFormatError, CsvSchema, Event, EventLog, Label,
-                        MissingAttributeError, Projection, RuleBased, RuleError, TableEntropy,
-                        TimeThreshold, Trace, cli, ingest, parse_csv)
+                        MissingAttributeError, Projection, RuleBased, RuleError, TimeThreshold,
+                        Trace, cli, ingest, parse_csv)
 from labelsplit.ingest import read_csv
 from labelsplit.stats import TestResult as FisherResult
 from labelsplit import model
@@ -437,7 +437,7 @@ def test_cli_builds_no_table_test_or_entropy_object(argv, tmp_path, monkeypatch)
     # tables, tests and entropies are read from count arrays up to the
     # written text; only --pretty reads them as objects
     built = Counter()
-    for cls in (ContingencyTable, FisherResult, TableEntropy):
+    for cls in (ContingencyTable, FisherResult):
         def counting_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
             built[_name] += 1
             _init(self, *args, **kwargs)

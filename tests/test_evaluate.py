@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, CorrectionPolicy, Event,
                         EvaluationConfig, EventLog, Label, NotARefinementError,
                         OrderingCounts, OrderingRelation, Pairing, Projection,
-                        RefinementCounts, RelabelingFn, TableEntropy, TimeThreshold, Trace,
+                        RefinementCounts, RelabelingFn, TimeThreshold, Trace,
                         binary_entropy, build_tables, check_refinement, evaluate, fisher_test,
                         generate_median_time_candidates, rank_candidates, table_entropies)
 from labelsplit import ordering
@@ -631,17 +631,14 @@ def _eager(report, l1, l2, config):
                 for relation in config.relations for b in contexts]))
     tables = [t for *_, pair_tables in pairs for t in pair_tables]
     tests = tuple(fisher_test(t, report.corrected_alpha) for t in tables)
-    per_table, before, after = [], 0.0, 0.0
+    entropies, before, after = [], 0.0, 0.0
     for t in tables:
         h_before, h_after = _table_entropies(t)
         assert table_entropies(t) == (h_before, h_after)
-        n = t.parent_col.total
-        per_table.append(TableEntropy(t.relation, t.context_label, h_before, h_after,
-                                      t.col_a1.total / n if n else 0.0,
-                                      t.col_a2.total / n if n else 0.0))
+        entropies.append((h_before, h_after))
         before += h_before
         after += h_after
-    return pairs, tests, tuple(per_table), before, after
+    return pairs, tests, entropies, before, after
 
 
 def _assert_lazy_equals(lazy, eager):
@@ -673,13 +670,12 @@ def test_lazy_tables_tests_and_entropies_equal_eager_tuples(inputs):
     checked = [(report, l2)] + [(r, by_description[r.candidate_description].apply(l1))
                                 for r in ranked]
     for report, refined in checked:
-        pairs, tests, per_table, before, after = _eager(report, l1, refined, config)
+        pairs, tests, entropies, before, after = _eager(report, l1, refined, config)
         _assert_lazy_equals(report.tests, tests)
-        _assert_lazy_equals(report.entropy.per_table, per_table)
+        assert [table_entropies(t.table) for t in report.tests] == entropies
         assert (report.entropy.total_before, report.entropy.total_after) == (before, after)
         assert report.m_tests == len(tests)
-        eager_report = replace(report, tests=tests,
-                               entropy=replace(report.entropy, per_table=per_table))
+        eager_report = replace(report, tests=tests)
         assert report == eager_report
         assert report.to_json_dict() == eager_report.to_json_dict()
         assert json_text(report_doc(report)) == json_text(report_doc(eager_report))

@@ -79,7 +79,8 @@ def test_rig_sample_tables_is_exactly_one(sensor_log, activity_log):
     assert breakdown.total_before == pytest.approx(0.7919, abs=1e-4)
     assert breakdown.total_after == 0.0
     assert breakdown.relative_information_gain == 1.0
-    assert len(breakdown.per_table) == 4
+    assert len(tables) == 4
+    assert sum(table_entropies(t)[0] for t in tables) == breakdown.total_before
 
 
 def test_rig_empty_table_list():

@@ -100,7 +100,7 @@ def reports(draw):
     split_pairs = draw(st.lists(st.builds(
         SplitPair, pool, st.lists(pool, min_size=2, max_size=4).map(tuple)), max_size=2))
     tests = draw(st.lists(fisher_results(pool), max_size=8))
-    entropy = EntropyBreakdown((), draw(report_floats), draw(report_floats),
+    entropy = EntropyBreakdown(draw(report_floats), draw(report_floats),
                                draw(report_floats), draw(report_floats))
     return EvaluationReport(draw(texts), tuple(split_pairs), tuple(tests), entropy,
                             draw(st.booleans()), draw(report_floats),
@@ -109,7 +109,7 @@ def reports(draw):
 
 
 def _report_of(tests):
-    entropy = EntropyBreakdown((), 0.0, 0.0, 0.0, 0.0)
+    entropy = EntropyBreakdown(0.0, 0.0, 0.0, 0.0)
     return EvaluationReport("c", (), tuple(tests), entropy, False, 0.0, len(tests), 0.01, 0.01)
 
 
@@ -204,7 +204,7 @@ def pair_tests(draw):
                 A1, A2, PARENT, 1, 1, n, ([0],), ([1],), ([1],)) for n in (2, 3, 3)],
     [[1e-3]] * 3, [0.01, 0.01, 1.0]))
 def test_repeated_tables_write_what_the_dict_form_writes(tests):
-    entropy = EntropyBreakdown((), 0.0, 0.0, 0.0, 0.0)
+    entropy = EntropyBreakdown(0.0, 0.0, 0.0, 0.0)
     report = EvaluationReport("c", (), tests, entropy, False, 0.0, len(tests), 0.01, 0.01)
     assert json_text(report_doc(report)) == dumped(report.to_json_dict())
 

@@ -11,8 +11,8 @@ import pytest
 from labelsplit import (ContingencyTable, CorrectionPolicy, CsvSchema, EntropyBreakdown,
                         EvaluationConfig, EvaluationReport, Event, Label, LogCounts,
                         OrderingCounts, OrderingRelation, PartitionKeySpec, Projection,
-                        RefinementCheck, RefinementCounts, RuleBased, SplitPair, TableEntropy,
-                        TimeThreshold, Trace)
+                        RefinementCheck, RefinementCounts, RuleBased, SplitPair, TimeThreshold,
+                        Trace)
 from labelsplit.evaluate import _Collected
 from labelsplit.model import InternedLog, replace
 from labelsplit.relabel import Rule
@@ -24,8 +24,7 @@ SPLIT = SplitPair(Label("a"), (Label("a_1"), Label("a_2")))
 TABLE = ContingencyTable(DF, Label("c"), Label("a_1"), Label("a_2"), OrderingCounts(1, 2),
                          OrderingCounts(3, 4), Label("a"), OrderingCounts(4, 6))
 TEST = FisherResult(DF, Label("c"), (Label("a_1"), Label("a_2")), 0.5, 0.01, False, TABLE)
-ENTROPY = TableEntropy(DF, Label("c"), 1.0, 0.5, 0.25, 0.75)
-BREAKDOWN = EntropyBreakdown((ENTROPY,), 1.0, 0.5, 0.5, 0.5)
+BREAKDOWN = EntropyBreakdown(1.0, 0.5, 0.5, 0.5)
 RULE = Rule("x", "=", "1", Label("y"))
 COUNTS = LogCounts(InternedLog.of_parts([[("a",), ("c",)]]), {DF: [Counter({1: 1}), Counter()]})
 
@@ -50,8 +49,7 @@ RECORDS = [
     (OrderingCounts(2, 3), "pos neg"),
     (TABLE, "relation context_label a1 a2 col_a1 col_a2 parent_label parent_col"),
     (TEST, "relation context_label pair p_value corrected_alpha significant table"),
-    (ENTROPY, "relation context_label h_before h_after weight_a1 weight_a2"),
-    (BREAKDOWN, "per_table total_before total_after information_gain relative_information_gain"),
+    (BREAKDOWN, "total_before total_after information_gain relative_information_gain"),
     (EvaluationReport("d", (SPLIT,), (TEST,), BREAKDOWN, False, 0.0, 1, 0.01, 0.01, ("n",)),
      "candidate_description split_pairs tests entropy useful score m_tests corrected_alpha "
      "alpha notes"),
