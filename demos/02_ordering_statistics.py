@@ -8,9 +8,9 @@ contingency table with the unsplit counts as a margin column.
 
 from pathlib import Path
 
-from labelsplit import (DEFAULT_RELATIONS, CsvSchema, Label, OrderingRelation,
-                        PartitionKeySpec, Projection, RefinementCounts, build_tables,
-                        extract_split_set, parse_csv, partition, relation_counts)
+from labelsplit import (DEFAULT_RELATIONS, CsvSchema, Label, LogCounts, OrderingRelation,
+                        Pairing, PartitionKeySpec, Projection, RefinementCounts, build_tables,
+                        parse_csv, partition)
 
 DATA = Path(__file__).parent / "data" / "smart_home.csv"
 
@@ -26,13 +26,14 @@ activity_log = Projection("Activity").apply(log)   # refined labels
 # One pass over the log counts the relation for every (b, c) label pair.
 gu, tt = Label("Getting up"), Label("Tossing & turning")
 lrm = Label("Living room motion")
-counts = relation_counts(activity_log, OrderingRelation.DIRECTLY_PRECEDES)
+dp = OrderingRelation.DIRECTLY_PRECEDES
+counts = LogCounts.of(activity_log, (dp,))
 for b in (gu, tt):
-    oc = counts[(b, lrm)]
+    oc = counts.column(dp, b, lrm)
     print(f"{b} directly precedes {lrm}: pos={oc.pos} neg={oc.neg}")
 
 # the split observed between the two logs: Bedroom motion -> two activities
-(split,) = extract_split_set(sensor_log, activity_log)
+(split,) = Pairing.of(sensor_log, activity_log).split_pairs
 print(f"\nsplit: {split.parent} -> {[str(c) for c in split.children]}")
 
 # one contingency table per (relation, context label)

@@ -9,9 +9,9 @@ after, summed, as relative information gain.
 
 from pathlib import Path
 
-from labelsplit import (DEFAULT_RELATIONS, CsvSchema, PartitionKeySpec, Projection,
+from labelsplit import (DEFAULT_RELATIONS, CsvSchema, Pairing, PartitionKeySpec, Projection,
                         RefinementCounts, bonferroni_threshold, build_tables,
-                        extract_split_set, fisher_exact_two_sided,
+                        fisher_exact_two_sided,
                         parse_csv, partition, relative_information_gain,
                         table_entropies)
 
@@ -25,7 +25,7 @@ log = partition(parse_csv(DATA.read_text(), schema),
 sensor_log = Projection("Sensor").apply(log)
 activity_log = Projection("Activity").apply(log)
 
-(split,) = extract_split_set(sensor_log, activity_log)
+(split,) = Pairing.of(sensor_log, activity_log).split_pairs
 counts = RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS)
 tables = build_tables(counts, split, split.children[0], split.children[1])
 

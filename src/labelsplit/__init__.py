@@ -16,12 +16,10 @@ from .ingest import (CsvFormatError, CsvSchema, PartitionKeySpec, XesFormatError
                      write_xes_minimal)
 from .model import Event, EventLog, Label, MissingAttributeError, Trace
 from .ordering import (ContingencyTable, DEFAULT_RELATIONS, LogCounts, OrderingCounts,
-                       OrderingRelation, RefinementCounts, build_tables,
-                       relation_counts)
-from .relabel import (NotARefinementError, Pairing, Projection, RefinementCheck,
-                      RefinementError, RelabelingFn, RuleBased, RuleError,
-                      ShapeMismatchError, SplitPair, TimeThreshold,
-                      check_refinement, extract_split_set, parse_time_of_day)
+                       OrderingRelation, RefinementCounts, build_tables)
+from .relabel import (NotARefinementError, Pairing, Projection, RefinementError,
+                      RelabelingFn, RuleBased, RuleError, ShapeMismatchError, SplitPair,
+                      TimeThreshold, parse_time_of_day)
 from .stats import (CorrectionPolicy, TestResult, bonferroni_threshold,
                     fisher_exact_two_sided, fisher_test)
 
@@ -48,7 +46,6 @@ __all__ = [
     "PartitionKeySpec",
     "Projection",
     "RefinementCounts",
-    "RefinementCheck",
     "RefinementError",
     "RelabelingFn",
     "RuleBased",
@@ -62,9 +59,7 @@ __all__ = [
     "binary_entropy",
     "bonferroni_threshold",
     "build_tables",
-    "check_refinement",
     "evaluate",
-    "extract_split_set",
     "fisher_exact_two_sided",
     "fisher_test",
     "generate_median_time_candidates",
@@ -73,7 +68,6 @@ __all__ = [
     "parse_xes_minimal",
     "partition",
     "rank_candidates",
-    "relation_counts",
     "relative_information_gain",
     "table_entropies",
     "write_csv",

@@ -106,8 +106,8 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
                 tokens.append(f"{flag}={raw}")
             elif raw.lower() in ("1", "true", "yes"):
                 tokens.append(flag)
-    at = argv.index(args.command) + 1
-    return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
+        at = argv.index(args.command) + 1
+        return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
 
 
 def _path(text: str) -> str:
@@ -389,6 +389,8 @@ def _chosen_codes(labels: tuple[Label, ...], names: str | None, flag: str) -> li
 
 
 def cmd_stats(args) -> Iterator[str]:
+    if args.pretty and args.format == "csv":
+        raise UsageError("--pretty and --format csv exclude each other")
     log = _load_base_log(args)
     relations = _relations(args)
     labels, occurrences = log.interned.labels, log.interned.occurrences

@@ -52,8 +52,6 @@ def _value_key(value: Any) -> tuple:
     their own group.  Cross-type comparisons fall back to the group rank so
     that sorting never raises.
     """
-    if isinstance(value, bool):
-        return (0, float(value))
     if isinstance(value, (int, float)):
         return (0, float(value))
     if isinstance(value, str):

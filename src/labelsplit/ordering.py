@@ -222,29 +222,6 @@ def _hits(rows: Sequence[Sequence[int]], size: int, relation: OrderingRelation,
     return hits
 
 
-def relation_counts(log: EventLog, relation: OrderingRelation) -> dict[tuple[Label, Label], OrderingCounts]:
-    """OrderingCounts for every ordered pair (b, c) of the alphabet, in label order.
-
-    A dense view of ``LogCounts.of(log, (relation,))``, |alphabet|² entries
-    keyed by Label pairs.  The kernel behind it reads the log's interning
-    (labels as ints, computed once per log and shared by every relation),
-    then one pass per trace counts every pair (see ``_hits`` for the
-    eventual relations' per-trace cost).  A trace-final
-    occurrence is neg for directly_precedes, a trace-initial one is neg for
-    directly_follows.
-    """
-    counts = LogCounts.of(log, (relation,))
-    interned = counts.interned
-    out = {}
-    for b, (b_label, row) in enumerate(zip(interned.labels, counts.rows[relation])):
-        n = interned.occurrences[b]
-        none = OrderingCounts(0, n)  # immutable, so shared by every miss of b
-        for c, c_label in enumerate(interned.labels):
-            p = row.get(c)
-            out[(b_label, c_label)] = OrderingCounts(p, n - p) if p else none
-    return out
-
-
 class LogCounts(Record):
     """One log's ordering counts per relation, as the kernel's int-coded rows.
 
@@ -311,6 +288,13 @@ class LogCounts(Record):
         return self.interned.occurrences[b_code], tuple(
             list(map(self.rows[relation][b_code].get, c_codes, repeat(0)))
             for relation in relations)
+
+
+# Kept only while the benchmark's span hooks name it (ROADMAP item 21);
+# callers read LogCounts.column.
+def relation_counts(log: EventLog, relation: OrderingRelation) -> dict[tuple[Label, Label], OrderingCounts]:
+    counts, labels = LogCounts.of(log, (relation,)), log.interned.labels
+    return {(b, c): counts.column(relation, b, c) for b in labels for c in labels}
 
 
 def split_counts(log: EventLog, candidates: Sequence[RelabelingFn],

@@ -9,8 +9,8 @@ Two labelings of one base log are paired position by position, once
 (``Pairing.of``).  The finer labeling refines the coarser one when each
 refined label is seen under one coarse label only, so the child columns of
 a split add up to the parent's.  The pairing also yields the split set:
-each coarse label seen with two or more refined labels, and those labels.  ``evaluate``,
-``RefinementCounts.of`` and ``check_refinement`` all read it.
+each coarse label seen with two or more refined labels, and those labels.
+``evaluate`` and ``RefinementCounts.of`` read it.
 """
 
 from __future__ import annotations
@@ -262,14 +262,6 @@ class RuleBased(RelabelingFn, Record):
         return cls(tuple(rules), default, name)
 
 
-class RefinementCheck(Record):
-    __slots__ = ("is_equal_length_refinement", "is_strict", "violations")
-
-    def __init__(self, is_equal_length_refinement: bool, is_strict: bool,
-                 violations: tuple[Label, ...]):
-        super().__init__(is_equal_length_refinement, is_strict, violations)
-
-
 class SplitPair(Record):
     """A coarse label together with the refined labels observed under it."""
 
@@ -337,32 +329,15 @@ class Pairing(NamedTuple):
         return {child: next(iter(seen)) for child, seen in self.parents.items()}
 
 
-def check_refinement(l1_log: EventLog, l2_log: EventLog) -> RefinementCheck:
-    """Check that the labeling of ``l2_log`` refines that of ``l1_log``.
-
-    Both logs must come from the same base log (same traces, matching event
-    ids position-wise).  The refinement holds when no refined label is seen
-    under two coarse labels; ``violations`` lists, sorted, the refined
-    labels that are.  Strictness means some coarse label is actually split,
-    i.e. it co-occurs with two or more refined labels.
-    """
-    pairing = Pairing.of(l1_log, l2_log)
-    return RefinementCheck(
-        is_equal_length_refinement=not pairing.merged,
-        is_strict=bool(pairing.split_pairs),
-        violations=pairing.merged,
-    )
+# Kept only while the benchmark's span hooks name them (ROADMAP item 21);
+# callers read Pairing.of.
+def check_refinement(l1_log: EventLog, l2_log: EventLog) -> Pairing:
+    return Pairing.of(l1_log, l2_log)
 
 
 def extract_split_set(l1_log: EventLog, l2_log: EventLog) -> list[SplitPair]:
-    """Group refined labels by the coarse label at the same positions.
-
-    Returns one SplitPair per coarse label that co-occurs with two or more
-    refined labels, children sorted, parents in sorted order.
-    """
     return list(Pairing.of(l1_log, l2_log).split_pairs)
 
 
 def observed_parents(l1_log: EventLog, l2_log: EventLog) -> dict[Label, dict[Label, int]]:
-    """For each refined label, how often each coarse label co-occurs with it."""
     return Pairing.of(l1_log, l2_log).parents

@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from labelsplit import (DEFAULT_RELATIONS, CsvSchema, EvaluationConfig, Event, EventLog,
-                        Label, PartitionKeySpec, Projection, RefinementCounts, Trace,
-                        bonferroni_threshold, build_tables, evaluate, extract_split_set,
+                        Label, Pairing, PartitionKeySpec, Projection, RefinementCounts,
+                        Trace, bonferroni_threshold, build_tables, evaluate,
                         fisher_exact_two_sided, generate_median_time_candidates,
                         parse_csv, partition, rank_candidates,
                         relative_information_gain, table_entropies)
@@ -31,7 +31,7 @@ def sample_logs():
 
 def sample_tables():
     sensor_log, activity_log = sample_logs()
-    split = extract_split_set(sensor_log, activity_log)[0]
+    split = Pairing.of(sensor_log, activity_log).split_pairs[0]
     return build_tables(RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS),
                         split, split.children[0], split.children[1])
 
@@ -143,7 +143,7 @@ def test_criterion_5_structural_invariants():
     for index in range(scenarios):
         rows, refined, target = _random_split_scenario(rng)
         l1, l2 = log_from_rows(rows), log_from_rows(refined)
-        split = next(s for s in extract_split_set(l1, l2)
+        split = next(s for s in Pairing.of(l1, l2).split_pairs
                      if s.parent == Label(target))
         a1, a2 = split.children
         tables = build_tables(RefinementCounts.of(l1, l2, DEFAULT_RELATIONS), split, a1, a2)

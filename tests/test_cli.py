@@ -841,13 +841,13 @@ def test_stats_pretty_is_an_aligned_table(capsys):
                    "directly_precedes  Living room motion  Bedroom motion        0    5\n")
 
 
-def test_stats_csv_format_wins_over_pretty(capsys):
-    _, pretty_csv, _ = run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Sensor",
-                           "--format", "csv", "--pretty")
-    _, plain_csv, _ = run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Sensor",
-                          "--format", "csv")
-    assert pretty_csv == plain_csv
-    assert pretty_csv.startswith("relation,b,c,pos,neg\n")
+def test_stats_pretty_and_csv_format_exclude_each_other(capsys, monkeypatch):
+    # --format csv used to drop --pretty silently; the input is not read
+    monkeypatch.setattr(cli, "_load_base_log", None)
+    code, out, err = run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Sensor",
+                         "--format", "csv", "--pretty")
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "error: --pretty and --format csv exclude each other"
 
 
 def test_case_key_flags_match_default(capsys):
@@ -953,7 +953,8 @@ def test_an_empty_file_path_exits_one_naming_its_flag(tmp_path, capsys, argv, fl
         given = ["--config", str(cfg)]
     code, out, err = run(capsys, *argv, "--base-label", "Sensor", *given)
     assert (code, out) == (1, "")
-    assert err.splitlines()[-1] == f"error: argument {flag}: empty file path"
+    assert err.splitlines()[-1] == (f"error: argument {flag}: empty file path"
+                                    + (f" (in --config {cfg})" if via_config else ""))
 
 
 def test_attribute_lists_read_one_csv_record(tmp_path, capsys):
@@ -1261,18 +1262,80 @@ def test_a_failing_run_leaves_out_as_it_was(tmp_path, capsys, before):
     ("--csv-schema", "attribute_columns=\n", ["scan"],
      "--csv-schema attribute_columns names no column"),
     ("--config", "bogus_key=1\n", ["scan"], "unknown config key 'bogus_key'"),
+    ("--config", "alpha=abc\n", ["scan"], "argument --alpha: invalid float value: 'abc'"),
 ], ids=["schema-delimiter", "schema-timezone", "schema-unknown-key", "rule-value",
         "rule-matching-nothing", "config-line", "schema-line", "schema-no-column",
-        "config-unknown-key"])
+        "config-unknown-key", "config-value-argparse-refuses"])
 def test_an_error_in_a_settings_file_names_its_flag_and_path(tmp_path, capsys, flag, text,
                                                              argv, message):
     # these used to name neither, and a bad schema value, a line without
-    # "=" or an unknown config key came after the usage line
+    # "=", an unknown config key or a config value of the wrong type came
+    # after the usage line
     path = tmp_path / "settings"
     path.write_text(text, encoding="utf-8")
     code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", "Sensor",
                          flag, str(path))
     assert (code, out, err) == (1, "", f"error: {message} (in {flag} {path})\n")
+
+
+def test_subcommand_help_exits_zero(capsys):
+    code, out, err = run(capsys, "scan", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: labelsplit scan")
+
+
+# input files of the exit tests below, by name
+_INPUT_FILES = {"no-timestamp.csv": "id,when,Sensor\n1,2020-01-01 00:00,a\n",
+                "no-attributes.csv": "id,timestamp\n1,2020-01-01 00:00\n",
+                "empty.csv": "", "sensor.schema": "attribute_columns=Sensor\n",
+                "root.xes": "<root/>"}
+_EXACTLY_ONE = "error: exactly one of --refined-label, --rules, --threshold is required"
+
+
+@pytest.mark.parametrize("argv, code, last", [
+    (["evaluate", "--csv", SMART_HOME, "--base-label", "Sensor"], 1, _EXACTLY_ONE),
+    (["evaluate", "--csv", SMART_HOME, "--base-label", "Sensor", "--refined-label", "Activity",
+      "--threshold", "Bedroom motion,08:30,a,b"], 1, _EXACTLY_ONE),
+    (["convert", "--csv", SMART_HOME], 1, "error: the following arguments are required: --to"),
+    (["scan", "--csv", "no-timestamp.csv"], 2,
+     "parse error: no 'timestamp' column; provide --csv-schema"),
+    (["scan", "--csv", "no-attributes.csv"], 2,
+     "parse error: no attribute columns found in header"),
+    (["scan", "--csv", "empty.csv", "--csv-schema", "sensor.schema"], 2,
+     "parse error: empty input: missing header row"),
+    (["scan", "--xes", "missing.xes"], 2, "parse error: cannot read missing.xes: "),
+    (["scan", "--xes", "root.xes"], 2, "parse error: expected <log> root element, got <root>"),
+], ids=["evaluate-no-refinement", "evaluate-two-refinements", "convert-without-to",
+        "header-without-timestamp", "header-without-attributes", "empty-csv-with-schema",
+        "missing-xes", "xes-root"])
+def test_each_refused_input_exits_with_its_code_and_message(tmp_path, capsys, monkeypatch,
+                                                            argv, code, last):
+    for name, text in _INPUT_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.splitlines()[-1].startswith(last)
+
+
+def test_convert_writes_the_case_key_it_grouped_by(capsys):
+    code, out, _ = run(capsys, "convert", "--csv", SMART_HOME, "--case-key", "Address",
+                       "--calendar-key", "day", "--to", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and rows[0]["case"] == "Mountain Rd. 7|2015-03-11"
+    assert all(row["case"] == f"{row['Address']}|{row['timestamp'][:10]}" for row in rows)
+
+
+def test_config_blank_and_comment_lines_are_skipped(tmp_path, capsys):
+    plain, commented = tmp_path / "plain.cfg", tmp_path / "commented.cfg"
+    plain.write_text("alpha=0.2\nrelations=directly_follows\n", encoding="utf-8")
+    commented.write_text("# defaults\n\nalpha=0.2\n   \n  # relations=eventually_follows\n"
+                         "relations=directly_follows\n", encoding="utf-8")
+    scan = ("scan", "--csv", SMART_HOME, "--base-label", "Sensor", "--deterministic")
+    with_plain = run(capsys, *scan, "--config", str(plain))
+    assert with_plain[0] == 0
+    assert run(capsys, *scan, "--config", str(commented)) == with_plain
+    assert run(capsys, *scan) != with_plain  # the keys were read
 
 
 def _wide_csv(path: Path, labels: int = 40, days: int = 30, per_day: int = 40) -> str:

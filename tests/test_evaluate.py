@@ -10,7 +10,7 @@ from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, CorrectionPolicy, E
                         EvaluationConfig, EventLog, Label, NotARefinementError,
                         OrderingCounts, OrderingRelation, Pairing, Projection,
                         RefinementCounts, RelabelingFn, TimeThreshold, Trace,
-                        binary_entropy, build_tables, check_refinement, evaluate, fisher_test,
+                        binary_entropy, build_tables, evaluate, fisher_test,
                         generate_median_time_candidates, rank_candidates, table_entropies)
 from labelsplit import ordering
 from labelsplit.model import replace
@@ -515,7 +515,7 @@ def test_refinement_merging_coarse_labels_is_rejected():
     # coarse label under equal refined prefixes here
     base = log_from_rows([["a", "b", "c", "a", "c"]] * 3)
     refined = log_from_rows([["x", "x", "c", "y", "c"]] * 3)
-    assert not check_refinement(base, refined).is_equal_length_refinement
+    assert Pairing.of(base, refined).merged
     with pytest.raises(NotARefinementError,
                        match=r"refined label x is observed under several coarse labels \(a, b\)"):
         evaluate(base, refined)
@@ -537,10 +537,10 @@ def _label_rows(rows):
 @given(_tagged_rows)
 def test_prefix_violations_imply_merges(rows):
     base_rows, refined_rows = _label_rows(rows)
-    check = check_refinement(log_from_rows(base_rows), log_from_rows(refined_rows))
+    merged = Pairing.of(log_from_rows(base_rows), log_from_rows(refined_rows)).merged
     for i, j, position in prefix_violations(base_rows, refined_rows):
         # both traces carry one refined label over two coarse ones there
-        assert Label(refined_rows[i][position]) in check.violations
+        assert Label(refined_rows[i][position]) in merged
 
 
 @settings(max_examples=200, deadline=None)
@@ -553,9 +553,8 @@ def test_check_refinement_agrees_with_evaluate(rows):
         for coarse, child in zip(coarse_row, refined_row):
             under.setdefault(child, set()).add(coarse)
     merged = tuple(Label(child) for child in sorted(under) if len(under[child]) >= 2)
-    check = check_refinement(base, refined)
-    assert check.violations == merged
-    if check.is_equal_length_refinement:
+    assert Pairing.of(base, refined).merged == merged
+    if not merged:
         evaluate(base, refined)
     else:
         with pytest.raises(NotARefinementError, match="observed under several coarse labels"):

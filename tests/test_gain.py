@@ -3,8 +3,8 @@ import random
 import pytest
 
 from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, Label, OrderingCounts,
-                        OrderingRelation, RefinementCounts, binary_entropy, build_tables,
-                        extract_split_set, relative_information_gain, table_entropies)
+                        OrderingRelation, Pairing, RefinementCounts, binary_entropy,
+                        build_tables, relative_information_gain, table_entropies)
 
 from labelsplit.ordering import PairTables
 
@@ -72,7 +72,7 @@ def test_table_entropies_empty_child_column():
 
 
 def test_rig_sample_tables_is_exactly_one(sensor_log, activity_log):
-    split = extract_split_set(sensor_log, activity_log)[0]
+    split = Pairing.of(sensor_log, activity_log).split_pairs[0]
     counts = RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS)
     tables = build_tables(counts, split, split.children[0], split.children[1])
     breakdown = relative_information_gain(tables)
@@ -97,7 +97,7 @@ def test_rig_independent_split_is_near_zero_and_matches_naive_oracle():
     refined = [[name + rng.choice(["_1", "_2"]) if name == "a" else name
                 for name in row] for row in rows]
     l1, l2 = log_from_rows(rows), log_from_rows(refined)
-    split = extract_split_set(l1, l2)[0]
+    split = Pairing.of(l1, l2).split_pairs[0]
     counts = RefinementCounts.of(l1, l2, DEFAULT_RELATIONS)
     tables = build_tables(counts, split, split.children[0], split.children[1])
     breakdown = relative_information_gain(tables)
@@ -146,7 +146,7 @@ def test_h_after_bounded_by_h_before_on_additive_tables():
 
 def test_rig_invariant_under_trace_duplication(sensor_log, activity_log):
     from labelsplit import EventLog, Event, Trace
-    split = extract_split_set(sensor_log, activity_log)[0]
+    split = Pairing.of(sensor_log, activity_log).split_pairs[0]
     base = relative_information_gain(build_tables(
         RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS), split,
         split.children[0], split.children[1]))

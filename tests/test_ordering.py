@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import labelsplit
 from labelsplit import (DEFAULT_RELATIONS, EvaluationConfig, EventLog, Label, LogCounts,
-                        OrderingCounts, NotARefinementError, OrderingRelation, RefinementCounts,
-                        build_tables, cli, evaluate, extract_split_set,
-                        generate_median_time_candidates, ordering, rank_candidates,
-                        relation_counts)
+                        OrderingCounts, NotARefinementError, OrderingRelation, Pairing,
+                        RefinementCounts, build_tables, cli, evaluate,
+                        generate_median_time_candidates, ordering, rank_candidates)
 
 from conftest import label_rows, log_from_rows
 from oracles import naive_count
@@ -35,15 +34,15 @@ def column(log, relation, b, c):
 
 
 def test_getting_up_directly_precedes_living_room(activity_log):
-    assert relation_counts(activity_log, DP)[(GU, LRM)] == OrderingCounts(5, 0)
+    assert column(activity_log, DP, GU, LRM) == OrderingCounts(5, 0)
 
 
 def test_tossing_never_directly_precedes_living_room(activity_log):
-    assert relation_counts(activity_log, DP)[(TT, LRM)] == OrderingCounts(0, 16)
+    assert column(activity_log, DP, TT, LRM) == OrderingCounts(0, 16)
 
 
 def test_tossing_eventually_precedes_living_room(activity_log):
-    assert relation_counts(activity_log, EP)[(TT, LRM)] == OrderingCounts(16, 0)
+    assert column(activity_log, EP, TT, LRM) == OrderingCounts(16, 0)
 
 
 def test_single_event_trace_is_negative():
@@ -55,7 +54,7 @@ def test_single_event_trace_is_negative():
 
 def test_length_two_loop_bcb():
     log = log_from_rows([["b", "c", "b"]])
-    assert relation_counts(log, LOOP)[(Label("b"), Label("c"))] == OrderingCounts(1, 1)
+    assert column(log, LOOP, Label("b"), Label("c")) == OrderingCounts(1, 1)
 
 
 def test_absent_labels_count_zero(activity_log):
@@ -65,14 +64,13 @@ def test_absent_labels_count_zero(activity_log):
 def test_pos_plus_neg_equals_occurrences(activity_log):
     occurrences = sum(1 for t in activity_log for e in t if e.label == TT)
     for relation in (DP, DF, EP, EF, LOOP):
-        oc = relation_counts(activity_log, relation)[(TT, LRM)]
+        oc = column(activity_log, relation, TT, LRM)
         assert oc.total == occurrences
 
 
 def test_directly_precedes_sums_to_non_final_occurrences(activity_log):
     # summing pos over all context labels counts every non-final occurrence once
-    counts = relation_counts(activity_log, DP)
-    total_pos = sum(counts[(TT, c)].pos for c in activity_log.alphabet)
+    total_pos = sum(column(activity_log, DP, TT, c).pos for c in activity_log.alphabet)
     occurrences = sum(1 for t in activity_log for e in t if e.label == TT)
     finals = sum(1 for t in activity_log if t.events[-1].label == TT)
     assert total_pos == occurrences - finals
@@ -82,25 +80,23 @@ def test_count_invariant_under_trace_reorder(activity_log):
     from labelsplit import EventLog
     reordered = EventLog(tuple(reversed(activity_log.traces)))
     for relation in (DP, DF, EP, EF):
-        assert (relation_counts(reordered, relation)[(TT, LRM)]
-                == relation_counts(activity_log, relation)[(TT, LRM)])
+        assert (column(reordered, relation, TT, LRM)
+                == column(activity_log, relation, TT, LRM))
 
 
 def test_relation_counts_matches_single_counts(activity_log):
     rows = label_rows(activity_log)
     alphabet = activity_log.alphabet
     for relation in (DP, DF, EP, EF, LOOP):
-        bulk = relation_counts(activity_log, relation)
-        assert set(bulk) == {(b, c) for b in alphabet for c in alphabet}
         for b in alphabet:
             for c in alphabet:
-                oc = bulk[(b, c)]
+                oc = column(activity_log, relation, b, c)
                 assert (oc.pos, oc.neg) == naive_count(rows, relation.value, str(b), str(c))
 
 
 def test_relation_counts_hashes_labels_only_for_its_result(activity_log, monkeypatch):
-    # the counting loops run on interned ints: labels are hashed only to key
-    # the |alphabet|^2 result pairs, and never compared
+    # the counting loops run on interned ints: LogCounts.of never hashes or
+    # compares a label
     calls = {"hash": 0, "eq": 0}
     orig_hash, orig_eq = Label.__hash__, Label.__eq__
 
@@ -112,17 +108,16 @@ def test_relation_counts_hashes_labels_only_for_its_result(activity_log, monkeyp
         calls["eq"] += 1
         return orig_eq(label, other)
 
-    size = len(activity_log.alphabet)
     monkeypatch.setattr(Label, "__hash__", counted_hash)
     monkeypatch.setattr(Label, "__eq__", counted_eq)
     for relation in (DP, DF, EP, EF, LOOP):
-        calls.update(hash=0, eq=0)
-        relation_counts(activity_log, relation)
-        assert calls == {"hash": 2 * size * size, "eq": 0}
+        LogCounts.of(activity_log, (relation,))
+    LogCounts.of(activity_log, ALL_RELATIONS)
+    assert calls == {"hash": 0, "eq": 0}
 
 
 def test_build_tables_reproduces_the_four_sample_tables(sensor_log, activity_log):
-    splits = extract_split_set(sensor_log, activity_log)
+    splits = Pairing.of(sensor_log, activity_log).split_pairs
     counts = RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS)
     tables = build_tables(counts, splits[0], splits[0].children[0], splits[0].children[1])
     assert len(tables) == 4  # one context label, four relations
@@ -142,14 +137,14 @@ def test_build_tables_no_context_labels():
     # a log containing only the two children yields no tables
     l1 = log_from_rows([["a", "a"], ["a", "a"]])
     l2 = log_from_rows([["a1", "a2"], ["a2", "a1"]])
-    splits = extract_split_set(l1, l2)
+    splits = Pairing.of(l1, l2).split_pairs
     counts = RefinementCounts.of(l1, l2, DEFAULT_RELATIONS)
     tables = build_tables(counts, splits[0], Label("a1"), Label("a2"))
     assert tables == []
 
 
 def test_build_tables_explicit_context_excludes_siblings(sensor_log, activity_log):
-    splits = extract_split_set(sensor_log, activity_log)
+    splits = Pairing.of(sensor_log, activity_log).split_pairs
     counts = RefinementCounts.of(sensor_log, activity_log, DEFAULT_RELATIONS)
     tables = build_tables(counts, splits[0], GU, TT, context_labels=[LRM, GU, TT])
     assert {t.context_label for t in tables} == {LRM}
@@ -158,7 +153,7 @@ def test_build_tables_explicit_context_excludes_siblings(sensor_log, activity_lo
 def test_build_tables_orders_contexts_without_label_comparisons(monkeypatch):
     l1 = log_from_rows([["a", "d", "b", "c"], ["c", "a", "b", "a"]])
     l2 = log_from_rows([["a1", "d", "b", "c"], ["c", "a2", "b", "a1"]])
-    splits = extract_split_set(l1, l2)
+    splits = Pairing.of(l1, l2).split_pairs
     counts = RefinementCounts.of(l1, l2, DEFAULT_RELATIONS)
 
     def refuse(self, other):
@@ -185,7 +180,7 @@ def test_column_additivity_against_naive_scanner():
     rng = random.Random(42)
     for _ in range(60):
         l1, l2, target = random_refined_logs(rng)
-        splits = extract_split_set(l1, l2)
+        splits = Pairing.of(l1, l2).split_pairs
         split = next((s for s in splits if s.parent == Label(target)), None)
         if split is None:
             continue
@@ -236,13 +231,12 @@ def test_restricted_counts_match_dense_counts(rows, data):
     counts = LogCounts.of(log, ALL_RELATIONS, sources)
     contexts = alphabet + [Label("zz")]  # zz never occurs in the log
     for relation in ALL_RELATIONS:
-        dense = relation_counts(log, relation)
+        dense = LogCounts.of(log, (relation,))
         for b in alphabet if sources is None else sources:
-            n = sum(row.count(str(b)) for row in rows)
             for c in contexts:
                 expected = OrderingCounts(*naive_count(rows, relation.value, str(b), str(c)))
                 assert counts.column(relation, b, c) == expected
-                assert dense.get((b, c), OrderingCounts(0, n)) == expected
+                assert dense.column(relation, b, c) == expected
 
 
 def _one_label_log(n):

@@ -11,8 +11,7 @@ import pytest
 from labelsplit import (ContingencyTable, CorrectionPolicy, CsvSchema, EntropyBreakdown,
                         EvaluationConfig, EvaluationReport, Event, Label, LogCounts,
                         OrderingCounts, OrderingRelation, PartitionKeySpec, Projection,
-                        RefinementCheck, RefinementCounts, RuleBased, SplitPair, TimeThreshold,
-                        Trace)
+                        RefinementCounts, RuleBased, SplitPair, TimeThreshold, Trace)
 from labelsplit.evaluate import _Collected
 from labelsplit.model import InternedLog, replace
 from labelsplit.relabel import Rule
@@ -37,8 +36,6 @@ RECORDS = [
      "base_label threshold low_label high_label timezone"),
     (RULE, "attribute op value label"),
     (RuleBased((RULE,), Label("z"), "r"), "rules default name"),
-    (RefinementCheck(True, False, (Label("b"),)),
-     "is_equal_length_refinement is_strict violations"),
     (SPLIT, "parent children"),
     (CsvSchema("timestamp", ("x",), "id"),
      "timestamp_column attribute_columns id_column timestamp_format delimiter timezone"),

@@ -5,11 +5,11 @@ from zoneinfo import ZoneInfo
 import pytest
 from hypothesis import given, strategies as st
 
-from labelsplit import (Event, EventLog, Label, NotARefinementError, PartitionKeySpec,
-                        Projection, RuleBased, RuleError, ShapeMismatchError, SplitPair,
-                        TimeThreshold, Trace, check_refinement, extract_split_set,
+from labelsplit import (Event, EventLog, Label, LogCounts, NotARefinementError,
+                        OrderingRelation, Pairing, PartitionKeySpec, Projection, RuleBased,
+                        RuleError, ShapeMismatchError, SplitPair, TimeThreshold, Trace,
                         parse_time_of_day, partition)
-from labelsplit import relabel
+from labelsplit import ordering, relabel
 from labelsplit.model import MISSING, InternedLog
 
 from conftest import label_rows, log_from_rows
@@ -174,41 +174,36 @@ def test_an_ordered_rule_reads_its_value_once_per_relabeling(monkeypatch):
 
 
 def test_check_refinement_sample_is_strict(sensor_log, activity_log):
-    check = check_refinement(sensor_log, activity_log)
-    assert check.is_equal_length_refinement
-    assert check.is_strict
-    assert check.violations == ()
+    pairing = Pairing.of(sensor_log, activity_log)
+    assert not pairing.merged
+    assert pairing.split_pairs
 
 
 def test_check_refinement_identity_not_strict(sensor_log):
-    check = check_refinement(sensor_log, sensor_log)
-    assert check.is_equal_length_refinement
-    assert not check.is_strict
+    pairing = Pairing.of(sensor_log, sensor_log)
+    assert not pairing.merged
+    assert not pairing.split_pairs
 
 
 def test_check_refinement_merge_is_violation():
     # the "refined" labeling merges labels the coarse one distinguishes
     l1 = log_from_rows([["p"], ["q"]])
     l2 = log_from_rows([["m"], ["m"]])
-    check = check_refinement(l1, l2)
-    assert not check.is_equal_length_refinement
-    assert check.violations == (Label("m"),)
+    assert Pairing.of(l1, l2).merged == (Label("m"),)
 
 
 def test_check_refinement_positionwise_merge_is_violation():
     # full sequences differ, but the first positions already disagree
     l1 = log_from_rows([["p", "x"], ["q", "y"]])
     l2 = log_from_rows([["m", "x"], ["m", "y"]])
-    check = check_refinement(l1, l2)
-    assert not check.is_equal_length_refinement
-    assert check.violations == (Label("m"),)
+    assert Pairing.of(l1, l2).merged == (Label("m"),)
 
 
 def test_check_refinement_lists_every_merged_label():
     # t0/t1 merge a and b under x, t2/t3 merge c and d under y
     l1 = log_from_rows([["a"], ["b"], ["c"], ["d"]])
     l2 = log_from_rows([["x"], ["x"], ["y"], ["y"]])
-    assert check_refinement(l1, l2).violations == (Label("x"), Label("y"))
+    assert Pairing.of(l1, l2).merged == (Label("x"), Label("y"))
 
 
 def test_check_refinement_single_trace_merge_agrees_with_evaluate():
@@ -216,41 +211,47 @@ def test_check_refinement_single_trace_merge_agrees_with_evaluate():
     from labelsplit import evaluate
     l1 = log_from_rows([["a", "b", "c"]])
     l2 = log_from_rows([["x", "x", "c"]])
-    check = check_refinement(l1, l2)
-    assert not check.is_equal_length_refinement
-    assert check.violations == (Label("x"),)
+    assert Pairing.of(l1, l2).merged == (Label("x"),)
     with pytest.raises(NotARefinementError, match=r"refined label x is observed"):
         evaluate(l1, l2)
 
 
 def test_check_refinement_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
-        check_refinement(log_from_rows([["a"]]), log_from_rows([["a"], ["b"]]))
+        Pairing.of(log_from_rows([["a"]]), log_from_rows([["a"], ["b"]]))
     with pytest.raises(ShapeMismatchError):
-        check_refinement(log_from_rows([["a", "b"]]), log_from_rows([["a"]]))
+        Pairing.of(log_from_rows([["a", "b"]]), log_from_rows([["a"]]))
+
+
+def test_pairing_refuses_traces_of_equal_length_holding_other_events():
+    l1 = log_from_rows([["a", "b"]])
+    first, second = l1.traces[0].events
+    other = Event(3, second.timestamp, {"act": "b"}, label=second.label)
+    with pytest.raises(ShapeMismatchError, match=r"trace 't0': event ids differ \(2 vs 3\)"):
+        Pairing.of(l1, EventLog([Trace("t0", [first, other])]))
 
 
 def test_extract_split_set_sample(sensor_log, activity_log):
-    splits = extract_split_set(sensor_log, activity_log)
-    assert splits == [SplitPair(Label("Bedroom motion"),
-                                (Label("Getting up"), Label("Tossing & turning")))]
+    splits = Pairing.of(sensor_log, activity_log).split_pairs
+    assert splits == (SplitPair(Label("Bedroom motion"),
+                                (Label("Getting up"), Label("Tossing & turning"))),)
 
 
 def test_extract_split_set_identity_empty(sensor_log):
-    assert extract_split_set(sensor_log, sensor_log) == []
+    assert Pairing.of(sensor_log, sensor_log).split_pairs == ()
 
 
 def test_extract_split_set_three_way():
     l1 = log_from_rows([["a", "b"], ["a", "b"], ["a", "b"]])
     l2 = log_from_rows([["a1", "b"], ["a2", "b"], ["a3", "b"]])
-    splits = extract_split_set(l1, l2)
+    splits = Pairing.of(l1, l2).split_pairs
     # oracle: group refined labels by the coarse label at the same position
     groups: dict[str, set[str]] = {}
     for r1, r2 in zip(label_rows(l1), label_rows(l2)):
         for parent, child in zip(r1, r2):
             groups.setdefault(parent, set()).add(child)
-    expected = [SplitPair(Label(p), tuple(Label(c) for c in sorted(kids)))
-                for p, kids in sorted(groups.items()) if len(kids) >= 2]
+    expected = tuple(SplitPair(Label(p), tuple(Label(c) for c in sorted(kids)))
+                     for p, kids in sorted(groups.items()) if len(kids) >= 2)
     assert splits == expected
     assert len(splits) == 1
     assert len(splits[0].children) == 3
@@ -260,7 +261,7 @@ def test_split_children_occurrences_sum_to_parent(sensor_log, activity_log):
     from collections import Counter
     parent_occ = Counter(str(e.label) for t in sensor_log for e in t)
     child_occ = Counter(str(e.label) for t in activity_log for e in t)
-    for split in extract_split_set(sensor_log, activity_log):
+    for split in Pairing.of(sensor_log, activity_log).split_pairs:
         total = sum(child_occ[str(c)] for c in split.children)
         assert total == parent_occ[str(split.parent)]
 
@@ -317,3 +318,25 @@ def test_apply_equals_rebuilding_every_event(fn, seed):
     # the relabeled log interns its own labels; the base log's cache is untouched
     assert relabeled.interned == InternedLog.of(reference.traces)
     assert log.interned is before
+
+
+def _dense_counts(log, relation):
+    counts, labels = LogCounts.of(log, (relation,)), log.alphabet
+    return [((b, c), counts.column(relation, b, c)) for b in labels for c in labels]
+
+
+# the names only the benchmark's span hooks still call (ROADMAP item 21)
+# give what their replacements give
+@pytest.mark.parametrize("hooked, replacement", [
+    (lambda l1, l2: relabel.check_refinement(l1, l2), Pairing.of),
+    (lambda l1, l2: relabel.extract_split_set(l1, l2),
+     lambda l1, l2: list(Pairing.of(l1, l2).split_pairs)),
+    (lambda l1, l2: relabel.observed_parents(l1, l2), lambda l1, l2: Pairing.of(l1, l2).parents),
+    (lambda l1, l2: [list(ordering.relation_counts(log, relation).items())
+                     for log in (l1, l2) for relation in OrderingRelation],
+     lambda l1, l2: [_dense_counts(log, relation)
+                     for log in (l1, l2) for relation in OrderingRelation]),
+], ids=["check_refinement", "extract_split_set", "observed_parents", "relation_counts"])
+def test_a_hooked_name_returns_what_its_replacement_returns(sensor_log, activity_log, hooked,
+                                                            replacement):
+    assert hooked(sensor_log, activity_log) == replacement(sensor_log, activity_log)
