@@ -107,7 +107,9 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
             elif raw.lower() in ("1", "true", "yes"):
                 tokens.append(flag)
         at = argv.index(args.command) + 1
-        return parser.parse_args([*argv[:at], *tokens, *argv[at:]])
+        args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
+        time_zone(args.timezone)  # argv's zone is checked: a bad one here is the file's
+        return args
 
 
 def _path(text: str) -> str:
@@ -272,8 +274,7 @@ def _load_base_log(args) -> EventLog:
 
 def _refined_log(args, base_log: EventLog):
     if sum(opt is not None for opt in (args.refined_label, args.rules, args.threshold)) != 1:
-        raise UsageError("exactly one of --refined-label, --rules, --threshold "
-                         "is required")
+        raise UsageError("exactly one of --refined-label, --rules, --threshold is required")
     if args.refined_label is not None:
         fn = Projection(tuple(_names(args.refined_label, "--refined-label", "attribute")))
     elif args.rules is not None:
@@ -306,9 +307,8 @@ def _eval_config(args, labels: Iterable[Label]) -> EvaluationConfig:
     """The evaluation flags, with --context-labels named among ``labels``."""
     contexts = None
     if args.context_labels is not None:
-        contexts = tuple(_labels_named(
-            labels, _names(args.context_labels, "--context-labels"),
-            "--context-labels", keep_absent=True))
+        names = _names(args.context_labels, "--context-labels")
+        contexts = tuple(_labels_named(labels, names, "--context-labels", keep_absent=True))
     # evaluate scores one candidate: its whole candidate set
     correction = CorrectionPolicy(args.correction, getattr(args, "family_scope", "per_candidate"))
     return EvaluationConfig(args.alpha, _relations(args), correction, contexts)
@@ -452,8 +452,8 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        time_zone(args.timezone)  # the zone argv gives, before a --config file's
         args = _with_config(parser, args, argv)
-        time_zone(args.timezone)
         if args.out is not None:
             _check_out(args.out)
         _emit(args, _COMMANDS[args.command](args))

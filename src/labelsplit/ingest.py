@@ -2,8 +2,8 @@
 
 CSV input is UTF-8 with a header row and RFC-4180 quoting.  ``read_csv``
 reads it into columns (ids, UTC timestamps and each attribute column's
-values, row by row) and makes every check: chunks of quote-free lines are
-split in bulk, and a file with any other chunk is read by csv.reader, with
+values, row by row) and makes every check: blocks of quote-free lines are
+split in bulk, and a file with any other block is read by csv.reader, with
 the same result.  ``CsvColumns.log`` groups and
 orders the rows into a columnar EventLog without building an Event, and
 ``CsvColumns.events`` builds one Event per row, which is what ``parse_csv``
@@ -19,8 +19,9 @@ import csv
 import io
 from bisect import bisect_right
 from datetime import datetime, timedelta, timezone, tzinfo
-from itertools import groupby, islice, repeat
-from operator import attrgetter, eq, itemgetter, methodcaller, sub
+from functools import reduce
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import attrgetter, eq, ge, itemgetter, methodcaller, ne, or_, sub
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (MISSING, Event, EventLog, Label, MissingAttributeError, Record, Trace,
@@ -227,19 +228,23 @@ def _records(reader) -> Iterator[list[str]]:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 
 
-_BLOCK = 1 << 16
+_BLOCK = 1 << 15
+
+
+def _blocks(text: str, start: int = 0) -> Iterator[str]:
+    """``text`` from ``start`` in blocks of about ``_BLOCK`` characters,
+    each but the last ending right after an LF."""
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
 
 
 def _lines(text: str) -> Iterator[str]:
     """The lines of ``text``, each ending after its LF, as io.StringIO
-    reads them, but through one StringIO per block of about ``_BLOCK``
-    characters that ends right after an LF: a StringIO holds 4 bytes per
-    character, so none is built over the whole text."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK - 1) + 1 or len(text)
-        yield from io.StringIO(text[start:end])
-        start = end
+    reads them, but through one StringIO per block: a StringIO holds 4
+    bytes per character, so none is built over the whole text."""
+    return chain.from_iterable(map(io.StringIO, _blocks(text)))
 
 
 def csv_header(data: bytes | str, delimiter: str) -> list[str]:
@@ -269,7 +274,7 @@ class CsvColumns(NamedTuple):
         if key is not None:
             traces = _traces(key, self.ids, self.times, self.values)
         elif self.ids:
-            traces = [("all", _time_ordered(list(range(len(self.ids))), self.ids, self.times))]
+            traces = [("all", _time_ordered(range(len(self.ids)), self.ids, self.times))]
         else:
             traces = []
         return EventLog.of_rows(traces, self.ids, self.times, self.names, self.values,
@@ -302,8 +307,7 @@ def read_csv(data: bytes | str, schema: CsvSchema,
     neither cell could be told from the other.
     """
     text = _decode(data)
-    lines = _lines(text)
-    reader = _reader(lines, schema.delimiter)
+    reader = _reader(_lines(text), schema.delimiter)
     header = next(_records(reader), None)
     if header is None:
         raise CsvFormatError("empty input: missing header row")
@@ -331,9 +335,11 @@ def read_csv(data: bytes | str, schema: CsvSchema,
     kept = [at.index(columns[name]) for name in schema.attribute_columns]
     id_k = None if id_at is None else at.index(id_at)
     if width > 1 and schema.delimiter.isascii() and schema.delimiter not in '"\r\n\0':
+        end = sum(map(len, islice(_lines(text), reader.line_num)))  # where the header ends
+        del reader  # its StringIO is not held while the blocks are split
         try:
-            return _read_chunks(_split_chunks(lines, width, at, schema.delimiter), [],
-                                text, schema, id_k, kept, label_names)
+            return _read_chunks(_split_chunks(_blocks(text, end), width, at, schema.delimiter),
+                                [], text, schema, id_k, kept, label_names)
         except _NotSplittable:
             # start over with csv.reader, from the first data row
             reader = _reader(_lines(text), schema.delimiter)
@@ -380,36 +386,33 @@ _CHUNK = 1024
 
 
 class _NotSplittable(Exception):
-    """A chunk of lines that only csv.reader reads as RFC 4180 says."""
+    """A block of lines that only csv.reader reads as RFC 4180 says."""
 
 
-def _split_chunks(lines: Iterator[str], width: int, at: list[int], delimiter: str
+def _split_chunks(blocks: Iterable[str], width: int, at: list[int], delimiter: str
                   ) -> Iterator[list[list[str]]]:
-    """The cells of columns ``at`` of the data rows, ``_CHUNK`` lines at a
-    time, each chunk split at once.
+    """The cells of columns ``at`` of the data rows, one block of whole
+    lines at a time, each block split at once.
 
-    A chunk is split on its delimiters and line ends only when csv.reader
+    A block is split on its delimiters and line ends only when csv.reader
     would read it so: it holds no quote, CR or NUL, every line has exactly
     ``width`` - 1 delimiters (so no line is blank or ragged), and no line
-    is longer than ``csv.field_size_limit()``.  At the first chunk that
+    is longer than ``csv.field_size_limit()``.  At the first block that
     does not, raises _NotSplittable.  No list or tuple per row is built.
     ``delimiter`` is one ASCII character other than a quote, CR, LF or NUL.
     """
     limit = csv.field_size_limit()
     row = (delimiter * (width - 1) + "\n").encode()
     # every byte but a delimiter, LF, quote, CR or NUL: what is left of a
-    # chunk's UTF-8 text is its rows' skeleton
+    # block's UTF-8 text is its rows' skeleton
     drop = bytes(sorted(set(range(256)).difference(row, b'"\r\0')))
-    while chunk := list(islice(lines, _CHUNK)):
-        body = "".join(chunk)
+    for body in blocks:
         if not body.endswith("\n"):
             body += "\n"  # the last line, as csv.reader reads it
-        if (body.encode("utf-8", "surrogatepass").translate(None, drop) != row * len(chunk)
-                or len(body) > limit and max(map(len, chunk)) > limit):
+        if (body.encode("utf-8", "surrogatepass").translate(None, drop) != row * body.count("\n")
+                or len(body) > limit and max(map(len, body.split("\n"))) >= limit):
             raise _NotSplittable
-        chunk.clear()  # no line is alive next to its cells
-        body = body.replace("\n", delimiter)
-        cells = body.split(delimiter)
+        cells = body.replace("\n", delimiter).split(delimiter)
         del body
         cells.pop()  # the empty text after the last line end
         yield [cells[k::width] for k in at]
@@ -507,9 +510,14 @@ def parse_csv(data: bytes | str, schema: CsvSchema,
     return read_csv(data, schema, label_columns).events()
 
 
-def _time_ordered(rows: list[int], ids: Sequence, times: Sequence[datetime]) -> list[int]:
-    """``rows`` sorted by (time, id key), the order of ``Event.sort_key``."""
-    rows.sort(key=times.__getitem__)
+def _time_ordered(rows: Sequence[int], ids: Sequence, times: Sequence[datetime]) -> Sequence[int]:
+    """``rows`` sorted by (time, id key), the order of ``Event.sort_key``:
+    ``rows`` themselves when their times strictly increase."""
+    at = (times[rows.start:rows.stop:rows.step] if isinstance(rows, range)
+          else list(map(times.__getitem__, rows)))
+    if not any(map(ge, at, at[1:])):
+        return rows
+    rows = sorted(rows, key=times.__getitem__)
     at = list(map(times.__getitem__, rows))
     if any(map(eq, at[1:], at)):  # equal times: order those by id too
         rows.sort(key=lambda r: (times[r], _id_key(ids[r])))
@@ -517,7 +525,8 @@ def _time_ordered(rows: list[int], ids: Sequence, times: Sequence[datetime]) -> 
 
 
 def _traces(key: PartitionKeySpec, ids: Sequence, times: Sequence[datetime],
-            values: Mapping[str, Sequence], partial: Iterable[str] = ()) -> list[tuple[Any, list[int]]]:
+            values: Mapping[str, Sequence], partial: Iterable[str] = ()
+            ) -> list[tuple[Any, Sequence[int]]]:
     """(case id, rows in trace order) of each trace: the rows grouped by
     their key, traces in key order, each trace's rows in time order.
 
@@ -533,18 +542,26 @@ def _traces(key: PartitionKeySpec, ids: Sequence, times: Sequence[datetime],
                 column = values.get(name)
                 if column is None or column[r] is MISSING:
                     raise MissingAttributeError(name, event_id)
-    parts = [values[name] for name in names] if ids else []
+    if not ids:
+        return []
+    parts = [values[name] for name in names]
     if key.calendar_key == "day":
         parts.append(list(map(datetime.date, local(times, time_zone(key.timezone)))))
-    keys = list(zip(*parts))
-    # number the distinct keys in key order, then sort the rows by that
-    # number: the stable sort keeps each trace's rows in row order
+    # runs of rows of one key (changes[r]: row r + 1 starts one), numbered in key order
+    changes = list(reduce(lambda a, b: map(or_, a, b), [map(ne, p[1:], p) for p in parts]))
+    starts = [0, *compress(range(1, len(ids)), changes)]
+    keys = list(zip(*(map(part.__getitem__, starts) for part in parts)))
     distinct = sorted(dict.fromkeys(keys), key=lambda k: tuple(_value_key(v) for v in k))
     number = {value: n for n, value in enumerate(distinct)}
-    trace_of = list(map(number.__getitem__, keys))
-    rows = sorted(range(len(keys)), key=trace_of.__getitem__)
-    return [(value[0] if len(value) == 1 else value, _time_ordered(list(group), ids, times))
-            for value, (_, group) in zip(distinct, groupby(rows, trace_of.__getitem__))]
+    run_of = list(map(number.__getitem__, keys))
+    if run_of == list(range(len(distinct))):  # each trace one run, in key order
+        traces = map(range, starts, [*starts[1:], len(ids)])
+    else:  # the rows by trace number: the stable sort keeps each trace in row order
+        trace_of = list(map(run_of.__getitem__, accumulate(changes, initial=0)))
+        order = sorted(range(len(ids)), key=trace_of.__getitem__)
+        traces = (list(group) for _, group in groupby(order, trace_of.__getitem__))
+    return [(value[0] if len(value) == 1 else value, _time_ordered(rows, ids, times))
+            for value, rows in zip(distinct, traces)]
 
 
 def partition(events: Iterable[Event], key: PartitionKeySpec) -> EventLog:

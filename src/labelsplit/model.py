@@ -479,8 +479,11 @@ class EventLog:
         case_ids, id_rows, time_rows = [], [], []
         gathered: dict[str, list[tuple]] = {name: [] for name in names}
         for case_id, rows in traces:
-            # the items at ``rows`` as a tuple, also for a single row
-            take = itemgetter(*rows) if len(rows) > 1 else (lambda seq, r=rows[0]: (seq[r],))
+            # the items at ``rows`` as a tuple, also for one row; a range as one slice
+            if isinstance(rows, range):
+                take = lambda seq, at=slice(rows.start, rows.stop, rows.step): tuple(seq[at])
+            else:
+                take = itemgetter(*rows) if len(rows) > 1 else (lambda seq, r=rows[0]: (seq[r],))
             case_ids.append(case_id)
             id_rows.append(take(ids))
             time_rows.append(take(times))

@@ -1263,9 +1263,10 @@ def test_a_failing_run_leaves_out_as_it_was(tmp_path, capsys, before):
      "--csv-schema attribute_columns names no column"),
     ("--config", "bogus_key=1\n", ["scan"], "unknown config key 'bogus_key'"),
     ("--config", "alpha=abc\n", ["scan"], "argument --alpha: invalid float value: 'abc'"),
+    ("--config", "timezone=Not/AZone\n", ["stats"], "unknown time zone 'Not/AZone'"),
 ], ids=["schema-delimiter", "schema-timezone", "schema-unknown-key", "rule-value",
         "rule-matching-nothing", "config-line", "schema-line", "schema-no-column",
-        "config-unknown-key", "config-value-argparse-refuses"])
+        "config-unknown-key", "config-value-argparse-refuses", "config-timezone"])
 def test_an_error_in_a_settings_file_names_its_flag_and_path(tmp_path, capsys, flag, text,
                                                              argv, message):
     # these used to name neither, and a bad schema value, a line without
@@ -1276,6 +1277,19 @@ def test_an_error_in_a_settings_file_names_its_flag_and_path(tmp_path, capsys, f
     code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", "Sensor",
                          flag, str(path))
     assert (code, out, err) == (1, "", f"error: {message} (in {flag} {path})\n")
+
+
+@pytest.mark.parametrize("zone, code, err", [
+    ("Bad/Zone", 1, "error: unknown time zone 'Bad/Zone'\n"),
+    ("UTC", 0, ""),
+])
+def test_a_zone_on_the_command_line_wins_over_the_config_file(tmp_path, capsys, zone, code, err):
+    # a bad zone given on the command line names no file; a good one is read
+    # instead of the file's bad one
+    path = tmp_path / "settings"
+    path.write_text("timezone=Not/AZone\n", encoding="utf-8")
+    assert run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Sensor", "--config",
+               str(path), "--timezone", zone)[::2] == (code, err)
 
 
 def test_subcommand_help_exits_zero(capsys):

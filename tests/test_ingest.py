@@ -5,7 +5,7 @@ from zoneinfo import ZoneInfo
 
 import pytest
 
-from labelsplit import (CsvFormatError, CsvSchema, PartitionKeySpec, Projection,
+from labelsplit import (CsvFormatError, CsvSchema, Event, Label, PartitionKeySpec, Projection,
                         XesFormatError, ingest, parse_csv, parse_xes_minimal, partition,
                         write_csv, write_xes_minimal)
 
@@ -180,6 +180,25 @@ def test_partition_is_a_partition():
     for trace in log:
         keys = {naive_case_key(e, ["Address"], True, ZoneInfo("UTC")) for e in trace}
         assert keys == {trace.case_id}
+
+
+def test_partition_of_events_already_in_trace_order():
+    # each trace is one run of rows, in key order: taken as a range of rows,
+    # and a tie in time still ordered by id
+    t0 = datetime(2021, 3, 28, tzinfo=timezone.utc)
+    events = [Event(event_id, t0 + timedelta(minutes=minutes), [("home", home)], label=Label(home))
+              for event_id, minutes, home in [("2", 0, "a"), ("10", 5, "a"), ("9", 5, "a"),
+                                               ("x", 7, "a"), ("1", 0, "b")]]
+    key = PartitionKeySpec(("home",))
+    with mock.patch.object(ingest, "_time_ordered", wraps=ingest._time_ordered) as ordered:
+        log = partition(events, key)
+    assert [type(call.args[0]) for call in ordered.call_args_list] == [range, range]
+    assert [(t.case_id, [e.id for e in t]) for t in log] == [("a", ["2", "9", "10", "x"]),
+                                                            ("b", ["1"])]
+    assert log == partition(events[::-1], key)
+    key = PartitionKeySpec(("Address",), "day")
+    sample = partition(parse_csv(sample_text(), SMART_HOME_SCHEMA), key)
+    assert partition([e for t in sample for e in t], key) == sample
 
 
 def test_partition_missing_key_attribute():
