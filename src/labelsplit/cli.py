@@ -32,8 +32,9 @@ from .ingest import (CsvFormatError, CsvSchema, PartitionKeySpec, XesFormatError
 from .model import EventLog, Label, MissingAttributeError, time_zone
 from .ordering import DEFAULT_RELATIONS, LogCounts, OrderingRelation, as_relations
 from .relabel import Projection, RefinementError, RuleBased, TimeThreshold, parse_time_of_day
-from .report import (StatsGroup, StatsRows, human_label, json_chunks, pretty_candidates,
-                     pretty_ranking, pretty_report, pretty_stats, report_doc, stats_csv)
+from .report import (StatsGroup, StatsRows, candidates_doc, human_label, json_chunks,
+                     pretty_candidates, pretty_ranking, pretty_report, pretty_stats, report_doc,
+                     scan_doc, stats_csv)
 from .stats import CorrectionPolicy
 
 EXIT_OK = 0
@@ -88,7 +89,8 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
     """``args`` with the --config file's values as flag defaults: each
     ``key=value`` is the subcommand's flag ``--key``, read by its own action
     (1, true or yes set a store_true flag) ahead of the flags given, which
-    win.  A key no subcommand defines is an error; another's is ignored."""
+    win.  A key no subcommand defines is an error; another's is ignored.
+    A value read as names (``_NAMED``) that argv does not give is read here."""
     if args.config is None:
         return args
     defined = {flag for command in parser.commands.values()
@@ -106,6 +108,8 @@ def _with_config(parser: _Parser, args: argparse.Namespace, argv: list[str]
                 tokens.append(f"{flag}={raw}")
             elif raw.lower() in ("1", "true", "yes"):
                 tokens.append(flag)
+            if flag in _NAMED and getattr(args, own[flag].dest) is None:  # else argv's wins
+                _relations(raw) if flag == "--relations" else _names(raw, flag)
         at = argv.index(args.command) + 1
         args = parser.parse_args([*argv[:at], *tokens, *argv[at:]])
         time_zone(args.timezone)  # argv's zone is checked: a bad one here is the file's
@@ -197,18 +201,23 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _names(text: str, flag: str, what: str = "label") -> list[str]:
+_NAMED = {"--case-key": "attribute", "--base-label": "attribute", "--refined-label": "attribute",
+          "--relations": "relation", "--context-labels": "label", "--threshold": "label",
+          "--b-labels": "label", "--c-labels": "label", "--csv-schema attribute_columns": "column"}
+
+
+def _names(text: str, flag: str) -> list[str]:
     """The names in ``flag``'s value, read as one CSV record: names are
     split on commas and stripped, and empty ones dropped; a name in double
     quotes may hold commas, and a doubled quote in it is a quote.  A value
-    that names nothing is a UsageError saying ``flag`` names no ``what``."""
+    that names nothing is a UsageError saying ``flag`` names no ``_NAMED[flag]``."""
     try:
         record = next(csv.reader([text], skipinitialspace=True))
     except csv.Error as exc:
         raise UsageError(f"cannot read {flag} as one CSV record: {exc}") from None
     names = [name.strip() for name in record if name.strip()]
     if not names:
-        raise UsageError(f"{flag} names no {what}")
+        raise UsageError(f"{flag} names no {_NAMED[flag]}")
     return names
 
 
@@ -223,7 +232,7 @@ def _resolve_schema(text: str, args) -> CsvSchema:
             return CsvSchema(
                 timestamp_column=kv.get("timestamp_column", "timestamp"),
                 attribute_columns=_names(kv.get("attribute_columns", ""),
-                                         "--csv-schema attribute_columns", "column"),
+                                         "--csv-schema attribute_columns"),
                 id_column=kv.get("id_column", "synthesize"),
                 timestamp_format=kv.get("timestamp_format") or None,
                 delimiter=kv.get("delimiter", ","), timezone=kv.get("timezone", args.timezone))
@@ -246,8 +255,7 @@ def _load_base_log(args) -> EventLog:
     built; XES logs are projected."""
     if (args.csv is None) == (args.xes is None):
         raise UsageError("exactly one of --csv or --xes is required")
-    base_label = (None if args.base_label is None else
-                  tuple(_names(args.base_label, "--base-label", "attribute")))
+    base_label = None if args.base_label is None else tuple(_names(args.base_label, "--base-label"))
     if args.csv is not None:
         try:
             # newline="": line ends reach the CSV reader as written, so a
@@ -260,7 +268,7 @@ def _load_base_log(args) -> EventLog:
         columns = read_csv(text, schema, base_label)
         del text  # not held while the rows are grouped
         if args.case_key is not None or args.calendar_key != "none":
-            keys = () if args.case_key is None else _names(args.case_key, "--case-key", "attribute")
+            keys = () if args.case_key is None else _names(args.case_key, "--case-key")
             return columns.log(PartitionKeySpec(keys, args.calendar_key, args.timezone))
         return columns.log(PartitionKeySpec(("case",))
                            if "case" in schema.attribute_columns else None)
@@ -276,7 +284,7 @@ def _refined_log(args, base_log: EventLog):
     if sum(opt is not None for opt in (args.refined_label, args.rules, args.threshold)) != 1:
         raise UsageError("exactly one of --refined-label, --rules, --threshold is required")
     if args.refined_label is not None:
-        fn = Projection(tuple(_names(args.refined_label, "--refined-label", "attribute")))
+        fn = Projection(tuple(_names(args.refined_label, "--refined-label")))
     elif args.rules is not None:
         with _settings("--rules", args.rules) as text:  # a bad rule, or an event none matches
             fn = RuleBased.from_text(text, name=Path(args.rules).name)
@@ -297,10 +305,9 @@ def _refined_log(args, base_log: EventLog):
     return fn.apply(base_log), fn.description
 
 
-def _relations(args) -> tuple[OrderingRelation, ...]:
-    """The relations named in --relations, each once, in first-named order."""
-    return DEFAULT_RELATIONS if args.relations is None else as_relations(
-        _names(args.relations, "--relations", "relation"))
+def _relations(text: str | None) -> tuple[OrderingRelation, ...]:
+    """The relations named in a --relations value, each once, in first-named order."""
+    return DEFAULT_RELATIONS if text is None else as_relations(_names(text, "--relations"))
 
 
 def _eval_config(args, labels: Iterable[Label]) -> EvaluationConfig:
@@ -311,7 +318,7 @@ def _eval_config(args, labels: Iterable[Label]) -> EvaluationConfig:
         contexts = tuple(_labels_named(labels, names, "--context-labels", keep_absent=True))
     # evaluate scores one candidate: its whole candidate set
     correction = CorrectionPolicy(args.correction, getattr(args, "family_scope", "per_candidate"))
-    return EvaluationConfig(args.alpha, _relations(args), correction, contexts)
+    return EvaluationConfig(args.alpha, _relations(args.relations), correction, contexts)
 
 
 def _output(args, doc: Any, pretty: Callable[[], str]) -> Iterator[str]:
@@ -359,8 +366,7 @@ def cmd_scan(args) -> Iterator[str]:
     skipped: list[str] = []
     candidates = generate_median_time_candidates(base_log, args.timezone, skipped)
     reports = rank_candidates(base_log, candidates, _eval_config(args, base_log.interned.labels))
-    doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": skipped}
-    return _output(args, doc, lambda: pretty_ranking(reports, skipped))
+    return _output(args, scan_doc(reports, skipped), lambda: pretty_ranking(reports, skipped))
 
 
 def _labels_named(labels: Iterable[Label], names: Iterable[str], flag: str,
@@ -392,7 +398,7 @@ def cmd_stats(args) -> Iterator[str]:
     if args.pretty and args.format == "csv":
         raise UsageError("--pretty and --format csv exclude each other")
     log = _load_base_log(args)
-    relations = _relations(args)
+    relations = _relations(args.relations)
     labels, occurrences = log.interned.labels, log.interned.occurrences
     b_codes = _chosen_codes(labels, args.b_labels, "--b-labels")
     c_codes = _chosen_codes(labels, args.c_labels, "--c-labels")
@@ -423,13 +429,7 @@ def cmd_gen_candidates(args) -> Iterator[str]:
     log = _load_base_log(args)
     skipped: list[str] = []
     candidates = generate_median_time_candidates(log, args.timezone, skipped)
-    doc = {"candidates": [{"base_label": fn.base_label.json_parts(),
-                           "threshold": fn.threshold.isoformat(),
-                           "low_label": fn.low_label.json_parts(),
-                           "high_label": fn.high_label.json_parts(),
-                           "timezone": fn.timezone, "description": fn.description}
-                          for fn in candidates],
-           "skipped_labels": skipped}
+    doc = candidates_doc(candidates, skipped)
     return _output(args, doc, lambda: pretty_candidates(candidates, skipped))
 
 

@@ -155,9 +155,11 @@ def _p_values(collected: Iterable[_Collected]) -> dict[tuple[int, int, int, int]
 
 def _finish(collected: _Collected, config: EvaluationConfig,
             p_of: dict[tuple[int, int, int, int], float],
-            family_m: int | None = None) -> EvaluationReport:
+            family_m: int | None = None,
+            entropies: dict[tuple[int, int], float] | None = None) -> EvaluationReport:
     """Test and score every table, reading each pair's count arrays and
-    each table's p from ``p_of`` (``_p_values``)."""
+    each table's p from ``p_of`` (``_p_values``), and binary entropies
+    from ``entropies`` as ``relative_information_gain`` does."""
     m = collected.m_tests
     threshold = config.correction.threshold(config.alpha, family_m if family_m else m)
 
@@ -170,7 +172,7 @@ def _finish(collected: _Collected, config: EvaluationConfig,
         p_values.append(ps)
         all_significant = all_significant and bool(ps) and min(ps) < threshold
 
-    entropy = relative_information_gain(collected.pair_tables)
+    entropy = relative_information_gain(collected.pair_tables, entropies)
     useful = all_significant
     return EvaluationReport(
         candidate_description=collected.description,
@@ -278,7 +280,8 @@ def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
     per relation and round, no parent twice in a round, and R rounds hold
     R sets of child rows while the reports are built.  Every other
     candidate is applied to the base log and counted as ``evaluate`` does,
-    so it raises the same errors.
+    so it raises the same errors.  Every candidate's p-values and binary
+    entropies are computed once for the whole set.
     """
     config = config or EvaluationConfig()
     candidates = list(candidates)
@@ -291,6 +294,7 @@ def rank_candidates(l1_log: EventLog, candidates: Iterable[RelabelingFn],
     if config.correction.family_scope == "per_candidate_set":
         family_m = sum(c.m_tests for c in collected)
     p_of = _p_values(collected)
-    reports = [_finish(c, config, p_of, family_m) for c in collected]
+    entropies: dict[tuple[int, int], float] = {}  # (pos, n) -> its binary entropy, for all
+    reports = [_finish(c, config, p_of, family_m, entropies) for c in collected]
     reports.sort(key=lambda r: (-r.score, r.candidate_description))
     return reports

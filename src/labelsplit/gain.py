@@ -63,29 +63,55 @@ class EntropyBreakdown(Record):
         super().__init__(total_before, total_after, information_gain, relative_information_gain)
 
 
-def relative_information_gain(tables: Iterable[ContingencyTable | PairTables]) -> EntropyBreakdown:
+def relative_information_gain(tables: Iterable[ContingencyTable | PairTables],
+                              entropies: dict[tuple[int, int], float] | None = None
+                              ) -> EntropyBreakdown:
     """Aggregate the entropies of all tables of one candidate.
 
     Each item of ``tables`` is one table, or a PairTables that stands for
     all of its tables.  The relative information gain is (total_before -
     total_after) / total_before, defined as 0 when there is no
     before-split entropy to reduce.
+
+    ``entropies`` maps (pos, n) to ``binary_entropy(pos / n)`` and is
+    filled as it is read, so a caller that scores several candidates may
+    pass all of them one dict; without it the call makes its own.  Each
+    table's sums are those of ``table_entropies``, in the same order.
     """
+    if entropies is None:
+        entropies = {}
+    get = entropies.get
     total_before = 0.0
     total_after = 0.0
     for block in (t if isinstance(t, PairTables) else PairTables.of(t) for t in tables):
         n, n1, n2 = block.n, block.n1, block.n2
+        if n == 0:  # every table contributes (0, 0)
+            continue
         # (p, p1, p2) -> its entropies, each computed once per block: the
         # block fixes n, n1 and n2
-        entropies: dict[tuple[int, int, int], tuple[float, float]] = {}
+        sums: dict[tuple[int, int, int], tuple[float, float]] = {}
         for parent_pos, a1_pos, a2_pos in zip(block.parent_pos, block.a1_pos, block.a2_pos):
             for key in zip(parent_pos, a1_pos, a2_pos):
-                h = entropies.get(key)
-                if h is None:
+                before_after = sums.get(key)
+                if before_after is None:
                     p, p1, p2 = key
-                    h = entropies[key] = _entropies(p, n, p1, n1, p2, n2)
-                total_before += h[0]
-                total_after += h[1]
+                    h_before = get((p, n))
+                    if h_before is None:
+                        h_before = entropies[p, n] = binary_entropy(p / n)
+                    h_after = 0.0
+                    if n1:
+                        h = get((p1, n1))
+                        if h is None:
+                            h = entropies[p1, n1] = binary_entropy(p1 / n1)
+                        h_after += n1 / n * h
+                    if n2:
+                        h = get((p2, n2))
+                        if h is None:
+                            h = entropies[p2, n2] = binary_entropy(p2 / n2)
+                        h_after += n2 / n * h
+                    before_after = sums[key] = (h_before, h_after)
+                total_before += before_after[0]
+                total_after += before_after[1]
     gain = total_before - total_after
     rig = gain / total_before if total_before > 0.0 else 0.0
     return EntropyBreakdown(

@@ -558,6 +558,7 @@ def _traces(key: PartitionKeySpec, ids: Sequence, times: Sequence[datetime],
         traces = map(range, starts, [*starts[1:], len(ids)])
     else:  # the rows by trace number: the stable sort keeps each trace in row order
         trace_of = list(map(run_of.__getitem__, accumulate(changes, initial=0)))
+        del parts, changes, starts, keys, number, run_of  # not held while the rows sort
         order = sorted(range(len(ids)), key=trace_of.__getitem__)
         traces = (list(group) for _, group in groupby(order, trace_of.__getitem__))
     return [(value[0] if len(value) == 1 else value, _time_ordered(rows, ids, times))

@@ -5,7 +5,9 @@ that a caller can write out one by one; ``json_text`` joins them.  A node
 in the document that has a ``json_chunks(pad)`` method writes itself:
 ``report_doc`` puts an evaluation report's tests in its document as such a
 node (``TestRecords``), which writes each test record from one template
-with no dict built per test, one chunk per child pair.
+with no dict built per test, one chunk per child pair; ``scan_doc`` puts
+a scan's reports in one document whose ``TestRecords`` share their label
+and p texts, so each is written once per document.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Any
 
 from .evaluate import EvaluationReport
 from .model import Label
-from .relabel import RelabelingFn
+from .relabel import RelabelingFn, TimeThreshold
 from .stats import PairTests, TestResult
 
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -114,22 +116,35 @@ def json_text(value: Any, pad: str = "\n") -> str:
 
 class _LabelTexts(dict):
     """Key -> the JSON text of the parts of ``labels[key]`` at one indent,
-    written on first use."""
+    written on first use unless ``written`` holds it.
 
-    def __init__(self, labels: dict[Any, Label], pad: str):
+    ``written`` maps id(label) -> (label, text) for the labels written at
+    this indent, and several of these dicts may share it.  Equal labels may
+    write differently (``Label(1)`` and ``Label(True)``), so a text is
+    reused only for the same Label object; the entry holds the object, so
+    that its id is not reused while the text is.
+    """
+
+    def __init__(self, labels: dict[Any, Label], pad: str,
+                 written: dict[int, tuple[Label, str]] | None = None):
         super().__init__()
         self.labels, self.pad = labels, pad
+        self.written = {} if written is None else written
 
     def __missing__(self, key: Any) -> str:
-        parts = self.labels[key].json_parts()
+        label = self.labels[key]
+        entry = self.written.get(id(label))
+        if entry is None:
+            entry = self.written[id(label)] = (label, self._text(label.json_parts()))
+        self[key] = text = entry[1]
+        return text
+
+    def _text(self, parts: list) -> str:
         texts = list(map(_scalar_text, parts))
         if texts and None not in texts:  # a flat list of scalars, as json_text writes it
             inner = self.pad + "  "
-            text = f"[{inner}{(',' + inner).join(texts)}{self.pad}]"
-        else:
-            text = json_text(parts, self.pad)
-        self[key] = text
-        return text
+            return f"[{inner}{(',' + inner).join(texts)}{self.pad}]"
+        return json_text(parts, self.pad)
 
 
 class _FloatTexts(dict):
@@ -143,16 +158,32 @@ class _FloatTexts(dict):
         return text
 
 
+class _DocTexts(dict):
+    """The texts that the ``TestRecords`` of one document share: pad -> the
+    ``written`` map of the labels written at that indent (``_LabelTexts``),
+    and ``p``, the p texts."""
+
+    def __init__(self):
+        super().__init__()
+        self.p = _FloatTexts()
+
+    def __missing__(self, pad: str) -> dict[int, tuple[Label, str]]:
+        self[pad] = written = {}
+        return written
+
+
 class TestRecords:
     """A report's "tests" list as ``json_text`` writes the test dicts of
     ``EvaluationReport.to_json_dict``, from one template per test and with
     no dict or per-test object built: the counts and p-values are read
-    from the arrays of ``PairTests``."""
+    from the arrays of ``PairTests``.  ``texts`` holds the label and p texts
+    that it shares with the other records of its document, if any."""
 
-    __slots__ = ("tests",)
+    __slots__ = ("tests", "texts")
 
-    def __init__(self, tests: Sequence[TestResult]):
+    def __init__(self, tests: Sequence[TestResult], texts: _DocTexts | None = None):
         self.tests = tests if isinstance(tests, PairTests) else PairTests.of(tests)
+        self.texts = texts
 
     def json_chunks(self, pad: str) -> Iterator[str]:
         """One chunk per child pair that has tables: its records, after
@@ -170,8 +201,15 @@ class TestRecords:
             if block:
                 labels.update((c.parts, c) for c in block.contexts)
                 labels[block.a1.parts], labels[block.a2.parts] = block.a1, block.a2
-        contexts, members = _LabelTexts(labels, i1), _LabelTexts(labels, i2)
-        p_texts = _FloatTexts()  # a scan's tests share many p-values
+        texts = _DocTexts() if self.texts is None else self.texts
+        contexts, members = _LabelTexts(labels, i1, texts[i1]), _LabelTexts(labels, i2, texts[i2])
+        p_texts = texts.p  # a scan's tests share many p-values
+        # the fixed parts of a record's text from "table" on, so that its
+        # f-string has 15 pieces: CPython joins one of over 30 as a list
+        a1_at, a2_at = f'{i1}"table": {{{i2}"a1": [{i3}', f'{i2}],{i2}"a2": [{i3}'
+        parent_at, p_key, comma = f'{i2}],{i2}"parent": [{i3}', f'{i2}]{i1}}},{i1}"p": ', f",{i3}"
+        significant = {True: f',{i1}"significant": true{end}}}',
+                       False: f',{i1}"significant": false{end}}}'}
         sep = "[" + end
         for block, ps, alpha in zip(tests.blocks, tests.p_values, tests.alphas):
             if not block:
@@ -192,11 +230,8 @@ class TestRecords:
                     tail = tails.get((x, y, z))
                     if tail is None or tail[0] is not p:
                         tail = tails[x, y, z] = (p, (
-                            f'{i1}"table": {{{i2}"a1": [{i3}{x},{i3}{n1 - x}{i2}],'
-                            f'{i2}"a2": [{i3}{y},{i3}{n2 - y}{i2}],'
-                            f'{i2}"parent": [{i3}{z},{i3}{n - z}{i2}]{i1}}},'
-                            f'{i1}"p": {p_texts[p]},'
-                            f'{i1}"significant": {"true" if p < alpha else "false"}{end}}}'))
+                            f"{a1_at}{x}{comma}{n1 - x}{a2_at}{y}{comma}{n2 - y}{parent_at}{z}"
+                            f"{comma}{n - z}{p_key}{p_texts[p]}{significant[p < alpha]}"))
                     records.append(f"{head}{name},{pair}{tail[1]}")
             yield sep + f",{end}".join(records)
             sep = "," + end
@@ -252,6 +287,27 @@ def report_doc(report: EvaluationReport) -> dict:
     """``report.to_json_dict()`` with its tests as ``TestRecords``: the
     same text under ``json_text``."""
     return report.json_fields(TestRecords(report.tests))
+
+
+def scan_doc(reports: Iterable[EvaluationReport], skipped: Sequence[str]) -> dict:
+    """``scan``'s document: its ranked reports, each as ``report_doc``
+    writes it, and ``skipped``.  The reports' ``TestRecords`` share one
+    ``_DocTexts``, so a label's text at one indent and a p's text are
+    written once per document, not once per report."""
+    texts = _DocTexts()
+    return {"candidates": [r.json_fields(TestRecords(r.tests, texts)) for r in reports],
+            "skipped_labels": skipped}
+
+
+def candidates_doc(candidates: Iterable[TimeThreshold], skipped: Sequence[str]) -> dict:
+    """``gen-candidates``' document: each candidate's fields, then ``skipped``."""
+    return {"candidates": [{"base_label": fn.base_label.json_parts(),
+                            "threshold": fn.threshold.isoformat(),
+                            "low_label": fn.low_label.json_parts(),
+                            "high_label": fn.high_label.json_parts(),
+                            "timezone": fn.timezone, "description": fn.description}
+                           for fn in candidates],
+            "skipped_labels": skipped}
 
 
 def _joined(parts: list[str]) -> str:

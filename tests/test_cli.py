@@ -888,16 +888,17 @@ def test_relations_flag(capsys):
 @pytest.mark.parametrize("via_config", [False, True])
 def test_a_list_flag_that_names_nothing_exits_one(tmp_path, capsys, argv, flag, value,
                                                   via_config):
-    # an empty list would run no test, or write only a header, and exit 0
-    given = [f"{flag}={value}"]
+    # an empty list would run no test, or write only a header, and exit 0;
+    # one from a --config file names the file
+    given, source = [f"{flag}={value}"], ""
     if via_config:
         cfg = tmp_path / "flags.cfg"
         cfg.write_text(f"{flag[2:]}={value}\n", encoding="utf-8")
-        given = ["--config", str(cfg)]
+        given, source = ["--config", str(cfg)], f" (in --config {cfg})"
     code, out, err = run(capsys, *argv, "--csv", SMART_HOME, "--base-label", "Sensor", *given)
     assert (code, out) == (1, "")
     what = "relation" if flag == "--relations" else "label"
-    assert err.splitlines()[-1] == f"error: {flag} names no {what}"
+    assert err.splitlines()[-1] == f"error: {flag} names no {what}{source}"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -911,15 +912,16 @@ def test_a_list_flag_that_names_nothing_exits_one(tmp_path, capsys, argv, flag, 
 def test_an_attribute_list_that_names_nothing_exits_one(tmp_path, capsys, argv, flag, value,
                                                         via_config):
     # an empty base label made the empty label the split parent, or meant
-    # every attribute; an empty case key was ignored, or grouped by day only
-    given = [f"{flag}={value}"]
+    # every attribute; an empty case key was ignored, or grouped by day
+    # only; one from a --config file names the file
+    given, source = [f"{flag}={value}"], ""
     if via_config:
         cfg = tmp_path / "flags.cfg"
         cfg.write_text(f"{flag[2:]}={value}\n", encoding="utf-8")
-        given = ["--config", str(cfg)]
+        given, source = ["--config", str(cfg)], f" (in --config {cfg})"
     code, out, err = run(capsys, *argv, "--csv", SMART_HOME, *given)
     assert (code, out) == (1, "")
-    assert err.splitlines()[-1] == f"error: {flag} names no attribute"
+    assert err.splitlines()[-1] == f"error: {flag} names no attribute{source}"
 
 
 @pytest.mark.parametrize("value", ["", ",", " , "])
@@ -1264,9 +1266,14 @@ def test_a_failing_run_leaves_out_as_it_was(tmp_path, capsys, before):
     ("--config", "bogus_key=1\n", ["scan"], "unknown config key 'bogus_key'"),
     ("--config", "alpha=abc\n", ["scan"], "argument --alpha: invalid float value: 'abc'"),
     ("--config", "timezone=Not/AZone\n", ["stats"], "unknown time zone 'Not/AZone'"),
+    ("--config", "relations=sideways\n", ["scan"],
+     "unknown relation 'sideways'; valid: ['directly_follows', 'directly_precedes', "
+     "'eventually_follows', 'eventually_precedes', 'length_two_loop']"),
+    ("--config", "b-labels=,\n", ["stats"], "--b-labels names no label"),
 ], ids=["schema-delimiter", "schema-timezone", "schema-unknown-key", "rule-value",
         "rule-matching-nothing", "config-line", "schema-line", "schema-no-column",
-        "config-unknown-key", "config-value-argparse-refuses", "config-timezone"])
+        "config-unknown-key", "config-value-argparse-refuses", "config-timezone",
+        "config-relations", "config-empty-list"])
 def test_an_error_in_a_settings_file_names_its_flag_and_path(tmp_path, capsys, flag, text,
                                                              argv, message):
     # these used to name neither, and a bad schema value, a line without
@@ -1290,6 +1297,21 @@ def test_a_zone_on_the_command_line_wins_over_the_config_file(tmp_path, capsys, 
     path.write_text("timezone=Not/AZone\n", encoding="utf-8")
     assert run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Sensor", "--config",
                str(path), "--timezone", zone)[::2] == (code, err)
+
+
+@pytest.mark.parametrize("labels, code, err", [
+    (",", 1, "usage: labelsplit [-h] COMMAND ...\nerror: --b-labels names no label\n"),
+    ("Bedroom motion", 0, ""),
+], ids=["bad", "good"])
+def test_a_list_on_the_command_line_wins_over_the_config_file(tmp_path, capsys, labels, code,
+                                                              err):
+    # a bad list given on the command line names no file, as before; a good
+    # one is read instead of the file's bad one
+    path = tmp_path / "settings"
+    path.write_text("b-labels=,\nrelations=sideways\n", encoding="utf-8")
+    assert run(capsys, "stats", "--csv", SMART_HOME, "--base-label", "Sensor", "--config",
+               str(path), "--b-labels", labels, "--relations", "directly_follows"
+               )[::2] == (code, err)
 
 
 def test_subcommand_help_exits_zero(capsys):

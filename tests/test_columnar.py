@@ -310,15 +310,23 @@ def test_quote_free_lf_rows_are_split_without_csv_reader(text, delimiter, by_rea
 
 @pytest.mark.parametrize("chunk", _CHUNK_SIZES)
 def test_a_chunk_that_csv_reader_must_read_restarts_the_whole_text(chunk):
-    # the quote comes after the first chunks were split: every row is read
-    # again by csv.reader, and read the same
+    # the quote comes after the first blocks were split: every row is read
+    # again by csv.reader, ``chunk`` rows at a time, and read the same
     text = _SPLIT_TEXT + '2021-03-28T02:40:00,9,h1,"a,b",x\n'
     schema = CsvSchema(timestamp_column="timestamp", attribute_columns=("home", "sensor", "act"),
                        id_column="id")
-    with mock.patch.object(ingest, "_CHUNK", chunk), \
-            mock.patch.object(ingest, "_split_chunks", wraps=ingest._split_chunks) as split:
+    split_blocks = []
+
+    def split(*args):
+        for cells in original(*args):
+            split_blocks.append(cells)
+            yield cells
+
+    original = ingest._split_chunks
+    with mock.patch.object(ingest, "_CHUNK", chunk), mock.patch.object(ingest, "_BLOCK", 64), \
+            mock.patch.object(ingest, "_split_chunks", split):
         events = parse_csv(text, schema)
-    assert split.called
+    assert split_blocks  # split before the block that holds the quote
     assert [(e.id, e.attributes) for e in events] == [
         (row["id"], tuple((name, row[name]) for name in ("home", "sensor", "act")))
         for row in csv.DictReader(io.StringIO(text))]

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from labelsplit import (DEFAULT_RELATIONS, ContingencyTable, Label, OrderingCounts,
                         OrderingRelation, Pairing, RefinementCounts, binary_entropy,
@@ -132,6 +133,41 @@ def test_rig_of_blocks_sums_each_table_in_order():
             after += h_after
         breakdown = relative_information_gain(blocks)
         assert (breakdown.total_before, breakdown.total_after) == (before, after)
+
+
+@st.composite
+def candidate_tables(draw):
+    """One candidate's tables: PairTables of small counts, so that (pos, n)
+    recurs within and across candidates, or the same tables one by one."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 3))):
+        relations = tuple(draw(st.lists(st.sampled_from(OrderingRelation), min_size=1,
+                                        max_size=3, unique=True)))
+        contexts = tuple(Label("c", k) for k in range(draw(st.integers(0, 4))))
+        n1, n2 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        n = n1 + n2 + draw(st.integers(0, 2))
+        columns = [tuple(draw(st.lists(st.integers(0, size), min_size=len(contexts),
+                                       max_size=len(contexts))) for _ in relations)
+                   for size in (n1, n2, n)]
+        blocks.append(PairTables(relations, contexts, Label("a1"), Label("a2"), Label("a"),
+                                 n1, n2, n, *columns))
+    return [t for block in blocks for t in block] if draw(st.booleans()) else blocks
+
+
+def float_bits(breakdown):
+    return tuple(value.hex() for value in (
+        breakdown.total_before, breakdown.total_after, breakdown.information_gain,
+        breakdown.relative_information_gain))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(candidate_tables(), max_size=5), st.data())
+def test_rig_with_one_shared_dict_equals_each_call_alone(candidates, data):
+    alone = [float_bits(relative_information_gain(tables)) for tables in candidates]
+    entropies = {}
+    for k in data.draw(st.permutations(range(len(candidates)))):
+        assert float_bits(relative_information_gain(candidates[k], entropies)) == alone[k]
+    assert all(h == binary_entropy(pos / n) for (pos, n), h in entropies.items())
 
 
 def test_h_after_bounded_by_h_before_on_additive_tables():

@@ -14,7 +14,7 @@ from labelsplit import (ContingencyTable, EntropyBreakdown, EvaluationReport, La
                         generate_median_time_candidates, rank_candidates)
 from labelsplit.ordering import PairTables
 from labelsplit.report import (StatsRows, TestRecords as Records, csv_label, json_chunks,
-                               json_text, report_doc, stats_csv)
+                               json_text, report_doc, scan_doc, stats_csv)
 from labelsplit.stats import PairTests, TestResult as FisherResult
 
 from conftest import log_from_rows
@@ -134,10 +134,23 @@ def test_report_doc_writes_what_the_dict_form_writes(report):
     assert "".join(json_chunks(report_doc(report))) == dumped(report.to_json_dict())
 
 
+# equal labels written differently, each a context in its own report:
+# a report's text of a label is that of its own last such label
+UTC_AND_PARIS = [Label(NOON_UTC), Label(NOON_IN_PARIS)]
+ONE_TRUE_AND_ONE_POINT_ZERO = [Label("c", 1), Label("c", True), Label("c", 1.0)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(reports(), max_size=3), st.lists(texts, max_size=2))
+@example([_report_of([_test_of(label)]) for label in UTC_AND_PARIS], [])
+@example([_report_of([_test_of(label)]) for label in ONE_TRUE_AND_ONE_POINT_ZERO], [])
+@example([_report_of([_test_of(label) for label in ONE_TRUE_AND_ONE_POINT_ZERO]),
+          _report_of([_test_of(ONE_TRUE_AND_ONE_POINT_ZERO[0])])], [])
+@example([_report_of([_test_of(label) for label in UTC_AND_PARIS]),
+          _report_of([_test_of(UTC_AND_PARIS[0])]),
+          _report_of([_test_of(label) for label in UTC_AND_PARIS])], ["s"])
 def test_nested_report_docs_write_what_the_dict_forms_write(reports, skipped):
-    doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": skipped}
+    doc = scan_doc(reports, skipped)
     expected = {"candidates": [r.to_json_dict() for r in reports], "skipped_labels": skipped}
     assert json_text(doc) == json_text(expected)
     assert "".join(json_chunks(doc)) == dumped(expected)
@@ -215,7 +228,7 @@ def test_a_scan_writes_one_pair_block_per_chunk():
     log = log_from_rows([[rng.choice(names) for _ in range(rng.randint(4, 30))]
                          for _ in range(60)])
     reports = rank_candidates(log, generate_median_time_candidates(log))
-    doc = {"candidates": [report_doc(r) for r in reports], "skipped_labels": []}
+    doc = scan_doc(reports, [])
     chunks = list(json_chunks(doc))
     assert "".join(chunks) == json_text(doc) == dumped(
         {"candidates": [r.to_json_dict() for r in reports], "skipped_labels": []})
